@@ -155,11 +155,16 @@ def cmd_classify_lines(args) -> int:
 def _coord_from_file(chart, path: str) -> ComplementCoord:
     obj = _load_json(path)
     if isinstance(obj, dict) and "gamma" in obj:
-        return ComplementCoord(chart,
-                               matrix_from_json(chart.domain, obj["gamma"],
-                                                cols=chart.k))
+        gamma = matrix_from_json(chart.domain, obj["gamma"], cols=chart.k)
+        if gamma.rows != chart.m:
+            raise ConfigError(f"{path}: gamma needs {chart.m} rows")
+        return ComplementCoord(chart, gamma)
     if isinstance(obj, dict) and "rows" in obj:
-        return chart.coordinate_of(subspace_from_json(chart.domain, obj))
+        sub = subspace_from_json(chart.domain, obj)
+        try:
+            return chart.coordinate_of(sub)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f'{path}: expected {{"gamma": ...}} or a subspace object')
 
 

@@ -74,9 +74,15 @@ def chart_from_config(cfg: dict) -> AffineChart:
         if key not in cfg:
             raise ConfigError(f'config is missing "{key}"')
     domain = parse_field(str(cfg["field"]))
-    n, k = int(cfg["n"]), int(cfg["k"])
+    try:
+        n, k = int(cfg["n"]), int(cfg["k"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'"n" and "k" must be integers: {exc}') from exc
     if not 0 < k < n:
         raise ConfigError("need 0 < k < n (trivial charts are excluded)")
+    for key in ("W", "U"):
+        if key in cfg and not isinstance(cfg[key], list):
+            raise ConfigError(f'"{key}" must be a list of rows')
     try:
         if "W" in cfg:
             w_rows = [vector_from_json(domain, row) for row in cfg["W"]]

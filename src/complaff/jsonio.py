@@ -25,6 +25,14 @@ from .linalg import MatrixK
 from .projective import Subspace
 
 
+def _built(what: str, make, *args, **kwargs):
+    """make(*args, **kwargs), reporting a ValueError from it as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def scalar_to_json(s: Scalar):
     domain = s.domain
     if isinstance(domain, PrimeField):
@@ -70,7 +78,8 @@ def matrix_to_json(m: MatrixK):
 def matrix_from_json(domain: ScalarDomain, obj, cols: int | None = None) -> MatrixK:
     if not isinstance(obj, list):
         raise ConfigError("expected a list of rows")
-    return MatrixK(domain, [vector_from_json(domain, row) for row in obj], cols=cols)
+    return _built("matrix", MatrixK, domain,
+                  [vector_from_json(domain, row) for row in obj], cols=cols)
 
 
 def subspace_to_json(s: Subspace):
@@ -80,9 +89,14 @@ def subspace_to_json(s: Subspace):
 def subspace_from_json(domain: ScalarDomain, obj) -> Subspace:
     if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
         raise ConfigError('a subspace needs "ambient" and "rows"')
-    ambient = int(obj["ambient"])
+    try:
+        ambient = int(obj["ambient"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'subspace "ambient" must be an integer: {exc}') from exc
+    if not isinstance(obj["rows"], list):
+        raise ConfigError('subspace "rows" must be a list of rows')
     rows = [vector_from_json(domain, row) for row in obj["rows"]]
-    return Subspace.from_rows(domain, ambient, rows)
+    return _built("subspace", Subspace.from_rows, domain, ambient, rows)
 
 
 def dual_spread_to_json(b: DualSpreadCandidate):
@@ -95,19 +109,20 @@ def dual_spread_from_json(chart: AffineChart, obj) -> DualSpreadCandidate:
         obj = {"gammas": obj}
     if not isinstance(obj, dict):
         raise ConfigError("expected a dual-spread object or a list of gammas")
+    key = "gammas" if "gammas" in obj else "subspaces"
+    if not isinstance(obj.get(key), list):
+        raise ConfigError('a dual-spread file needs a "gammas" or "subspaces" list')
     members = []
-    if "gammas" in obj:
+    if key == "gammas":
         for g in obj["gammas"]:
-            members.append(ComplementCoord(
-                chart, matrix_from_json(chart.domain, g, cols=chart.k)))
-    elif "subspaces" in obj:
+            members.append(_built("dual-spread member", ComplementCoord, chart,
+                                  matrix_from_json(chart.domain, g, cols=chart.k)))
+    else:
         for s in obj["subspaces"]:
             sub = subspace_from_json(chart.domain, s)
             if sub == chart.w:
                 continue             # W is implicit
-            members.append(chart.coordinate_of(sub))
-    else:
-        raise ConfigError('a dual-spread file needs "gammas" or "subspaces"')
+            members.append(_built("dual-spread member", chart.coordinate_of, sub))
     return DualSpreadCandidate(chart, members)
 
 
@@ -122,8 +137,8 @@ def transversals_to_json(lines):
 
 
 def transversals_from_json(domain: ScalarDomain, obj):
-    if not isinstance(obj, dict) or "subspaces" not in obj:
-        raise ConfigError('a transversal file needs "subspaces"')
+    if not isinstance(obj, dict) or not isinstance(obj.get("subspaces"), list):
+        raise ConfigError('a transversal file needs a "subspaces" list')
     return tuple(subspace_from_json(domain, s) for s in obj["subspaces"])
 
 
@@ -135,12 +150,15 @@ def family_to_json(f: TransversalFamily):
 
 
 def family_from_json(chart: AffineChart, obj) -> TransversalFamily:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ConfigError('a family file needs "entries"')
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+        raise ConfigError('a family file needs an "entries" list')
     entries = []
     for rec in obj["entries"]:
+        if not (isinstance(rec, dict) and "u" in rec
+                and isinstance(rec.get("images"), list)):
+            raise ConfigError('a family entry needs "u" and an "images" list')
         u = vector_from_json(chart.domain, rec["u"])
         images = tuple(vector_from_json(chart.domain, img)
                        for img in rec["images"])
         entries.append((u, images))
-    return TransversalFamily(chart, entries)
+    return _built("family", TransversalFamily, chart, entries)

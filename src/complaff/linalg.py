@@ -10,6 +10,12 @@ Row reduction uses left row operations only (swap, left-scale by a unit,
 add a left multiple of another row).  The resulting reduced echelon form
 is the unique canonical basis of the row space, so two row spaces are
 equal exactly when their reduced forms are equal.
+
+The arithmetic runs on payloads, the raw values inside ``Scalar``s: one
+routine, ``reduce_rows``, reduces lists of payload rows in place with
+the domain's payload operations bound once per call, and ``combine``
+forms left linear combinations of payload rows.  ``Scalar`` objects are
+built only for the vectors and matrices handed back to the caller.
 """
 
 from __future__ import annotations
@@ -20,6 +26,94 @@ from .algebra import Scalar, ScalarDomain
 from .errors import DomainMismatchError
 
 Vector = tuple  # tuple[Scalar, ...]
+
+
+# ---------------------------------------------------------------------------
+# payload rows
+# ---------------------------------------------------------------------------
+
+def payload_of(domain: ScalarDomain, x):
+    """The payload of x as an element of `domain` (ints and payloads coerced)."""
+    if type(x) is Scalar and x.domain is domain:
+        return x.payload
+    return domain.scalar(x).payload
+
+
+def matrix_rows(m: "MatrixK") -> list:
+    """Fresh mutable payload lists for the rows of m."""
+    return [[x.payload for x in row] for row in m.entries]
+
+
+def from_payloads(domain: ScalarDomain, rows, cols: int) -> "MatrixK":
+    """The MatrixK whose entries wrap the given payload rows."""
+    return MatrixK(domain, [[Scalar(domain, x) for x in row] for row in rows],
+                   cols=cols)
+
+
+def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
+    """Left-reduce payload rows in place on their first `ncols` columns.
+
+    Rows may be wider than `ncols`: the extra columns (an appended
+    identity, say) undergo the same row operations but never hold a
+    pivot.  Afterwards rows[:rank] are the reduced echelon rows and every
+    later row is zero on the first `ncols` columns.  Returns the pivot
+    columns, one per echelon row.
+    """
+    add, mul, neg, inv, is_zero = (domain._add, domain._mul, domain._neg,
+                                   domain._inv, domain._is_zero)
+    nrows = len(rows)
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        if lead == nrows:
+            break
+        for piv in range(lead, nrows):
+            if not is_zero(rows[piv][col]):
+                break
+        else:
+            continue
+        row = rows[piv]
+        rows[piv] = rows[lead]
+        rows[lead] = row
+        # rows from `lead` on are zero left of `col`, so the row operations
+        # below only touch the pivot row's nonzero entries from `col` on
+        k = inv(row[col])
+        nonzero = []
+        for j in range(col, len(row)):
+            y = row[j]
+            if not is_zero(y):
+                row[j] = y = mul(k, y)
+                nonzero.append((j, y))
+        for i in range(nrows):
+            other = rows[i]
+            if i != lead and not is_zero(other[col]):
+                f = neg(other[col])
+                for j, y in nonzero:
+                    other[j] = add(other[j], mul(f, y))
+        pivots.append(col)
+        lead += 1
+    return pivots
+
+
+def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
+    """The payload row sum_i coeffs[i] * rows[i] (left multiples)."""
+    add, mul, is_zero = domain._add, domain._mul, domain._is_zero
+    acc = [domain.zero().payload] * width
+    for c, row in zip(coeffs, rows):
+        if not is_zero(c):
+            acc = [add(a, mul(c, x)) for a, x in zip(acc, row)]
+    return acc
+
+
+def _augmented(m: "MatrixK") -> list:
+    """Payload rows of [M | I]."""
+    zero, one = m.domain.zero().payload, m.domain.one().payload
+    out = []
+    for i, row in enumerate(m.entries):
+        unit = [zero] * m.rows
+        unit[i] = one
+        out.append([x.payload for x in row] + unit)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +147,9 @@ def apply(v: Vector, m: "MatrixK") -> Vector:
     """Row vector times matrix; vector entries multiply on the left."""
     if len(v) != m.rows:
         raise ValueError(f"vector of length {len(v)} times {m.rows}x{m.cols} matrix")
-    cols = []
-    for j in range(m.cols):
-        acc = m.domain.zero()
-        for i, vi in enumerate(v):
-            acc = acc + vi * m.entries[i][j]
-        cols.append(acc)
-    return tuple(cols)
+    domain = m.domain
+    acc = combine(domain, [payload_of(domain, x) for x in v], matrix_rows(m), m.cols)
+    return tuple(Scalar(domain, x) for x in acc)
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +162,11 @@ class MatrixK:
     __slots__ = ("domain", "rows", "cols", "entries")
 
     def __init__(self, domain: ScalarDomain, entries, cols: int | None = None):
-        ents = tuple(tuple(domain.scalar(x) for x in row) for row in entries)
+        # Scalars of this very domain object are canonical already; every
+        # other entry is coerced, which rejects Scalars of another domain
+        ents = tuple(tuple([x if type(x) is Scalar and x.domain is domain
+                            else domain.scalar(x) for x in row])
+                     for row in entries)
         if ents:
             width = len(ents[0])
             if any(len(r) != width for r in ents):
@@ -102,10 +196,6 @@ class MatrixK:
         z = domain.zero()
         return cls(domain, [[z] * cols for _ in range(rows)], cols=cols)
 
-    @classmethod
-    def from_rows(cls, domain: ScalarDomain, rows, cols: int | None = None) -> "MatrixK":
-        return cls(domain, rows, cols=cols)
-
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -115,25 +205,27 @@ class MatrixK:
         if other.domain != self.domain:
             raise DomainMismatchError(f"{self.domain} vs {other.domain}")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, what):
         self._check(other)
         if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ValueError("shape mismatch in addition")
-        return MatrixK(self.domain,
-                       [vec_add(a, b) for a, b in zip(self.entries, other.entries)],
-                       cols=self.cols)
+            raise ValueError(f"shape mismatch in {what}")
+        return from_payloads(self.domain,
+                             [[op(x.payload, y.payload) for x, y in zip(a, b)]
+                              for a, b in zip(self.entries, other.entries)],
+                             self.cols)
+
+    def __add__(self, other):
+        return self._entrywise(other, self.domain._add, "addition")
 
     def __sub__(self, other):
-        self._check(other)
-        if (other.rows, other.cols) != (self.rows, self.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return MatrixK(self.domain,
-                       [vec_sub(a, b) for a, b in zip(self.entries, other.entries)],
-                       cols=self.cols)
+        add, neg = self.domain._add, self.domain._neg
+        return self._entrywise(other, lambda x, y: add(x, neg(y)), "subtraction")
 
     def __neg__(self):
-        return MatrixK(self.domain, [[-x for x in row] for row in self.entries],
-                       cols=self.cols)
+        neg = self.domain._neg
+        return from_payloads(self.domain,
+                             [[neg(x.payload) for x in row] for row in self.entries],
+                             self.cols)
 
     def __mul__(self, other):
         """Matrix product; self's entries stay on the left of other's."""
@@ -141,14 +233,18 @@ class MatrixK:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        return MatrixK(self.domain, [apply(row, other) for row in self.entries],
-                       cols=other.cols)
+        domain, right = self.domain, matrix_rows(other)
+        return from_payloads(domain,
+                             [combine(domain, [x.payload for x in row], right,
+                                      other.cols) for row in self.entries],
+                             other.cols)
 
     def scale_left(self, k: Scalar) -> "MatrixK":
         """Entrywise left multiple k*M (the matrix of lambda_k followed by M)."""
-        k = self.domain.scalar(k)
-        return MatrixK(self.domain, [[k * x for x in row] for row in self.entries],
-                       cols=self.cols)
+        k, mul = payload_of(self.domain, k), self.domain._mul
+        return from_payloads(self.domain,
+                             [[mul(k, x.payload) for x in row] for row in self.entries],
+                             self.cols)
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.entries for x in row)
@@ -171,11 +267,6 @@ class MatrixK:
         return f"[{body}]"
 
 
-def compose(first: MatrixK, then: MatrixK) -> MatrixK:
-    """Matrix of "apply `first`, then `then`"."""
-    return first * then
-
-
 # ---------------------------------------------------------------------------
 # row reduction and everything built on it
 # ---------------------------------------------------------------------------
@@ -193,77 +284,60 @@ class Echelon:
 
 def rref(m: MatrixK) -> Echelon:
     """Left-reduced row echelon form with the row-operation transform."""
-    domain = m.domain
-    r = [list(row) for row in m.entries]
-    e = [list(row) for row in MatrixK.identity(domain, m.rows).entries]
-    pivots = []
-    lead = 0
-    for col in range(m.cols):
-        if lead == m.rows:
-            break
-        piv = next((i for i in range(lead, m.rows) if not r[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        r[lead], r[piv] = r[piv], r[lead]
-        e[lead], e[piv] = e[piv], e[lead]
-        inv = r[lead][col].inverse()
-        r[lead] = [inv * x for x in r[lead]]
-        e[lead] = [inv * x for x in e[lead]]
-        for i in range(m.rows):
-            if i == lead or r[i][col].is_zero():
-                continue
-            f = r[i][col]
-            r[i] = [x - f * y for x, y in zip(r[i], r[lead])]
-            e[i] = [x - f * y for x, y in zip(e[i], e[lead])]
-        pivots.append(col)
-        lead += 1
-    return Echelon(MatrixK(domain, r, cols=m.cols), tuple(pivots),
-                   MatrixK(domain, e, cols=m.rows))
+    rows = _augmented(m)
+    pivots = reduce_rows(m.domain, rows, m.cols)
+    return Echelon(from_payloads(m.domain, [r[:m.cols] for r in rows], m.cols),
+                   tuple(pivots),
+                   from_payloads(m.domain, [r[m.cols:] for r in rows], m.rows))
 
 
 def rank(m: MatrixK) -> int:
-    return rref(m).rank
+    return len(reduce_rows(m.domain, matrix_rows(m), m.cols))
 
 
 def row_space(m: MatrixK) -> MatrixK:
     """Canonical echelon basis of the row space (zero rows dropped)."""
-    ech = rref(m)
-    return MatrixK(m.domain, ech.matrix.entries[:ech.rank], cols=m.cols)
+    rows = matrix_rows(m)
+    r = len(reduce_rows(m.domain, rows, m.cols))
+    return from_payloads(m.domain, rows[:r], m.cols)
 
 
 def kernel(m: MatrixK) -> MatrixK:
     """Canonical basis of {v : v*M = 0} (left coefficients)."""
-    ech = rref(m)
-    null_rows = ech.transform.entries[ech.rank:]
-    return row_space(MatrixK(m.domain, null_rows, cols=m.rows))
+    rows = _augmented(m)
+    r = len(reduce_rows(m.domain, rows, m.cols))
+    null = [row[m.cols:] for row in rows[r:]]
+    reduce_rows(m.domain, null, m.rows)      # independent rows: none drops out
+    return from_payloads(m.domain, null, m.rows)
 
 
 def inverse(m: MatrixK) -> MatrixK | None:
     """Two-sided inverse, or None when the matrix is not invertible."""
     if not m.is_square():
         raise ValueError("inverse needs a square matrix")
-    ech = rref(m)
-    if ech.rank != m.rows:
+    rows = _augmented(m)
+    if len(reduce_rows(m.domain, rows, m.cols)) != m.rows:
         return None
-    return ech.transform
+    return from_payloads(m.domain, [r[m.cols:] for r in rows], m.rows)
 
 
 def is_invertible(m: MatrixK) -> bool:
-    return m.is_square() and rref(m).rank == m.rows
+    return m.is_square() and rank(m) == m.rows
 
 
 def solve(m: MatrixK, rhs: Vector) -> Vector | None:
     """Some x with x*M = rhs, or None when rhs is not in the row space."""
     if len(rhs) != m.cols:
         raise ValueError("right-hand side has the wrong length")
-    ech = rref(m)
-    w = [m.domain.zero()] * m.rows
-    for idx, col in enumerate(ech.pivots):
-        w[idx] = rhs[col]
-    candidate = apply(tuple(w), ech.matrix)
-    if candidate != tuple(rhs):
+    domain, n = m.domain, m.cols
+    target = [payload_of(domain, x) for x in rhs]
+    rows = _augmented(m)
+    pivots = reduce_rows(domain, rows, n)
+    # in echelon form the only candidate coefficients sit at the pivots
+    full = combine(domain, [target[p] for p in pivots], rows, n + m.rows)
+    if full[:n] != target:
         return None
-    return apply(tuple(w), ech.transform)
+    return tuple(Scalar(domain, x) for x in full[n:])
 
 
 def stack(domain: ScalarDomain, parts, cols: int) -> MatrixK:

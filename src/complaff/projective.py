@@ -15,22 +15,25 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import Quaternions, Rationals, Sampled, ScalarDomain, scalars
+from .algebra import Quaternions, Rationals, Sampled, Scalar, ScalarDomain, scalars
 from .errors import DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
     Vector,
     apply,
+    combine,
+    from_payloads,
     kernel,
+    matrix_rows,
+    payload_of,
+    reduce_rows,
     row_space,
     solve,
-    stack,
     unit_vector,
     vec_add,
     vec_is_zero,
     vec_scale,
     vector,
-    zero_vector,
 )
 
 
@@ -49,10 +52,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, domain: ScalarDomain, ambient: int, rows) -> "Subspace":
-        m = MatrixK(domain, rows, cols=ambient)
-        if m.cols != ambient:
-            raise ValueError("row length does not match the ambient dimension")
-        return cls(domain, ambient, row_space(m))
+        return cls(domain, ambient, row_space(MatrixK(domain, rows, cols=ambient)))
 
     @classmethod
     def zero(cls, domain: ScalarDomain, ambient: int) -> "Subspace":
@@ -75,28 +75,36 @@ class Subspace:
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
 
-    def coefficients_of(self, v) -> Vector | None:
-        """Coefficients of v w.r.t. the echelon basis, or None when outside.
+    def _coefficients(self, vectors):
+        """Per payload vector: its payload coefficients w.r.t. the echelon
+        basis, or None when it lies outside.
 
-        In echelon form the only possible coefficients are v's entries at
-        the pivot columns, so one reconstruction decides membership.
+        In echelon form the only possible coefficients are the vector's
+        entries at the pivot columns, so one reconstruction decides
+        membership.
         """
-        v = vector(self.domain, v)
+        domain, is_zero = self.domain, self.domain._is_zero
+        rows = matrix_rows(self.basis)
+        pivots = [next(j for j, x in enumerate(row) if not is_zero(x)) for row in rows]
+        for v in vectors:
+            coeffs = [v[p] for p in pivots]
+            yield coeffs if combine(domain, coeffs, rows, self.ambient) == v else None
+
+    def coefficients_of(self, v) -> Vector | None:
+        """Coefficients of v w.r.t. the echelon basis, or None when outside."""
+        v = [payload_of(self.domain, x) for x in v]
         if len(v) != self.ambient:
             raise ValueError("vector has the wrong length")
-        coeffs = tuple(v[next(i for i, x in enumerate(row) if not x.is_zero())]
-                       for row in self.basis.entries)
-        acc = zero_vector(self.domain, self.ambient)
-        for c, row in zip(coeffs, self.basis.entries):
-            acc = vec_add(acc, vec_scale(c, row))
-        return coeffs if acc == v else None
+        coeffs = next(self._coefficients([v]))
+        return None if coeffs is None else tuple(Scalar(self.domain, c) for c in coeffs)
 
     def contains_vector(self, v) -> bool:
         return self.coefficients_of(v) is not None
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(self.contains_vector(r) for r in other.basis.entries)
+        return all(c is not None
+                   for c in self._coefficients(matrix_rows(other.basis)))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
@@ -104,16 +112,22 @@ class Subspace:
                                   self.basis.entries + other.basis.entries)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection, via the kernel of the stacked constraint system."""
+        """Intersection by Zassenhaus' method.
+
+        The row space of [A | A] over [B | 0] holds (a + b | a) for a in
+        A and b in B; its vectors with zero left half are exactly (0 | x)
+        with x in A & B.  In the reduced echelon form they are the rows
+        with a pivot in the right half, and their right halves are the
+        reduced echelon basis of A & B.
+        """
         self._check(other)
-        ra, rb = self.basis.rows, other.basis.rows
-        if ra == 0 or rb == 0:
-            return Subspace.zero(self.domain, self.ambient)
-        stacked = stack(self.domain,
-                        [self.basis, -other.basis], cols=self.ambient)
-        combos = kernel(stacked)
-        rows = [apply(c[:ra], self.basis) for c in combos.entries]
-        return Subspace.from_rows(self.domain, self.ambient, rows)
+        n, domain = self.ambient, self.domain
+        zeros = [domain.zero().payload] * n
+        rows = ([row + row for row in matrix_rows(self.basis)]
+                + [row + zeros for row in matrix_rows(other.basis)])
+        pivots = reduce_rows(domain, rows, 2 * n)
+        meet = [row[n:] for row, p in zip(rows, pivots) if p >= n]
+        return Subspace(domain, n, from_payloads(domain, meet, n))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.domain == self.domain
@@ -382,5 +396,6 @@ class ZStructure:
                 current = current + Subspace.from_rows(self.domain, self.ambient, [b])
         c = Subspace.from_rows(self.domain, self.ambient, chosen) \
             if chosen else Subspace.zero(self.domain, self.ambient)
-        assert a.dim + c.dim == self.dim and (a & c).dim == 0
+        if not (a.dim + c.dim == self.dim and (a & c).dim == 0):
+            raise RuntimeError("central complement is not a complement")
         return c

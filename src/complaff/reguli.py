@@ -290,7 +290,8 @@ class Perspectivity:
         if p.dim != 1 or not self.source.contains(p):
             raise ValueError("expected a point of the source member")
         image = (p + self.center) & self.target
-        assert image.dim == 1
+        if image.dim != 1:
+            raise RuntimeError("perspectivity image is not a point")
         return image
 
 
@@ -366,7 +367,8 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
     im_amb = Subspace.from_rows(dom, ch.ambient,
                                 [apply(r, ch.w_matrix) for r in im_rows.entries])
     r = im_amb.dim
-    assert u_prime.dim == r
+    if u_prime.dim != r:
+        raise RuntimeError("central complement of the kernel has the wrong dimension")
 
     base_chart = AffineChart(dom, ch.ambient, im_amb, u_prime,
                              b=u_prime_vectors, space=im_amb + u_prime)
@@ -375,14 +377,16 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
         image = apply(apply(ch.z.coords_of(b_vec), alpha), ch.w_matrix)
         alpha_rows.append(solve(im_amb.basis, image))
     alpha_prime = MatrixK(dom, alpha_rows, cols=r)
-    assert is_invertible(alpha_prime)
+    if not is_invertible(alpha_prime):
+        raise RuntimeError("restricted alpha is not invertible")
     base = Regulus(base_chart, alpha_prime, MatrixK.zero(dom, r, r))
 
     exact = vertex == ker_amb
     if exact and dom.is_finite:
         cone_points = {x + ker_amb for x in base.affine_members()}
         line_points = {p.subspace() for p in line.points()}
-        assert cone_points == line_points
+        if cone_points != line_points:
+            raise RuntimeError("cone points differ from the line's points")
     return ConeDecomposition(vertex, ker_amb, u_prime, base, base_chart, exact)
 
 

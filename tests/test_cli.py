@@ -276,3 +276,40 @@ def test_every_command_is_deterministic(cfg2, spread_file, tmp_path):
         second = run_cli(*argv)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+
+MALFORMED = {
+    "non-integer-n": ("enumerate", "--config",
+                      ("cfg.json", {"field": "gf(3)", "n": "abc", "k": 2})),
+    "W-not-a-list": ("enumerate", "--config",
+                     ("cfg.json", {"field": "gf(3)", "n": 4, "k": 2, "W": 5})),
+    "family-entry-without-u": ("build-dual-spread",
+                               ("family.json", {"kind": "family", "entries": [
+                                   {"images": [[0, 0], [0, 0]]}]})),
+    "ragged-gamma": ("check-dual-spread",
+                     ("spread.json", {"kind": "dual-spread",
+                                      "gammas": [[[0, 0], [0]], [[1, 0], [0, 1]]]})),
+    "point-not-a-complement": ("regulus", "--through",
+                               ("a.json", {"ambient": 4, "rows": [[1, 0, 0, 0]]}),
+                               ("b.json", {"gamma": [[1, 0], [0, 1]]})),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_exits_2_with_one_line(name, cfg2, tmp_path):
+    argv = []
+    for arg in MALFORMED[name]:
+        if isinstance(arg, tuple):
+            path = tmp_path / arg[0]
+            path.write_text(json.dumps(arg[1]))
+            arg = str(path)
+        argv.append(arg)
+    if "--config" not in argv:
+        argv += ["--config", cfg2]
+    out = run_cli(*argv, "--json")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("config error: ")
+    assert out.stdout == ""
