@@ -116,6 +116,10 @@ class ScalarDomain:
     def _is_central(self, a) -> bool:
         return True
 
+    def _int_of(self, a):
+        """The int n whose canonical image is a, or None."""
+        return None
+
     def _str(self, a) -> str:
         return str(a)
 
@@ -181,6 +185,9 @@ class PrimeField(ScalarDomain):
 
     def _is_zero(self, a):
         return a == 0
+
+    def _int_of(self, a):
+        return a
 
 
 # polynomial helpers over GF(p); coefficient tuples, constant term first
@@ -326,6 +333,9 @@ class ExtensionField(ScalarDomain):
     def _is_zero(self, a):
         return all(x == 0 for x in a)
 
+    def _int_of(self, a):
+        return None if any(a[1:]) else a[0]
+
     def _str(self, a):
         if self._is_zero(a):
             return "0"
@@ -379,6 +389,9 @@ class Rationals(ScalarDomain):
 
     def _is_zero(self, a):
         return a == 0
+
+    def _int_of(self, a):
+        return a.numerator if a.denominator == 1 else None
 
 
 class Quaternions(ScalarDomain):
@@ -458,6 +471,9 @@ class Quaternions(ScalarDomain):
 
     def _is_central(self, a):
         return a[1] == 0 and a[2] == 0 and a[3] == 0
+
+    def _int_of(self, a):
+        return a[0].numerator if a[0].denominator == 1 and not any(a[1:]) else None
 
     def _str(self, a):
         units = ("", "i", "j", "k")
@@ -552,13 +568,16 @@ class Scalar:
         return self.domain._is_central(self.payload)
 
     def __eq__(self, other):
+        """An int n equals only its canonical image (0 <= n < p on a finite
+        field, any n on Q and Quat(Q)), which hashes as n."""
         if isinstance(other, int):
-            other = self.domain.from_int(other)
+            return self.domain._int_of(self.payload) == other
         return (isinstance(other, Scalar) and other.domain == self.domain
                 and other.payload == self.payload)
 
     def __hash__(self):
-        return hash(self.payload)
+        n = self.domain._int_of(self.payload)
+        return hash(self.payload if n is None else n)
 
     def __repr__(self):
         return self.domain._str(self.payload)
@@ -570,3 +589,14 @@ def scalars(domain: ScalarDomain, seed: int = 0):
     if domain.is_finite:
         return domain.elements()
     return domain.sample(seed)
+
+
+def _projective_reps(domain: ScalarDomain, n: int):
+    """The n-tuples over a finite domain whose first nonzero entry is 1:
+    one per projective point of K^n, ordered by the position of the
+    leading 1, then by the tail in `elements()` order."""
+    elems = domain.elements()
+    zero, one = domain.zero(), domain.one()
+    for lead in range(n):
+        for tail in itertools.product(elems, repeat=n - lead - 1):
+            yield (zero,) * lead + (one,) + tail

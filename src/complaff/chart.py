@@ -27,8 +27,12 @@ from .linalg import (
     MatrixK,
     Vector,
     apply,
+    combine,
+    from_payloads,
     inverse,
     is_invertible,
+    matrix_rows,
+    reduce_rows,
     rref,
     stack,
     vec_add,
@@ -79,10 +83,11 @@ class AffineChart:
         return self.k == self.m
 
     def __eq__(self, other):
-        return (isinstance(other, AffineChart) and other.domain == self.domain
-                and other.ambient == self.ambient and other.space == self.space
-                and other.w == self.w and other.u == self.u
-                and other.w_basis == self.w_basis and other.b == self.b)
+        return other is self or (
+            isinstance(other, AffineChart) and other.domain == self.domain
+            and other.ambient == self.ambient and other.space == self.space
+            and other.w == self.w and other.u == self.u
+            and other.w_basis == self.w_basis and other.b == self.b)
 
     def __hash__(self):
         return hash((self.ambient, self.w, self.u, self.w_basis, self.b))
@@ -93,16 +98,21 @@ class AffineChart:
 
     # -- coordinates ----------------------------------------------------------
 
+    def _split(self, v: list) -> list | None:
+        """Payload coordinates of the payload row v over the independent
+        rows of [W-basis; b], or None when v is outside the space."""
+        ech, domain = self._t_ech, self.domain
+        coeffs = [v[col] for col in ech.pivots]
+        if combine(domain, coeffs, matrix_rows(ech.matrix), self.ambient) != v:
+            return None
+        return combine(domain, coeffs, matrix_rows(ech.transform), self._t.rows)
+
     def coords_split(self, v) -> tuple[Vector, Vector] | None:
         """(W-part, U-part) of v in the chart bases; None outside the space."""
-        v = vector(self.domain, v)
-        ech = self._t_ech
-        w = [self.domain.zero()] * self._t.rows
-        for idx, col in enumerate(ech.pivots):
-            w[idx] = v[col]
-        if apply(tuple(w), ech.matrix) != v:
+        full = self._split([x.payload for x in vector(self.domain, v)])
+        if full is None:
             return None
-        full = apply(tuple(w), ech.transform)
+        full = tuple(Scalar(self.domain, x) for x in full)
         return full[:self.k], full[self.k:]
 
     def from_split(self, x, y) -> Vector:
@@ -128,22 +138,32 @@ class AffineChart:
         rows = [vec_add(shifted.entries[i], self.b[i]) for i in range(self.m)]
         return Subspace.from_rows(self.domain, self.ambient, rows)
 
+    def _graph(self, s: Subspace) -> MatrixK | None:
+        """The gamma whose complement is S, or None when S is no complement
+        of W in the chart's space.  S's rows have chart coordinates [X | Y];
+        S & W = 0 exactly when Y is invertible, and then reducing [Y | X]
+        on its first m columns leaves [I | Y^-1 X], so gamma = Y^-1 X."""
+        if s.dim != self.m:
+            return None
+        self.w._check(s)
+        rows = []
+        for v in matrix_rows(s.basis):
+            full = self._split(v)
+            if full is None:
+                return None
+            rows.append(full[self.k:] + full[:self.k])
+        if len(reduce_rows(self.domain, rows, self.m)) != self.m:
+            return None
+        return from_payloads(self.domain, [r[self.m:] for r in rows], self.k)
+
     def coordinate_of(self, s: Subspace) -> "ComplementCoord":
         """Inverse of `complement`; requires S to be a complement of W."""
         if s.domain != self.domain or s.ambient != self.ambient:
             raise ValueError("subspace lives in a different ambient space")
-        if s.dim != self.m or (s & self.w).dim != 0 or not self.space.contains(s):
+        gamma = self._graph(s)
+        if gamma is None:
             raise ValueError("not a complement of W in this chart")
-        xs, ys = [], []
-        for row in s.basis.entries:
-            split = self.coords_split(row)
-            x, y = split
-            xs.append(x)
-            ys.append(y)
-        y_mat = MatrixK(self.domain, ys, cols=self.m)
-        x_mat = MatrixK(self.domain, xs, cols=self.k)
-        y_inv = inverse(y_mat)
-        return ComplementCoord(self, y_inv * x_mat)
+        return ComplementCoord(self, gamma)
 
     def all_coords(self) -> tuple:
         """Every complement coordinate, in lexicographic gamma order."""

@@ -8,11 +8,10 @@ config and seed; --json emits canonical JSON (sorted keys, no spaces).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
-from .algebra import scalars
+from .algebra import _projective_reps
 from .chart import AffineLine, ComplementCoord
 from .config import chart_from_config, field_spec_string, load_config
 from .dualspread import (
@@ -81,6 +80,15 @@ def _base_report(command: str, chart, cfg) -> dict:
             "seed": int(cfg.get("seed", 0))}
 
 
+def _fail(args, command: str, chart, cfg, exc: Exception) -> int:
+    """Report a failed check by its error message; exit code 1."""
+    report = _base_report(command, chart, cfg)
+    report["result"] = "FAIL"
+    report["error"] = str(exc)
+    _emit(args, report, [f"FAIL: {exc}"])
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -107,25 +115,16 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _canonical_alphas(chart):
-    """Nonzero alpha up to left scaling: first nonzero entry 1."""
-    domain = chart.domain
-    total = chart.m * chart.k
-    elems = scalars(domain)
-    for lead in range(total):
-        for tail in itertools.product(elems, repeat=total - lead - 1):
-            flat = (domain.zero(),) * lead + (domain.one(),) + tail
-            yield MatrixK(domain, [flat[i * chart.k:(i + 1) * chart.k]
-                                   for i in range(chart.m)], cols=chart.k)
-
-
 def cmd_classify_lines(args) -> int:
     chart, cfg = _chart(args)
     if not chart.domain.is_finite:
         raise InfiniteDomainError("line classification needs a finite field")
     counts = {"regular": 0, "cone_exact": 0, "cone_nonexact": 0}
     entries = []
-    for alpha in _canonical_alphas(chart):
+    # nonzero alpha up to left scaling: first nonzero entry 1
+    for flat in _projective_reps(chart.domain, chart.m * chart.k):
+        alpha = MatrixK(chart.domain, [flat[i * chart.k:(i + 1) * chart.k]
+                                       for i in range(chart.m)], cols=chart.k)
         if chart.is_symmetric and is_invertible(alpha):
             cls, kernel_dim, vertex_dim = "regular", 0, 0
         else:
@@ -175,11 +174,7 @@ def cmd_regulus(args) -> int:
     try:
         reg = regulus_through(c1, c2)
     except ValueError as exc:
-        report = _base_report("regulus", chart, cfg)
-        report["result"] = "FAIL"
-        report["error"] = str(exc)
-        _emit(args, report, [f"FAIL: {exc}"])
-        return 1
+        return _fail(args, "regulus", chart, cfg, exc)
     members = reg.members()
     ts = transversals_of(reg).lines()
     trace_ok = w_plus_transversals(reg) == w_plus_z(chart)
@@ -199,14 +194,11 @@ def cmd_regulus(args) -> int:
 def cmd_reconstruct(args) -> int:
     chart, cfg = _chart(args)
     lines = transversals_from_json(chart.domain, _load_json(args.transversals))
-    report = _base_report("reconstruct", chart, cfg)
     try:
         members = reconstruct_from_transversals(lines)
     except ReconstructionError as exc:
-        report["result"] = "FAIL"
-        report["error"] = str(exc)
-        _emit(args, report, [f"FAIL: {exc}"])
-        return 1
+        return _fail(args, "reconstruct", chart, cfg, exc)
+    report = _base_report("reconstruct", chart, cfg)
     report["result"] = "PASS"
     report["regulus"] = regulus_to_json(members)
     _emit(args, report, [f"reconstructed a regulus with {len(members)} members"])
@@ -258,11 +250,7 @@ def cmd_extract_family(args) -> int:
     try:
         family = family_from_dual_spread(cand, args.index)
     except (ValueError, IndexError) as exc:
-        report = _base_report("extract-family", chart, cfg)
-        report["result"] = "FAIL"
-        report["error"] = str(exc)
-        _emit(args, report, [f"FAIL: {exc}"])
-        return 1
+        return _fail(args, "extract-family", chart, cfg, exc)
     print(json.dumps(family_to_json(family), sort_keys=True,
                      separators=(",", ":")))
     return 0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import scalars
 from .chart import AffineChart, ComplementCoord
 from .errors import ChartMismatchError, InfiniteDomainError
-from .linalg import MatrixK, apply, is_invertible, solve, vec_add, vec_sub, vector
+from .linalg import MatrixK, apply, is_invertible, solve, stack, vec_add, vector
 from .projective import Subspace, hyperplanes_not_containing
 
 
@@ -78,11 +78,10 @@ class SingularSet:
     def _particular_family(self) -> tuple:
         """Some (c_i) with all c_i + b_i inside the hyperplane."""
         ch = self.chart
-        from .linalg import stack
+        system = stack(ch.domain, [ch.w_matrix, -self.hyperplane.basis],
+                       cols=ch.ambient)
         out = []
         for b in ch.b:
-            system = stack(ch.domain, [ch.w_matrix, -self.hyperplane.basis],
-                           cols=ch.ambient)
             sol = solve(system, tuple(-x for x in b))
             if sol is None:
                 raise ValueError("hyperplane admits no complement of W")
@@ -90,16 +89,8 @@ class SingularSet:
         return tuple(out)
 
     def _h_vectors(self) -> tuple:
-        if self.h.dim == 0:
-            return ((self.chart.domain.zero(),) * self.chart.ambient,)
         combos = itertools.product(scalars(self.chart.domain), repeat=self.h.dim)
-        out = []
-        for coeffs in combos:
-            acc = (self.chart.domain.zero(),) * self.chart.ambient
-            for c, row in zip(coeffs, self.h.basis.entries):
-                acc = vec_add(acc, tuple(c * x for x in row))
-            out.append(acc)
-        return tuple(out)
+        return tuple(apply(coeffs, self.h.basis) for coeffs in combos)
 
     def coords(self) -> tuple:
         """All members, via the coset family (c_i) + H^I."""
@@ -178,13 +169,18 @@ def is_dual_spread(b: DualSpreadCandidate) -> Report:
     bad = check_pairwise_regular(b)
     if bad is not None:
         return Report(False, bad)
-    member_subspaces = b.subspaces()
-    for x in hyperplanes_not_containing(b.chart.w):
-        if not any(x.contains(s) for s in member_subspaces):
-            return Report(False, Violation(
-                "DS2", "a maximal singular set contains no member",
-                hyperplane=x))
+    x = _uncovered_hyperplane(b)
+    if x is not None:
+        return Report(False, Violation(
+            "DS2", "a maximal singular set contains no member", hyperplane=x))
     return Report(True)
+
+
+def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
+    """The first hyperplane without W that contains no member, or None."""
+    members = b.subspaces()
+    return next((x for x in hyperplanes_not_containing(b.chart.w)
+                 if not any(x.contains(s) for s in members)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +234,20 @@ def family_to_dual_spread(f: TransversalFamily) -> DualSpreadCandidate:
 def verify_family(f: TransversalFamily) -> Report:
     """(T1*) basis differences for every pair; (T2*) via the hyperplane
     correspondence: every singular set meets the psi image."""
-    ch = f.chart
-    for (u, imgs), (v, imgs2) in itertools.combinations(f.entries, 2):
-        diff = MatrixK(ch.domain, [vec_sub(a, b) for a, b in zip(imgs, imgs2)],
-                       cols=ch.m)
-        if not is_invertible(diff):
-            return Report(False, Violation(
-                "T1*", "image differences of two domain points do not form "
-                "a basis of U", pair=(u, v)))
-    if not ch.domain.is_finite:
+    spread = family_to_dual_spread(f)
+    bad = check_pairwise_regular(spread)
+    if bad is not None:
+        i, j = bad.pair
+        return Report(False, Violation(
+            "T1*", "image differences of two domain points do not form "
+            "a basis of U", pair=(f.entries[i][0], f.entries[j][0])))
+    if not f.chart.domain.is_finite:
         raise InfiniteDomainError("(T2*) is checked by hyperplane enumeration")
-    member_subspaces = family_to_dual_spread(f).subspaces()
-    for x in hyperplanes_not_containing(ch.w):
-        if not any(x.contains(s) for s in member_subspaces):
-            return Report(False, Violation(
-                "T2*", "no domain point lands in the coset family of this "
-                "hyperplane", hyperplane=x))
+    x = _uncovered_hyperplane(spread)
+    if x is not None:
+        return Report(False, Violation(
+            "T2*", "no domain point lands in the coset family of this "
+            "hyperplane", hyperplane=x))
     return Report(True)
 
 

@@ -15,7 +15,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import Quaternions, Rationals, Sampled, Scalar, ScalarDomain, scalars
+from .algebra import (
+    Quaternions,
+    Rationals,
+    Sampled,
+    Scalar,
+    ScalarDomain,
+    _projective_reps,
+)
 from .errors import DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
@@ -30,9 +37,7 @@ from .linalg import (
     row_space,
     solve,
     unit_vector,
-    vec_add,
     vec_is_zero,
-    vec_scale,
     vector,
 )
 
@@ -160,27 +165,17 @@ def all_complements(w: Subspace) -> tuple:
     """Every complement of W, exactly once, in a fixed order.
 
     Complements are the graphs {b_i^gamma + b_i} over the standard
-    complement, one per (n-k) x k coefficient matrix gamma.
+    complement, one per (n-k) x k coefficient matrix gamma: the images of
+    the default chart's coordinates, in its lexicographic gamma order.
     """
+    from .chart import AffineChart     # chart is built on this module
+
     if not w.domain.is_finite:
         raise InfiniteDomainError("complement enumeration needs a finite field")
-    n, k = w.ambient, w.dim
-    if k == 0 or k == n:
+    if w.dim == 0 or w.dim == w.ambient:
         raise ValueError("W = 0 and W = V are excluded (single trivial complement)")
-    b_rows = standard_complement_rows(w)
-    w_rows = w.basis.entries
-    m = n - k
-    elems = scalars(w.domain)
-    out = []
-    for combo in itertools.product(elems, repeat=m * k):
-        rows = []
-        for i in range(m):
-            acc = b_rows[i]
-            for t in range(k):
-                acc = vec_add(acc, vec_scale(combo[i * k + t], w_rows[t]))
-            rows.append(acc)
-        out.append(Subspace.from_rows(w.domain, n, rows))
-    return tuple(out)
+    chart = AffineChart(w.domain, w.ambient, w)
+    return tuple(chart.complement(c) for c in chart.all_coords())
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +191,7 @@ def hyperplane_forms(domain: ScalarDomain, n: int) -> tuple:
     """
     if not domain.is_finite:
         raise InfiniteDomainError("hyperplane enumeration needs a finite field")
-    forms = []
-    elems = scalars(domain)
-    for lead in range(n):
-        for tail in itertools.product(elems, repeat=n - lead - 1):
-            form = (domain.zero(),) * lead + (domain.one(),) + tail
-            forms.append(form)
-    return tuple(forms)
+    return tuple(_projective_reps(domain, n))
 
 
 def hyperplanes(domain: ScalarDomain, n: int) -> tuple:
@@ -286,13 +275,7 @@ class ZStructure:
         """Canonical representatives of the projective Z-points (finite)."""
         if not self.domain.is_finite:
             raise InfiniteDomainError("use z_point_samples on an infinite domain")
-        elems = scalars(self.domain)
-        reps = []
-        for lead in range(self.dim):
-            for tail in itertools.product(elems, repeat=self.dim - lead - 1):
-                coords = ((self.domain.zero(),) * lead + (self.domain.one(),) + tail)
-                reps.append(self.from_coords(coords))
-        return tuple(reps)
+        return tuple(self.from_coords(c) for c in _projective_reps(self.domain, self.dim))
 
     def z_point_samples(self, seed: int = 0) -> Sampled:
         """Deterministic sample of projective Z-points (quaternion domain).
@@ -383,7 +366,8 @@ class ZStructure:
         """A central complement of A inside span(b_i).
 
         Greedy over the reference basis indices, smallest first, so the
-        result is a coordinate subspace span{b_j : j in J}.
+        result is a coordinate subspace span{b_j : j in J}: b_i lies in it
+        exactly when i is in J.
         """
         self._require_inside(a)
         current = a
@@ -396,6 +380,7 @@ class ZStructure:
                 current = current + Subspace.from_rows(self.domain, self.ambient, [b])
         c = Subspace.from_rows(self.domain, self.ambient, chosen) \
             if chosen else Subspace.zero(self.domain, self.ambient)
-        if not (a.dim + c.dim == self.dim and (a & c).dim == 0):
+        # current = A + C, so dim(A + C) = dim A + dim C says A & C = 0
+        if not current.dim == a.dim + c.dim == self.dim:
             raise RuntimeError("central complement is not a complement")
         return c

@@ -67,10 +67,9 @@ class Regulus:
 
     def members(self, seed: int = 0):
         """W first, then the affine members in parameter order."""
-        rest = self.line.points(seed)
-        if isinstance(rest, Sampled):
-            return Sampled((self.chart.w,) + tuple(p.subspace() for p in rest))
-        return (self.chart.w,) + tuple(p.subspace() for p in rest)
+        rest = self.affine_members(seed)
+        members = (self.chart.w,) + rest
+        return Sampled(members) if isinstance(rest, Sampled) else members
 
     def affine_members(self, seed: int = 0):
         pts = self.line.points(seed)
@@ -81,10 +80,9 @@ class Regulus:
     def contains(self, s: Subspace) -> bool:
         if s == self.chart.w:
             return True
-        ch = self.chart
-        if s.dim != ch.m or (s & ch.w).dim != 0 or not ch.space.contains(s):
-            return False
-        return self.line.contains(ch.coordinate_of(s))
+        gamma = self.chart._graph(s)
+        return (gamma is not None
+                and self.line.contains(ComplementCoord(self.chart, gamma)))
 
     def __repr__(self):
         return f"Regulus(alpha={self.alpha!r}, beta={self.beta!r})"
@@ -113,12 +111,8 @@ class TransversalSet:
         return Subspace.from_rows(ch.domain, ch.ambient, [v1, v2])
 
     def lines(self, seed: int = 0):
-        ch = self.chart
-        if ch.domain.is_finite:
-            reps = ch.z.z_point_reps()
-            return tuple(self._line_for(ch.z.coords_of(z)) for z in reps)
-        reps = ch.z.z_point_samples(seed)
-        return Sampled(self._line_for(ch.z.coords_of(z)) for z in reps)
+        return _over_z_points(self.chart, seed,
+                              lambda z: self._line_for(self.chart.z.coords_of(z)))
 
     def contains(self, t: Subspace) -> bool:
         """Exact membership: recover z from T's trace on W and compare."""
@@ -154,13 +148,17 @@ def w_plus_transversals(regulus: Regulus, seed: int = 0):
 
 def w_plus_z(chart: AffineChart, seed: int = 0):
     """The family {W + Kz : z a Z-point of U}."""
+    made = _over_z_points(chart, seed, lambda z: chart.w + Subspace.from_rows(
+        chart.domain, chart.ambient, [z]))
+    return made if isinstance(made, Sampled) else frozenset(made)
+
+
+def _over_z_points(chart: AffineChart, seed: int, f):
+    """f at every Z-point of U: a tuple over a finite field, else at a
+    seeded sample of them, as a Sampled."""
     if chart.domain.is_finite:
-        reps = chart.z.z_point_reps()
-        return frozenset(chart.w + Subspace.from_rows(chart.domain, chart.ambient, [z])
-                         for z in reps)
-    reps = chart.z.z_point_samples(seed)
-    return Sampled(chart.w + Subspace.from_rows(chart.domain, chart.ambient, [z])
-                   for z in reps)
+        return tuple(f(z) for z in chart.z.z_point_reps())
+    return Sampled(f(z) for z in chart.z.z_point_samples(seed))
 
 
 def regular_line_regulus(line: AffineLine) -> Regulus:
@@ -314,22 +312,14 @@ def line_transversal_image(line: AffineLine, seed: int = 0):
     if not line.beta.is_zero():
         raise ValueError("reduce to beta = 0 by a translation first")
     ch = line.chart
-    if ch.domain.is_finite:
-        reps = ch.z.z_point_reps()
-        wrap = tuple
-    else:
-        reps = ch.z.z_point_samples(seed)
-        wrap = Sampled
-    out = []
-    for z in reps:
-        zc = ch.z.coords_of(z)
-        image_w = apply(apply(zc, line.alpha), ch.w_matrix)
+
+    def image(z):
+        image_w = apply(apply(ch.z.coords_of(z), line.alpha), ch.w_matrix)
         if all(x.is_zero() for x in image_w):
-            out.append(("point", Subspace.from_rows(ch.domain, ch.ambient, [z])))
-        else:
-            out.append(("line", Subspace.from_rows(ch.domain, ch.ambient,
-                                                   [image_w, z])))
-    return wrap(out)
+            return ("point", Subspace.from_rows(ch.domain, ch.ambient, [z]))
+        return ("line", Subspace.from_rows(ch.domain, ch.ambient, [image_w, z]))
+
+    return _over_z_points(ch, seed, image)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +349,9 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
     ker_amb = (Subspace.from_rows(dom, ch.ambient, ker_rows)
                if ker_rows else Subspace.zero(dom, ch.ambient))
     vertex = ch.z.maximal_central_subspace(ker_amb)
-    u_prime_vectors = _central_complement_vectors(ch, ker_amb)
-    u_prime = (Subspace.from_rows(dom, ch.ambient, u_prime_vectors)
-               if u_prime_vectors else Subspace.zero(dom, ch.ambient))
+    u_prime = ch.z.central_complement(ker_amb)
+    # the base chart's basis is the chosen b_j themselves, not an echelon basis
+    u_prime_vectors = tuple(b for b in ch.b if u_prime.contains_vector(b))
 
     im_rows = row_space(alpha)
     im_amb = Subspace.from_rows(dom, ch.ambient,
@@ -388,16 +378,3 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
         if cone_points != line_points:
             raise RuntimeError("cone points differ from the line's points")
     return ConeDecomposition(vertex, ker_amb, u_prime, base, base_chart, exact)
-
-
-def _central_complement_vectors(ch: AffineChart, a: Subspace):
-    """The b_j chosen greedily so that A (+) span{b_j} = U, smallest j first."""
-    current = a
-    chosen = []
-    for b_vec in ch.b:
-        if current.dim == ch.m:
-            break
-        if not current.contains_vector(b_vec):
-            chosen.append(b_vec)
-            current = current + Subspace.from_rows(ch.domain, ch.ambient, [b_vec])
-    return tuple(chosen)

@@ -7,7 +7,8 @@ correct, and it shares no code with the payload routines in
 complaff.linalg beyond the MatrixK container.  The subspace operations
 follow the textbook route: the meet from the kernel of the stacked bases,
 the join as the row space of the stacked bases, membership by
-reconstruction from the pivot entries.
+reconstruction from the pivot entries.  The chart coordinate of a
+subspace follows the lattice route as well.
 """
 
 from complaff.linalg import Echelon, MatrixK
@@ -118,3 +119,25 @@ def ref_coefficients(basis: MatrixK, v):
     for c, row in zip(coeffs, basis.entries):
         acc = tuple(a + c * x for a, x in zip(acc, row))
     return coeffs if acc == tuple(v) else None
+
+
+def ref_coordinate_of(chart, s):
+    """The gamma with chart.complement(gamma) == s, or None when s is not a
+    complement of W in the chart's space, by the lattice route: the meet
+    with W, containment in the space, each row split over the stacked
+    chart bases [W-basis; b] as [X | Y], and gamma = Y^-1 * X."""
+    if s.dim != chart.m:
+        return None
+    s_basis = s.basis
+    if ref_meet(s_basis, chart.w.basis).rows != 0:
+        return None
+    if any(ref_coefficients(chart.space.basis, r) is None for r in s_basis.entries):
+        return None
+    t = ref_rref(MatrixK(chart.domain, chart.w_basis + chart.b, cols=chart.ambient))
+    xs, ys = [], []
+    for row in s_basis.entries:
+        full = ref_apply([row[c] for c in t.pivots], t.transform)
+        xs.append(full[:chart.k])
+        ys.append(full[chart.k:])
+    y_inv = ref_inverse(MatrixK(chart.domain, ys, cols=chart.m))
+    return ref_product(y_inv, MatrixK(chart.domain, xs, cols=chart.k))

@@ -8,6 +8,7 @@ from complaff.algebra import (
     Quaternions,
     Rationals,
     Sampled,
+    _projective_reps,
     is_sample,
     scalars,
 )
@@ -163,3 +164,46 @@ def test_rationals_internal_domain():
     half = QQ.scalar(Fraction(1, 2))
     assert half + half == QQ.one()
     assert half.inverse() == QQ.from_int(2)
+
+
+GF9 = ExtensionField(3, (1, 0, 1))    # x^2 + 1
+
+
+@pytest.mark.parametrize("domain", [GF3, GF4, GF9, Q], ids=["GF3", "GF4", "GF9", "Quat"])
+def test_scalar_int_equality_hashes_alike(domain):
+    values = list(scalars(domain)) + [domain.from_int(n) for n in range(-10, 11)]
+    for s in values:
+        for n in range(-10, 11):
+            if s == n:
+                assert hash(s) == hash(n)
+    # an int equals only its canonical image, which is then found in sets
+    for n in range(-10, 11):
+        canonical = not domain.is_finite or 0 <= n < domain.characteristic
+        assert (domain.from_int(n) == n) == canonical
+        assert (n in {domain.from_int(n)}) == canonical
+    assert GF3.one() != 4 and GF3.from_int(2) != -1
+
+
+def _hyperplane_forms_loop(domain, n):
+    """The "first nonzero entry = 1" loop of the former hyperplane_forms."""
+    forms = []
+    elems = scalars(domain)
+    for lead in range(n):
+        for tail in itertools.product(elems, repeat=n - lead - 1):
+            forms.append((domain.zero(),) * lead + (domain.one(),) + tail)
+    return forms
+
+
+@pytest.mark.parametrize("domain", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projective_reps(domain, n):
+    reps = list(_projective_reps(domain, n))
+    q = domain.order
+    assert len(reps) == (q ** n - 1) // (q - 1)
+    for v in reps:
+        assert next(x for x in v if not x.is_zero()) == domain.one()
+    # no two proportional: their nonzero multiples cover K^n - 0 exactly once
+    multiples = {tuple(c * x for x in v) for v in reps
+                 for c in scalars(domain) if not c.is_zero()}
+    assert len(multiples) == q ** n - 1
+    assert reps == _hyperplane_forms_loop(domain, n)

@@ -5,7 +5,8 @@ rational quaternions (zero-heavy entries, rank-deficient rows, zero
 columns, 0 x n shapes).  Every result of the payload routines must equal
 the result of the boxed reference in boxed_reference.py exactly: the
 same reduced matrix, pivots and transform, the same canonical bases.
-Over GF(p) sympy, when installed, is a second oracle for rank and
+The chart's coordinate_of is checked the same way against the lattice
+route.  Over GF(p) sympy, when installed, is a second oracle for rank and
 nullspace.  Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from boxed_reference import (
     ref_apply,
     ref_coefficients,
+    ref_coordinate_of,
     ref_inverse,
     ref_join,
     ref_kernel,
@@ -29,6 +31,7 @@ from boxed_reference import (
     ref_solve,
 )
 from complaff.algebra import ExtensionField, PrimeField, Quaternions
+from complaff.chart import AffineChart, symmetric_chart
 from complaff.linalg import (
     MatrixK,
     apply,
@@ -156,6 +159,59 @@ def test_subspace_lattice_matches_reference(domain, data):
          else ref_apply(data.draw(vectors(domain, b.rows)), b))
     assert sa.coefficients_of(v) == ref_coefficients(sa.basis, v)
     assert sa.contains_vector(v) == (ref_coefficients(sa.basis, v) is not None)
+
+
+# ---------------------------------------------------------------------------
+# chart coordinates against the lattice route
+# ---------------------------------------------------------------------------
+
+def oracle_charts(domain):
+    """A symmetric chart of K^4, its subchart W (+) K b_1 (a proper space),
+    and a chart of K^5 whose W is no coordinate subspace (m = 3, k = 2)."""
+    sym = symmetric_chart(domain, 2)
+    one, zero = domain.one(), domain.zero()
+    w5 = Subspace.from_rows(domain, 5, [[one, zero, one, zero, zero],
+                                        [zero, one, zero, zero, one]])
+    return [sym, sym.subchart([1]).chart, AffineChart(domain, 5, w5)]
+
+
+@st.composite
+def chart_subspaces(draw, domain, kind):
+    """(chart, S) with S of the given kind: a complement of W, an m-space
+    meeting W, a subspace of another dimension, or an m-space outside
+    the (proper) space of a subchart."""
+    charts = oracle_charts(domain)
+    ch = charts[1] if kind == "outside" else draw(st.sampled_from(charts))
+    gamma = draw(matrices(domain, rows=ch.m, cols=ch.k))
+    rows = list(ch.complement(gamma).basis.entries)
+    if kind == "meets_w":
+        nonzero = vectors(domain, ch.k).filter(lambda v: not all(x.is_zero() for x in v))
+        rows[0] = apply(draw(nonzero), ch.w_matrix)
+    elif kind == "wrong_dim":
+        r = draw(st.sampled_from([r for r in range(ch.ambient) if r != ch.m]))
+        rows = draw(matrices(domain, rows=r, cols=ch.ambient)).entries
+    elif kind == "outside":
+        left_out = charts[0].b[0]          # the b_0 that charts[1] leaves out
+        rows[0] = tuple(x + y for x, y in zip(rows[0], left_out))
+    return ch, Subspace.from_rows(domain, ch.ambient, rows)
+
+
+@domains
+@pytest.mark.parametrize("kind", ["complement", "meets_w", "wrong_dim", "outside"])
+@settings(ORACLE, max_examples=15)
+@given(data=st.data())
+def test_coordinate_of_matches_lattice_route(domain, kind, data):
+    ch, s = data.draw(chart_subspaces(domain, kind))
+    want = ref_coordinate_of(ch, s)
+    try:
+        got = ch.coordinate_of(s).gamma
+    except ValueError:
+        got = None
+    assert got == want
+    if kind == "complement":
+        assert got is not None and ch.complement(got) == s
+    elif kind != "wrong_dim":
+        assert got is None
 
 
 # ---------------------------------------------------------------------------
