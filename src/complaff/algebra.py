@@ -5,8 +5,8 @@ Three domains are available to users, one more internally:
 * ``PrimeField(p)``          -- GF(p), payload: int in [0, p).
 * ``ExtensionField(p, mod)`` -- GF(p^k) with an explicit monic modulus
   polynomial ``mod = (c_0, ..., c_k)``, c_k = 1, irreducible over GF(p)
-  (checked at construction by trial division against every monic
-  polynomial of lower degree).  Payload: tuple of k ints, c_0 first.
+  (checked once per ``(p, mod)`` by Rabin's test).  Payload: tuple of k
+  ints, c_0 first.
 * ``Quaternions()``          -- the rational quaternions, payload: four
   ``Fraction`` components (a, b, c, d) meaning a + bi + cj + dk with
   i^2 = j^2 = -1 and ij = k = -ji.  Multiplication is noncommutative;
@@ -17,6 +17,15 @@ Three domains are available to users, one more internally:
 
 All payloads are kept in canonical reduced form, so scalar equality is
 payload equality.  Scalars are immutable and hashable.
+
+Extension-field arithmetic is table lookup, the approach of the
+``galois`` library (https://github.com/mhostetter/galois).  ``_add``,
+``_neg``, ``_mul`` and ``_inv`` each read a dict keyed by the canonical
+payload tuples; a missing entry is computed once by the polynomial
+helpers (``_poly_mulmod``, ``_poly_invmod``) and stored.  The tables
+belong to ``(p, mod)``, not to a domain object, so every
+``ExtensionField`` built with the same parameters shares them.  A table
+holds only the operands that were used, never all q^2 pairs up front.
 
 Enumeration policy: ``elements()`` refuses on infinite domains (raises
 ``InfiniteDomainError``); deterministic sampling is opt-in through
@@ -225,19 +234,95 @@ def _poly_divmod(a, b, p):
     return _poly_trim(q), _poly_trim(a)
 
 
-def _monic_polys(degree, p):
-    for lower in itertools.product(range(p), repeat=degree):
-        yield lower + (1,)
+def _poly_mulmod(a, b, mod, p):
+    """a * b reduced modulo mod, padded to deg(mod) coefficients."""
+    prod = _poly_mul(_poly_trim(a), _poly_trim(b), p)
+    _, rem = _poly_divmod(prod, mod, p) if prod else ((), ())
+    return rem + (0,) * (len(mod) - 1 - len(rem))
+
+
+def _poly_invmod(a, mod, p):
+    """The inverse of a modulo an irreducible mod, by extended Euclid."""
+    if not any(a):
+        raise ZeroDivisionError("inverse of zero")
+    r0, r1 = mod, _poly_trim(a)
+    s0, s1 = (), (1,)
+    while r1:
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        qs1 = _poly_mul(q, s1, p)
+        s = tuple((x - y) % p for x, y in itertools.zip_longest(s0, qs1, fillvalue=0))
+        s0, s1 = s1, _poly_trim(s)
+    # r0 is a nonzero constant gcd; scale s0 by its inverse
+    c_inv = pow(r0[0], p - 2, p)
+    res = _poly_trim(tuple((x * c_inv) % p for x in s0))
+    return res + (0,) * (len(mod) - 1 - len(res))
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
 
 
 def _poly_is_irreducible(mod, p):
+    """Rabin's test (Rabin 1980): a monic f of degree k over GF(p) is
+    irreducible iff x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1
+    for every prime r dividing k.  The powers x^(p^j) mod f come from
+    repeated p-th powers, so the cost grows with k and log p, not p^k."""
     k = len(mod) - 1
-    for d in range(1, k):
-        for cand in _monic_polys(d, p):
-            _, rem = _poly_divmod(mod, cand, p)
-            if not rem:
+    frobenius = [_poly_divmod((0, 1), mod, p)[1]]      # x^(p^j) mod f, j = 0..k
+    for _ in range(k):
+        base, power, e = frobenius[-1], (1,), p
+        while e:
+            if e & 1:
+                power = _poly_mulmod(power, base, mod, p)
+            base = _poly_mulmod(base, base, mod, p)
+            e >>= 1
+        frobenius.append(_poly_trim(power))
+    x = frobenius[0]
+    if frobenius[k] != x:
+        return False
+    for r in range(2, k + 1):
+        if k % r == 0 and _is_prime(r):
+            diff = _poly_trim(tuple((a - b) % p for a, b in itertools.zip_longest(
+                frobenius[k // r], x, fillvalue=0)))
+            if len(_poly_gcd(mod, diff, p)) != 1:
                 return False
     return True
+
+
+class _Table(dict):
+    """Results of one payload operation, each computed on its first use."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
+# (p, modulus) -> the add, neg, mul and inv tables of GF(p)[x]/(modulus);
+# an entry exists only once the modulus has passed the irreducibility test
+_FIELD_TABLES: dict = {}
+
+
+def _field_tables(p, mod):
+    tables = _FIELD_TABLES.get((p, mod))
+    if tables is None:
+        if not _poly_is_irreducible(mod, p):
+            raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
+        tables = _FIELD_TABLES[p, mod] = (
+            _Table(lambda ab: tuple((x + y) % p for x, y in zip(*ab))),
+            _Table(lambda a: tuple((-x) % p for x in a)),
+            _Table(lambda ab: _poly_mulmod(ab[0], ab[1], mod, p)),
+            _Table(lambda a: _poly_invmod(a, mod, p)),
+        )
+    return tables
 
 
 class ExtensionField(ScalarDomain):
@@ -256,8 +341,7 @@ class ExtensionField(ScalarDomain):
             raise ValueError("modulus must have degree >= 1")
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not _poly_is_irreducible(mod, p):
-            raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
+        self._add_t, self._neg_t, self._mul_t, self._inv_t = _field_tables(p, mod)
         self.p = p
         self.modulus = mod
         self.k = len(mod) - 1
@@ -302,36 +386,19 @@ class ExtensionField(ScalarDomain):
         return c + (0,) * (self.k - len(c))
 
     def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return self._add_t[a, b]
 
     def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self._neg_t[a]
 
     def _mul(self, a, b):
-        prod = _poly_mul(_poly_trim(a), _poly_trim(b), self.p)
-        _, rem = _poly_divmod(prod, self.modulus, self.p) if prod else ((), ())
-        return rem + (0,) * (self.k - len(rem))
+        return self._mul_t[a, b]
 
     def _inv(self, a):
-        if self._is_zero(a):
-            raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in GF(p)[x]
-        r0, r1 = self.modulus, _poly_trim(a)
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod(r0, r1, self.p)
-            r0, r1 = r1, r
-            qs1 = _poly_mul(q, s1, self.p)
-            s = tuple((x - y) % self.p
-                      for x, y in itertools.zip_longest(s0, qs1, fillvalue=0))
-            s0, s1 = s1, _poly_trim(s)
-        # r0 is a nonzero constant gcd; scale s0 by its inverse
-        c_inv = pow(r0[0], self.p - 2, self.p)
-        res = tuple((x * c_inv) % self.p for x in s0)
-        return self._canon(res)
+        return self._inv_t[a]
 
     def _is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not any(a)
 
     def _int_of(self, a):
         return None if any(a[1:]) else a[0]

@@ -133,10 +133,13 @@ class AffineChart:
 
     def complement(self, c: "ComplementCoord | MatrixK") -> Subspace:
         """The complement U^(gamma,1): spanned by the rows b_i^gamma + b_i."""
-        g = c.gamma if isinstance(c, ComplementCoord) else c
-        shifted = g * self.w_matrix
-        rows = [vec_add(shifted.entries[i], self.b[i]) for i in range(self.m)]
-        return Subspace.from_rows(self.domain, self.ambient, rows)
+        g = self.gamma((c.gamma if isinstance(c, ComplementCoord) else c).entries)
+        domain, n, add = self.domain, self.ambient, self.domain._add
+        w = matrix_rows(self.w_matrix)
+        rows = [[add(x, y.payload) for x, y in zip(combine(domain, coeffs, w, n), b)]
+                for coeffs, b in zip(matrix_rows(g), self.b)]
+        reduce_rows(domain, rows, n)         # independent rows: none drops out
+        return Subspace(domain, n, from_payloads(domain, rows, n))
 
     def _graph(self, s: Subspace) -> MatrixK | None:
         """The gamma whose complement is S, or None when S is no complement

@@ -177,7 +177,21 @@ def is_dual_spread(b: DualSpreadCandidate) -> Report:
 
 
 def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
-    """The first hyperplane without W that contains no member, or None."""
+    """The first hyperplane without W that contains no member, or None.
+    Call it only once DS1 holds.
+
+    DS1 makes the members pairwise complementary, so no hyperplane
+    contains two of them: the sets of hyperplanes through the members are
+    disjoint, and each has (q^k-1)/(q-1) elements, one per hyperplane of
+    V/S.  The q^m (q^k-1)/(q-1) hyperplanes of the chart's space without
+    W are therefore all covered exactly when there are q^m members
+    (Dembowski, Finite Geometries, 1968), and the scan only runs to find
+    the witness when the count falls short.  Hyperplanes of K^n without
+    W meet a proper chart space in its hyperplanes without W, so the
+    scan over K^n finds the same verdict.
+    """
+    if len(b.members) == b.chart.domain.order ** b.chart.m:
+        return None
     members = b.subspaces()
     return next((x for x in hyperplanes_not_containing(b.chart.w)
                  if not any(x.contains(s) for s in members)), None)

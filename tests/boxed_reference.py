@@ -141,3 +141,12 @@ def ref_coordinate_of(chart, s):
         ys.append(full[chart.k:])
     y_inv = ref_inverse(MatrixK(chart.domain, ys, cols=chart.m))
     return ref_product(y_inv, MatrixK(chart.domain, xs, cols=chart.k))
+
+
+def ref_complement(chart, gamma: MatrixK) -> MatrixK:
+    """Echelon basis of the complement spanned by the rows b_i^gamma + b_i:
+    the boxed product gamma * [W-basis], then boxed row sums."""
+    w = MatrixK(chart.domain, chart.w_basis, cols=chart.ambient)
+    rows = [tuple(x + y for x, y in zip(row, b))
+            for row, b in zip(ref_product(gamma, w).entries, chart.b)]
+    return ref_row_space(MatrixK(chart.domain, rows, cols=chart.ambient))

@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
-from complaff.chart import are_complementary, symmetric_chart
+from complaff.chart import AffineChart, are_complementary, symmetric_chart
 from complaff.dualspread import (
     DualSpreadCandidate,
     TransversalFamily,
@@ -18,7 +20,7 @@ from complaff.dualspread import (
     verify_family,
 )
 from complaff.errors import InfiniteDomainError
-from complaff.linalg import MatrixK, unit_vector, vec_add
+from complaff.linalg import MatrixK, is_invertible, unit_vector, vec_add
 from complaff.projective import Subspace, hyperplanes, hyperplanes_not_containing
 
 GF2 = PrimeField(2)
@@ -351,3 +353,85 @@ def test_family_from_non_dual_spread_collision():
     cand = DualSpreadCandidate(ch, [ch.zero_coord(), ch.coord([[0, 0], [1, 0]])])
     with pytest.raises(ValueError):
         family_from_dual_spread(cand, 0)
+
+
+# ---------------------------------------------------------------------------
+# DS2 by count against the full hyperplane scan
+# ---------------------------------------------------------------------------
+
+def regular_spread_gammas(domain):
+    """The q^2 matrices x*I + y*C with C the companion matrix of a monic
+    quadratic without roots: a field of 2x2 matrices, so any two differ
+    by an invertible matrix."""
+    elems = domain.elements()
+    a, b = next((a, b) for a in elems for b in elems
+                if all(not (t * t + a * t + b).is_zero() for t in elems))
+    # C = [[0, 1], [-b, -a]] has characteristic polynomial t^2 + a*t + b
+    return [MatrixK(domain, [[x, y], [-(y * b), x - y * a]])
+            for x in elems for y in elems]
+
+
+def first_uncovered(cand):
+    """The full scan: the first hyperplane without W containing no member."""
+    members = cand.subspaces()
+    return next((x for x in hyperplanes_not_containing(cand.chart.w)
+                 if not any(x.contains(s) for s in members)), None)
+
+
+def _subchart_gf3():
+    # K^5 = W (+) U with dim W = 2, dim U = 3; the subchart on (b_0, b_2)
+    # lives in the proper subspace W (+) <b_0, b_2> of dimension 4
+    w = Subspace.from_rows(GF3, 5, [e(GF3, 5, 0), e(GF3, 5, 1)])
+    return AffineChart(GF3, 5, w).subchart((0, 2)).chart
+
+
+COUNT_CHARTS = {"GF2": lambda: symmetric_chart(GF2, 2),
+                "GF3": lambda: symmetric_chart(GF3, 2),
+                "GF4": lambda: symmetric_chart(ExtensionField(2, (1, 1, 1)), 2),
+                "GF3-subchart": _subchart_gf3}
+
+
+@pytest.mark.parametrize("name", list(COUNT_CHARTS))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ds2_count_matches_hyperplane_scan(name, data):
+    ch = COUNT_CHARTS[name]()
+    domain = ch.domain
+    squares = [MatrixK(domain, [c[:2], c[2:]])
+               for c in itertools.product(domain.elements(), repeat=4)]
+    # a regular spread moved by gamma -> gamma*A + H keeps DS1 and its size
+    a = data.draw(st.sampled_from([g for g in squares if is_invertible(g)]))
+    h = data.draw(st.sampled_from(squares))
+    spread = [g * a + h for g in regular_spread_gammas(domain)]
+    kind = data.draw(st.sampled_from(["spread", "deleted", "duplicate",
+                                      "subset", "random"]))
+    if kind == "spread":
+        gammas = spread
+    elif kind == "deleted":
+        gammas = spread[:]
+        del gammas[data.draw(st.integers(0, len(spread) - 1))]
+    elif kind == "duplicate":
+        gammas = spread + [data.draw(st.sampled_from(spread))]
+    elif kind == "subset":
+        keep = data.draw(st.lists(st.booleans(), min_size=len(spread),
+                                  max_size=len(spread)))
+        gammas = [g for g, k in zip(spread, keep) if k]
+    else:
+        gammas = data.draw(st.lists(st.sampled_from(squares),
+                                    max_size=len(spread) + 1))
+    gammas = data.draw(st.permutations(gammas))
+    cand = DualSpreadCandidate(ch, [ch.coord(g.entries) for g in gammas])
+    report = is_dual_spread(cand)
+    if check_pairwise_regular(cand) is not None:
+        assert report.violation.kind == "DS1"
+        return
+    witness = first_uncovered(cand)
+    assert report.ok == (witness is None) == (len(gammas) == len(spread))
+    if witness is not None:
+        assert report.violation.kind == "DS2"
+        assert report.violation.hyperplane == witness
+    family = verify_family(family_from_dual_spread(cand, 0))
+    assert family.ok == report.ok
+    if witness is not None:
+        assert family.violation.kind == "T2*"
+        assert family.violation.hyperplane == witness

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from complaff.algebra import PrimeField, Quaternions, scalars
+from boxed_reference import ref_complement
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
+from complaff.chart import AffineChart
 from complaff.errors import InfiniteDomainError
-from complaff.linalg import unit_vector, vec_add, vec_scale, vector
+from complaff.linalg import MatrixK, unit_vector, vec_add, vec_scale, vector
 from complaff.projective import (
     Subspace,
     ZStructure,
@@ -103,6 +105,20 @@ def test_all_complements_nonstandard_w():
     assert all(is_complement(w, s) for s in comps)
     b = standard_complement_rows(w)
     assert len(b) == 2
+
+
+@pytest.mark.parametrize("domain, w_rows", [
+    (GF3, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+    (GF3, [(1, 0, 1, 0), (0, 1, 0, 2)]),
+    (ExtensionField(2, (1, 1, 1)), [(1, 0, 0, 0), (0, 1, 0, 0)]),
+], ids=["GF3", "GF3-skew", "GF4"])
+def test_all_complements_match_boxed_route_in_order(domain, w_rows):
+    w = sub(domain, 4, w_rows)
+    chart = AffineChart(domain, 4, w)
+    expected = tuple(
+        ref_complement(chart, MatrixK(domain, [c[:2], c[2:]]))
+        for c in itertools.product(domain.elements(), repeat=4))
+    assert tuple(s.basis for s in all_complements(w)) == expected
 
 
 def test_all_complements_trivial_cases_refused():
