@@ -19,11 +19,12 @@ All payloads are kept in canonical reduced form, so scalar equality is
 payload equality.  Scalars are immutable and hashable.
 
 Extension-field arithmetic is table lookup, the approach of the
-``galois`` library (https://github.com/mhostetter/galois).  ``_add``,
-``_neg``, ``_mul`` and ``_inv`` each read a dict keyed by the canonical
-payload tuples; a missing entry is computed once by the polynomial
-helpers (``_poly_mulmod``, ``_poly_invmod``) and stored.  The tables
-belong to ``(p, mod)``, not to a domain object, so every
+``galois`` library (https://github.com/mhostetter/galois).  ``_neg`` and
+``_inv`` read a dict keyed by the canonical payload tuple; ``_add`` and
+``_mul`` read ``table[a][b]``, one dict per left operand, which is
+cheaper than hashing the pair.  A missing entry is computed once by the
+polynomial helpers (``_poly_mulmod``, ``_poly_invmod``) and stored.
+The tables belong to ``(p, mod)``, not to a domain object, so every
 ``ExtensionField`` built with the same parameters shares them.  A table
 holds only the operands that were used, never all q^2 pairs up front.
 
@@ -306,8 +307,9 @@ class _Table(dict):
         return value
 
 
-# (p, modulus) -> the add, neg, mul and inv tables of GF(p)[x]/(modulus);
-# an entry exists only once the modulus has passed the irreducibility test
+# (p, modulus) -> the add, neg, mul and inv tables of GF(p)[x]/(modulus),
+# add and mul as tables of rows; an entry exists only once the modulus
+# has passed the irreducibility test
 _FIELD_TABLES: dict = {}
 
 
@@ -317,9 +319,9 @@ def _field_tables(p, mod):
         if not _poly_is_irreducible(mod, p):
             raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
         tables = _FIELD_TABLES[p, mod] = (
-            _Table(lambda ab: tuple((x + y) % p for x, y in zip(*ab))),
+            _Table(lambda a: _Table(lambda b: tuple((x + y) % p for x, y in zip(a, b)))),
             _Table(lambda a: tuple((-x) % p for x in a)),
-            _Table(lambda ab: _poly_mulmod(ab[0], ab[1], mod, p)),
+            _Table(lambda a: _Table(lambda b: _poly_mulmod(a, b, mod, p))),
             _Table(lambda a: _poly_invmod(a, mod, p)),
         )
     return tables
@@ -386,13 +388,13 @@ class ExtensionField(ScalarDomain):
         return c + (0,) * (self.k - len(c))
 
     def _add(self, a, b):
-        return self._add_t[a, b]
+        return self._add_t[a][b]
 
     def _neg(self, a):
         return self._neg_t[a]
 
     def _mul(self, a, b):
-        return self._mul_t[a, b]
+        return self._mul_t[a][b]
 
     def _inv(self, a):
         return self._inv_t[a]
