@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import Sampled, Scalar, ScalarDomain, scalars
-from .errors import ChartMismatchError, InfiniteDomainError
+from .errors import ChartMismatchError, DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
     Vector,
@@ -31,7 +31,7 @@ from .linalg import (
     from_payloads,
     inverse,
     is_invertible,
-    matrix_rows,
+    payload_of,
     reduce_rows,
     rref,
     stack,
@@ -98,18 +98,18 @@ class AffineChart:
 
     # -- coordinates ----------------------------------------------------------
 
-    def _split(self, v: list) -> list | None:
+    def _split(self, v) -> list | None:
         """Payload coordinates of the payload row v over the independent
         rows of [W-basis; b], or None when v is outside the space."""
         ech, domain = self._t_ech, self.domain
         coeffs = [v[col] for col in ech.pivots]
-        if combine(domain, coeffs, matrix_rows(ech.matrix), self.ambient) != v:
+        if combine(domain, coeffs, ech.matrix.payload, self.ambient) != list(v):
             return None
-        return combine(domain, coeffs, matrix_rows(ech.transform), self._t.rows)
+        return combine(domain, coeffs, ech.transform.payload, self._t.rows)
 
     def coords_split(self, v) -> tuple[Vector, Vector] | None:
         """(W-part, U-part) of v in the chart bases; None outside the space."""
-        full = self._split([x.payload for x in vector(self.domain, v)])
+        full = self._split([payload_of(self.domain, x) for x in v])
         if full is None:
             return None
         full = tuple(Scalar(self.domain, x) for x in full)
@@ -119,25 +119,23 @@ class AffineChart:
         return vec_add(apply(vector(self.domain, x), self.w_matrix),
                        apply(vector(self.domain, y), self.b_matrix))
 
-    def gamma(self, rows) -> MatrixK:
-        m = MatrixK(self.domain, rows, cols=self.k)
-        if (m.rows, m.cols) != (self.m, self.k):
-            raise ValueError(f"gamma must be {self.m}x{self.k}")
-        return m
-
     def coord(self, rows) -> "ComplementCoord":
-        return ComplementCoord(self, self.gamma(rows))
+        return ComplementCoord(self, MatrixK(self.domain, rows, cols=self.k))
 
     def zero_coord(self) -> "ComplementCoord":
         return ComplementCoord(self, MatrixK.zero(self.domain, self.m, self.k))
 
     def complement(self, c: "ComplementCoord | MatrixK") -> Subspace:
         """The complement U^(gamma,1): spanned by the rows b_i^gamma + b_i."""
-        g = self.gamma((c.gamma if isinstance(c, ComplementCoord) else c).entries)
+        g = c.gamma if isinstance(c, ComplementCoord) else c
+        if g.domain != self.domain:
+            raise DomainMismatchError(f"gamma over {g.domain} in {self.domain}")
+        if (g.rows, g.cols) != (self.m, self.k):
+            raise ValueError(f"gamma must be {self.m}x{self.k}")
         domain, n, add = self.domain, self.ambient, self.domain._add
-        w = matrix_rows(self.w_matrix)
-        rows = [[add(x, y.payload) for x, y in zip(combine(domain, coeffs, w, n), b)]
-                for coeffs, b in zip(matrix_rows(g), self.b)]
+        w = self.w_matrix.payload
+        rows = [[add(x, y) for x, y in zip(combine(domain, coeffs, w, n), b)]
+                for coeffs, b in zip(g.payload, self.b_matrix.payload)]
         reduce_rows(domain, rows, n)         # independent rows: none drops out
         return Subspace(domain, n, from_payloads(domain, rows, n))
 
@@ -150,7 +148,7 @@ class AffineChart:
             return None
         self.w._check(s)
         rows = []
-        for v in matrix_rows(s.basis):
+        for v in s.basis.payload:
             full = self._split(v)
             if full is None:
                 return None
@@ -461,21 +459,15 @@ class Subchart:
         dom = chart.domain
         sub_b = tuple(chart.b[j] for j in indices)
         u_prime = Subspace.from_rows(dom, chart.ambient, sub_b)
-        self.complement_c = Subspace.from_rows(
-            dom, chart.ambient,
-            [chart.b[i] for i in range(chart.m) if i not in indices]) \
-            if len(indices) < chart.m else Subspace.zero(dom, chart.ambient)
+        self.complement_c = Subspace.from_rows(dom, chart.ambient, [
+            b for i, b in enumerate(chart.b) if i not in indices])
         self.chart = AffineChart(dom, chart.ambient, chart.w, u_prime,
                                  b=sub_b, w_basis=chart.w_basis,
                                  space=chart.w + u_prime)
-        one, zero = dom.one(), dom.zero()
-        self.iota = MatrixK(dom, [[one if i == j else zero for i in range(chart.m)]
-                                  for j in indices], cols=chart.m)
-        rows = []
-        for i in range(chart.m):
-            rows.append([one if (i in indices and indices.index(i) == jj) else zero
-                         for jj in range(len(indices))])
-        self.pi = MatrixK(dom, rows, cols=len(indices))
+        ident = MatrixK.identity(dom, chart.m).payload
+        self.iota = from_payloads(dom, [ident[j] for j in indices], chart.m)
+        self.pi = from_payloads(dom, [[row[j] for j in indices] for row in ident],
+                                len(indices))
 
     def restrict(self, c: ComplementCoord) -> ComplementCoord:
         """Intersection mapping S |-> S intersect (W (+) U')."""

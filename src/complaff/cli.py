@@ -8,6 +8,7 @@ config and seed; --json emits canonical JSON (sorted keys, no spaces).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -312,8 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it was, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

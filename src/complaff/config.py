@@ -78,6 +78,10 @@ def chart_from_config(cfg: dict) -> AffineChart:
         n, k = int(cfg["n"]), int(cfg["k"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f'"n" and "k" must be integers: {exc}') from exc
+    try:
+        int(cfg.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'"seed" must be an integer: {exc}') from exc
     if not 0 < k < n:
         raise ConfigError("need 0 < k < n (trivial charts are excluded)")
     for key in ("W", "U"):

@@ -224,17 +224,6 @@ class TransversalFamily:
             raise ValueError("domain points must be distinct")
         self.entries = tuple(canon)
 
-    @property
-    def domain_points(self) -> tuple:
-        return tuple(u for u, _ in self.entries)
-
-    def images_of(self, u) -> tuple:
-        u = vector(self.chart.domain, u)
-        for point, images in self.entries:
-            if point == u:
-                return images
-        raise KeyError("not a domain point of the family")
-
 
 def family_to_dual_spread(f: TransversalFamily) -> DualSpreadCandidate:
     """psi image of the family: one member per domain point, plus W."""

@@ -11,11 +11,13 @@ add a left multiple of another row).  The resulting reduced echelon form
 is the unique canonical basis of the row space, so two row spaces are
 equal exactly when their reduced forms are equal.
 
-The arithmetic runs on payloads, the raw values inside ``Scalar``s: one
-routine, ``reduce_rows``, reduces lists of payload rows in place with
-the domain's payload operations bound once per call, and ``combine``
-forms left linear combinations of payload rows.  ``Scalar`` objects are
-built only for the vectors and matrices handed back to the caller.
+A ``MatrixK`` holds its entries as payloads, the raw values inside
+``Scalar``s, in canonical form: ``payload`` is a tuple of payload rows.
+The arithmetic runs on them: one routine, ``reduce_rows``, reduces lists
+of payload rows in place with the domain's payload operations bound once
+per call, and ``combine`` forms left linear combinations of payload
+rows.  ``Scalar`` objects are built only when a caller reads ``entries``
+or ``row`` (once per matrix) or gets a vector back.
 """
 
 from __future__ import annotations
@@ -41,13 +43,14 @@ def payload_of(domain: ScalarDomain, x):
 
 def matrix_rows(m: "MatrixK") -> list:
     """Fresh mutable payload lists for the rows of m."""
-    return [[x.payload for x in row] for row in m.entries]
+    return [list(row) for row in m.payload]
 
 
 def from_payloads(domain: ScalarDomain, rows, cols: int) -> "MatrixK":
-    """The MatrixK whose entries wrap the given payload rows."""
-    return MatrixK(domain, [[Scalar(domain, x) for x in row] for row in rows],
-                   cols=cols)
+    """The MatrixK with the given canonical payload rows, taken on trust."""
+    m = object.__new__(MatrixK)
+    m._set(domain, tuple(map(tuple, rows)), cols)
+    return m
 
 
 def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
@@ -109,11 +112,25 @@ def _augmented(m: "MatrixK") -> list:
     """Payload rows of [M | I]."""
     zero, one = m.domain.zero().payload, m.domain.one().payload
     out = []
-    for i, row in enumerate(m.entries):
+    for i, row in enumerate(m.payload):
         unit = [zero] * m.rows
         unit[i] = one
-        out.append([x.payload for x in row] + unit)
+        out.append([*row, *unit])
     return out
+
+
+def _width(rows, cols: int | None) -> int:
+    """The common length of the rows, checked against `cols` if given."""
+    if not rows:
+        if cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        return cols
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged rows")
+    if cols is not None and cols != width:
+        raise ValueError(f"rows have {width} columns, not {cols}")
+    return width
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +140,11 @@ def _augmented(m: "MatrixK") -> list:
 def vector(domain: ScalarDomain, items) -> Vector:
     return tuple(domain.scalar(x) for x in items)
 
-def zero_vector(domain: ScalarDomain, n: int) -> Vector:
-    z = domain.zero()
-    return (z,) * n
-
 def unit_vector(domain: ScalarDomain, n: int, i: int) -> Vector:
     return tuple(domain.one() if j == i else domain.zero() for j in range(n))
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 def vec_scale(k: Scalar, v: Vector) -> Vector:
     """Left scalar multiple k*v."""
@@ -148,7 +158,7 @@ def apply(v: Vector, m: "MatrixK") -> Vector:
     if len(v) != m.rows:
         raise ValueError(f"vector of length {len(v)} times {m.rows}x{m.cols} matrix")
     domain = m.domain
-    acc = combine(domain, [payload_of(domain, x) for x in v], matrix_rows(m), m.cols)
+    acc = combine(domain, [payload_of(domain, x) for x in v], m.payload, m.cols)
     return tuple(Scalar(domain, x) for x in acc)
 
 
@@ -157,44 +167,45 @@ def apply(v: Vector, m: "MatrixK") -> Vector:
 # ---------------------------------------------------------------------------
 
 class MatrixK:
-    """Immutable matrix of Scalars; may have zero rows (empty row space)."""
+    """Immutable matrix over a domain, held as canonical payload rows; may
+    have zero rows (empty row space).  ``MatrixK(domain, rows)`` coerces
+    ints, payloads and Scalars of the domain; ``from_payloads`` trusts."""
 
-    __slots__ = ("domain", "rows", "cols", "entries")
+    __slots__ = ("domain", "rows", "cols", "payload", "_entries")
 
     def __init__(self, domain: ScalarDomain, entries, cols: int | None = None):
-        # Scalars of this very domain object are canonical already; every
-        # other entry is coerced, which rejects Scalars of another domain
-        ents = tuple(tuple([x if type(x) is Scalar and x.domain is domain
-                            else domain.scalar(x) for x in row])
-                     for row in entries)
-        if ents:
-            width = len(ents[0])
-            if any(len(r) != width for r in ents):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError(f"rows have {width} columns, not {cols}")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            width = cols
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", ents)
+        # coercion rejects Scalars of another domain
+        rows = tuple(tuple([payload_of(domain, x) for x in row]) for row in entries)
+        self._set(domain, rows, _width(rows, cols))
+
+    def _set(self, domain, payload, cols):
+        init = object.__setattr__
+        init(self, "domain", domain)
+        init(self, "rows", len(payload))
+        init(self, "cols", cols)
+        init(self, "payload", payload)
+        init(self, "_entries", None)
 
     def __setattr__(self, *args):
         raise AttributeError("MatrixK is immutable")
 
+    @property
+    def entries(self) -> tuple:
+        """The rows as tuples of Scalars, built on first read."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                tuple([Scalar(self.domain, x) for x in row]) for row in self.payload))
+        return self._entries
+
     @classmethod
     def identity(cls, domain: ScalarDomain, n: int) -> "MatrixK":
-        one, zero = domain.one(), domain.zero()
-        return cls(domain, [[one if i == j else zero for j in range(n)]
-                            for i in range(n)], cols=n)
+        one, zero = domain.one().payload, domain.zero().payload
+        return from_payloads(domain, [[one if i == j else zero for j in range(n)]
+                                      for i in range(n)], n)
 
     @classmethod
     def zero(cls, domain: ScalarDomain, rows: int, cols: int) -> "MatrixK":
-        z = domain.zero()
-        return cls(domain, [[z] * cols for _ in range(rows)], cols=cols)
+        return from_payloads(domain, [[domain.zero().payload] * cols] * rows, cols)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -210,8 +221,8 @@ class MatrixK:
         if (other.rows, other.cols) != (self.rows, self.cols):
             raise ValueError(f"shape mismatch in {what}")
         return from_payloads(self.domain,
-                             [[op(x.payload, y.payload) for x, y in zip(a, b)]
-                              for a, b in zip(self.entries, other.entries)],
+                             [[op(x, y) for x, y in zip(a, b)]
+                              for a, b in zip(self.payload, other.payload)],
                              self.cols)
 
     def __add__(self, other):
@@ -224,7 +235,7 @@ class MatrixK:
     def __neg__(self):
         neg = self.domain._neg
         return from_payloads(self.domain,
-                             [[neg(x.payload) for x in row] for row in self.entries],
+                             [[neg(x) for x in row] for row in self.payload],
                              self.cols)
 
     def __mul__(self, other):
@@ -233,37 +244,39 @@ class MatrixK:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        domain, right = self.domain, matrix_rows(other)
+        domain, right = self.domain, other.payload
         return from_payloads(domain,
-                             [combine(domain, [x.payload for x in row], right,
-                                      other.cols) for row in self.entries],
+                             [combine(domain, row, right, other.cols)
+                              for row in self.payload],
                              other.cols)
 
     def scale_left(self, k: Scalar) -> "MatrixK":
         """Entrywise left multiple k*M (the matrix of lambda_k followed by M)."""
         k, mul = payload_of(self.domain, k), self.domain._mul
         return from_payloads(self.domain,
-                             [[mul(k, x.payload) for x in row] for row in self.entries],
+                             [[mul(k, x) for x in row] for row in self.payload],
                              self.cols)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
+        is_zero = self.domain._is_zero
+        return all(is_zero(x) for row in self.payload for x in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def __eq__(self, other):
         return (isinstance(other, MatrixK) and other.domain == self.domain
-                and other.cols == self.cols and other.entries == self.entries)
+                and other.cols == self.cols and other.payload == self.payload)
 
     def __hash__(self):
-        return hash((self.cols, self.entries))
+        return hash((self.cols, self.payload))
 
     def __repr__(self):
-        if not self.entries:
+        if not self.payload:
             return f"MatrixK(0x{self.cols})"
-        body = "; ".join("[" + ", ".join(repr(x) for x in row) + "]"
-                         for row in self.entries)
+        text = self.domain._str
+        body = "; ".join("[" + ", ".join(text(x) for x in row) + "]"
+                         for row in self.payload)
         return f"[{body}]"
 
 
@@ -345,7 +358,9 @@ def stack(domain: ScalarDomain, parts, cols: int) -> MatrixK:
     rows = []
     for part in parts:
         if isinstance(part, MatrixK):
-            rows.extend(part.entries)
+            if part.domain != domain:
+                raise DomainMismatchError(f"{part.domain} matrix stacked in {domain}")
+            rows.extend(part.payload)
         else:
-            rows.append(tuple(part))
-    return MatrixK(domain, rows, cols=cols)
+            rows.append(tuple([payload_of(domain, x) for x in part]))
+    return from_payloads(domain, rows, _width(rows, cols))

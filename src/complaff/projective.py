@@ -31,7 +31,6 @@ from .linalg import (
     combine,
     from_payloads,
     kernel,
-    matrix_rows,
     payload_of,
     reduce_rows,
     row_space,
@@ -61,7 +60,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, domain: ScalarDomain, ambient: int) -> "Subspace":
-        return cls(domain, ambient, MatrixK(domain, [], cols=ambient))
+        return cls(domain, ambient, from_payloads(domain, (), ambient))
 
     @classmethod
     def full(cls, domain: ScalarDomain, ambient: int) -> "Subspace":
@@ -81,7 +80,7 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
     def _coefficients(self, vectors):
-        """Per payload vector: its payload coefficients w.r.t. the echelon
+        """Per payload row: its payload coefficients w.r.t. the echelon
         basis, or None when it lies outside.
 
         In echelon form the only possible coefficients are the vector's
@@ -89,11 +88,12 @@ class Subspace:
         membership.
         """
         domain, is_zero = self.domain, self.domain._is_zero
-        rows = matrix_rows(self.basis)
+        rows = self.basis.payload
         pivots = [next(j for j, x in enumerate(row) if not is_zero(x)) for row in rows]
         for v in vectors:
             coeffs = [v[p] for p in pivots]
-            yield coeffs if combine(domain, coeffs, rows, self.ambient) == v else None
+            inside = combine(domain, coeffs, rows, self.ambient) == list(v)
+            yield coeffs if inside else None
 
     def coefficients_of(self, v) -> Vector | None:
         """Coefficients of v w.r.t. the echelon basis, or None when outside."""
@@ -108,13 +108,13 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
-        return all(c is not None
-                   for c in self._coefficients(matrix_rows(other.basis)))
+        return all(c is not None for c in self._coefficients(other.basis.payload))
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.from_rows(self.domain, self.ambient,
-                                  self.basis.entries + other.basis.entries)
+        both = self.basis.payload + other.basis.payload
+        return Subspace(self.domain, self.ambient,
+                        row_space(from_payloads(self.domain, both, self.ambient)))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection by Zassenhaus' method.
@@ -127,9 +127,9 @@ class Subspace:
         """
         self._check(other)
         n, domain = self.ambient, self.domain
-        zeros = [domain.zero().payload] * n
-        rows = ([row + row for row in matrix_rows(self.basis)]
-                + [row + zeros for row in matrix_rows(other.basis)])
+        zeros = (domain.zero().payload,) * n
+        rows = ([[*row, *row] for row in self.basis.payload]
+                + [[*row, *zeros] for row in other.basis.payload])
         pivots = reduce_rows(domain, rows, 2 * n)
         meet = [row[n:] for row, p in zip(rows, pivots) if p >= n]
         return Subspace(domain, n, from_payloads(domain, meet, n))
@@ -155,8 +155,9 @@ def is_complement(w: Subspace, s: Subspace) -> bool:
 
 def standard_complement_rows(w: Subspace) -> tuple:
     """The unit vectors at the non-pivot columns of W's echelon basis."""
-    pivots = {next(i for i, x in enumerate(row) if not x.is_zero())
-              for row in w.basis.entries}
+    is_zero = w.domain._is_zero
+    pivots = {next(i for i, x in enumerate(row) if not is_zero(x))
+              for row in w.basis.payload}
     return tuple(unit_vector(w.domain, w.ambient, j)
                  for j in range(w.ambient) if j not in pivots)
 
@@ -354,8 +355,7 @@ class ZStructure:
                         (sol[i * d + t].payload, 0, 0, 0)) * units[t]
                 y.append(acc)
             vectors_in_z.append(apply(tuple(y), g))
-        coord_sub = Subspace.from_rows(self.domain, m, vectors_in_z) \
-            if vectors_in_z else Subspace.zero(self.domain, m)
+        coord_sub = Subspace.from_rows(self.domain, m, vectors_in_z)
         ambient_rows = [self.from_coords(row) for row in coord_sub.basis.entries]
         return Subspace.from_rows(self.domain, self.ambient, ambient_rows)
 
@@ -378,8 +378,7 @@ class ZStructure:
             if not current.contains_vector(b):
                 chosen.append(b)
                 current = current + Subspace.from_rows(self.domain, self.ambient, [b])
-        c = Subspace.from_rows(self.domain, self.ambient, chosen) \
-            if chosen else Subspace.zero(self.domain, self.ambient)
+        c = Subspace.from_rows(self.domain, self.ambient, chosen)
         # current = A + C, so dim(A + C) = dim A + dim C says A & C = 0
         if not current.dim == a.dim + c.dim == self.dim:
             raise RuntimeError("central complement is not a complement")

@@ -346,8 +346,7 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
 
     ker_coords = kernel(alpha)
     ker_rows = [apply(y, ch.b_matrix) for y in ker_coords.entries]
-    ker_amb = (Subspace.from_rows(dom, ch.ambient, ker_rows)
-               if ker_rows else Subspace.zero(dom, ch.ambient))
+    ker_amb = Subspace.from_rows(dom, ch.ambient, ker_rows)
     vertex = ch.z.maximal_central_subspace(ker_amb)
     u_prime = ch.z.central_complement(ker_amb)
     # the base chart's basis is the chosen b_j themselves, not an echelon basis
@@ -370,11 +369,5 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
     if not is_invertible(alpha_prime):
         raise RuntimeError("restricted alpha is not invertible")
     base = Regulus(base_chart, alpha_prime, MatrixK.zero(dom, r, r))
-
-    exact = vertex == ker_amb
-    if exact and dom.is_finite:
-        cone_points = {x + ker_amb for x in base.affine_members()}
-        line_points = {p.subspace() for p in line.points()}
-        if cone_points != line_points:
-            raise RuntimeError("cone points differ from the line's points")
-    return ConeDecomposition(vertex, ker_amb, u_prime, base, base_chart, exact)
+    return ConeDecomposition(vertex, ker_amb, u_prime, base, base_chart,
+                             vertex == ker_amb)

@@ -293,6 +293,10 @@ MALFORMED = {
     "point-not-a-complement": ("regulus", "--through",
                                ("a.json", {"ambient": 4, "rows": [[1, 0, 0, 0]]}),
                                ("b.json", {"gamma": [[1, 0], [0, 1]]})),
+    "non-integer-seed": ("enumerate", "--config",
+                         ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": "abc"})),
+    "list-seed": ("enumerate", "--config",
+                  ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": [1]})),
 }
 
 

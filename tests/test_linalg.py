@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from complaff.algebra import PrimeField, Quaternions, scalars
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar, scalars
+from complaff.chart import ComplementCoord, symmetric_chart
+from complaff.errors import DomainMismatchError
 from complaff.linalg import (
     MatrixK,
     apply,
+    from_payloads,
     inverse,
     is_invertible,
     kernel,
@@ -14,12 +17,17 @@ from complaff.linalg import (
     row_space,
     rref,
     solve,
+    stack,
     vector,
 )
+from complaff.projective import Subspace
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
+GF4 = ExtensionField(2, (1, 1, 1))
 Q = Quaternions()
+# each domain with a scalar of another domain
+FOREIGN = [(GF3, GF4.generator()), (GF4, PrimeField(5).one()), (Q, GF3.one())]
 
 
 def mat(domain, rows, cols=None):
@@ -178,6 +186,81 @@ def test_is_invertible_matches_inverse():
 def test_explicit_cols_must_agree():
     with pytest.raises(ValueError):
         mat(GF2, [[1, 0]], cols=3)
+
+
+@pytest.mark.parametrize("domain", [GF2, GF4, Q], ids=repr)
+def test_ragged_or_misshapen_rows_are_rejected(domain):
+    with pytest.raises(ValueError):
+        mat(domain, [[1, 0]], cols=3)
+    with pytest.raises(ValueError):
+        mat(domain, [[1, 0], [1]])
+    with pytest.raises(ValueError):
+        stack(domain, [mat(domain, [[1, 0]]), vector(domain, [1])], cols=2)
+    with pytest.raises(ValueError):
+        stack(domain, [mat(domain, [[1, 0]])], cols=3)
+
+
+# ---------------------------------------------------------------------------
+# one representation: payload rows inside, Scalars at the boundary
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("domain", [GF3, GF4, Q], ids=repr)
+def test_matrix_from_scalars_ints_and_payloads_agree(domain):
+    ints = [[1, 0, 2], [0, 1, 1]]
+    boxed = [[domain.scalar(x) for x in row] for row in ints]
+    elems = scalars(domain)[:3]
+    mixed = [elems, elems[::-1]]
+    for rows in (boxed, mixed):
+        raw = [[x.payload for x in row] for row in rows]
+        built = [mat(domain, rows), mat(domain, raw), from_payloads(domain, raw, 3)]
+        if rows is boxed:
+            built.append(mat(domain, ints))
+        for m in built:
+            assert m == built[0] and hash(m) == hash(built[0])
+            assert m.payload == tuple(map(tuple, raw))
+            assert m.entries == tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("domain", [GF3, GF4, Q], ids=repr)
+def test_entries_are_scalars_of_the_matrix_domain(domain):
+    elems = scalars(domain)[:3]
+    m = mat(domain, [elems, elems[::-1], elems])
+    for matrix in (m, rref(m).matrix, rref(m).transform, kernel(m), m * m,
+                   m - m, m.scale_left(elems[-1]), MatrixK.identity(domain, 2)):
+        assert all(type(x) is Scalar and x.domain is domain
+                   for row in matrix.entries for x in row)
+        assert matrix.entries is matrix.entries           # boxed once
+        assert all(matrix.row(i) == matrix.entries[i] for i in range(matrix.rows))
+        assert matrix.entries == tuple(tuple(Scalar(domain, x) for x in row)
+                                       for row in matrix.payload)
+
+
+@pytest.mark.parametrize("domain, foreign", FOREIGN, ids=repr)
+def test_scalar_of_another_domain_is_rejected(domain, foreign):
+    one = domain.one()
+    with pytest.raises(DomainMismatchError):
+        mat(domain, [[one, foreign]])
+    with pytest.raises(DomainMismatchError):
+        stack(domain, [vector(domain, [one, one]), (one, foreign)], cols=2)
+    with pytest.raises(DomainMismatchError):
+        stack(domain, [mat(foreign.domain, [[1, 0]])], cols=2)
+    with pytest.raises(DomainMismatchError):
+        Subspace.from_rows(domain, 2, [(foreign, one)])
+
+
+@pytest.mark.parametrize("domain, foreign", FOREIGN, ids=repr)
+def test_complement_rejects_foreign_or_misshapen_gamma(domain, foreign):
+    chart = symmetric_chart(domain, 2)
+    alien = MatrixK.identity(foreign.domain, 2)
+    with pytest.raises(DomainMismatchError):
+        chart.complement(alien)
+    with pytest.raises(DomainMismatchError):
+        chart.complement(ComplementCoord(chart, alien))
+    with pytest.raises(ValueError):
+        chart.complement(MatrixK.identity(domain, 3))
+    with pytest.raises(ValueError):
+        chart.complement(mat(domain, [[1, 0]]))
+    assert chart.complement(MatrixK.zero(domain, 2, 2)) == chart.u
 
 
 def _random_quaternion_matrix(r, c, rng):

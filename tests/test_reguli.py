@@ -3,8 +3,20 @@ import random
 
 import pytest
 
-from complaff.algebra import PrimeField, Quaternions, scalars
-from complaff.chart import AffineLine, are_complementary, line_through, symmetric_chart
+from complaff.algebra import (
+    ExtensionField,
+    PrimeField,
+    Quaternions,
+    _projective_reps,
+    scalars,
+)
+from complaff.chart import (
+    AffineChart,
+    AffineLine,
+    are_complementary,
+    line_through,
+    symmetric_chart,
+)
 from complaff.errors import ReconstructionError
 from complaff.linalg import MatrixK, is_invertible, unit_vector, vec_add, vec_scale
 from complaff.projective import Subspace, is_complement
@@ -24,6 +36,7 @@ from complaff.reguli import (
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
+GF4 = ExtensionField(2, (1, 1, 1))
 Q = Quaternions()
 
 
@@ -323,6 +336,26 @@ def test_cone_rank_one_gf3():
     assert cone.u_prime == Subspace.from_rows(GF3, 4, [e(GF3, 4, 2)])
     cone_points = {x + cone.kernel for x in cone.base.affine_members()}
     assert cone_points == {p.subspace() for p in line.points()}
+
+
+@pytest.mark.parametrize("domain, n, count",
+                         [(GF2, 4, 15), (GF4, 4, 85), (GF2, 5, 63)],
+                         ids=["GF(2)^4", "GF(4)^4", "GF(2)^5"])
+def test_cone_points_are_the_line_points_for_every_alpha(domain, n, count):
+    # the charts classify-lines runs on: W spanned by e_1, e_2; every
+    # alpha up to left scaling, invertible ones included
+    w = Subspace.from_rows(domain, n, [e(domain, n, 0), e(domain, n, 1)])
+    ch = AffineChart(domain, n, w)
+    zero = MatrixK.zero(domain, ch.m, ch.k)
+    alphas = [MatrixK(domain, [flat[i * ch.k:(i + 1) * ch.k] for i in range(ch.m)])
+              for flat in _projective_reps(domain, ch.m * ch.k)]
+    assert len(alphas) == count
+    for alpha in alphas:
+        line = AffineLine(ch, alpha, zero)
+        cone = cone_decompose(line)
+        assert cone.exact                    # commutative: kernels are central
+        cone_points = {x + cone.kernel for x in cone.base.affine_members()}
+        assert cone_points == {p.subspace() for p in line.points()}
 
 
 def test_cone_every_rank_one_alpha_gf3():
