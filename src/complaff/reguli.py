@@ -52,7 +52,8 @@ class Regulus:
     def __init__(self, chart: AffineChart, alpha: MatrixK, beta: MatrixK):
         if not chart.is_symmetric:
             raise ValueError("reguli live in symmetric charts (dim W = dim U)")
-        if not (alpha.is_square() and is_invertible(alpha)):
+        self.alpha_inv = inverse(alpha) if alpha.is_square() else None
+        if self.alpha_inv is None:
             raise ValueError("the defining alpha must be invertible")
         self.chart = chart
         self.line = AffineLine(chart, alpha, beta)
@@ -125,8 +126,7 @@ class TransversalSet:
         w_coords = solve(ch.w_matrix, trace_w.basis.entries[0])
         if w_coords is None:
             return False
-        alpha_inv = inverse(self.regulus.alpha)
-        z_coords = apply(w_coords, alpha_inv)
+        z_coords = apply(w_coords, self.regulus.alpha_inv)
         if not ch.z.point_in_projective_z(apply(z_coords, ch.b_matrix)):
             return False
         return self._line_for(z_coords) == t

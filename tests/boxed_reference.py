@@ -9,9 +9,37 @@ follow the textbook route: the meet from the kernel of the stacked bases,
 the join as the row space of the stacked bases, membership by
 reconstruction from the pivot entries.  The chart coordinate of a
 subspace follows the lattice route as well.
+
+The ``ref_q*`` functions are rational quaternion arithmetic on four
+``Fraction`` components (a, b, c, d) = a + bi + cj + dk, independent of
+the integer payloads that complaff.algebra.Quaternions works on.
 """
 
 from complaff.linalg import Echelon, MatrixK
+
+
+def ref_qadd(x, y) -> tuple:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_qneg(x) -> tuple:
+    return tuple(-a for a in x)
+
+
+def ref_qmul(x, y) -> tuple:
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def ref_qinv(x) -> tuple:
+    n = x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return (x[0] / n, -x[1] / n, -x[2] / n, -x[3] / n)
 
 
 def ref_identity(domain, n):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 
@@ -8,6 +10,7 @@ from complaff.algebra import (
     Quaternions,
     Rationals,
     Sampled,
+    _is_prime,
     _projective_reps,
     is_sample,
     scalars,
@@ -145,6 +148,34 @@ def test_extension_field_rejects_bad_modulus():
         ExtensionField(3, (1, 1, 2))      # not monic
     with pytest.raises(ValueError):
         PrimeField(4)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == \
+        [n for n in range(10 ** 5) if _is_prime_by_trial_division(n)]
+
+
+def test_is_prime_decides_large_moduli_quickly():
+    start = time.perf_counter()
+    assert PrimeField(999_999_999_999_999_989).p == 10 ** 18 - 11     # prime
+    assert not _is_prime(10 ** 18 - 9)                                # 23 * 71 * ...
+    # a strong pseudoprime to the bases 2..37; base 41 exposes it
+    assert not _is_prime(318_665_857_834_031_151_167_461)
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 67 - 1)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_is_prime_refuses_moduli_beyond_its_proven_range():
+    assert not _is_prime(3_317_044_064_679_887_385_961_979)    # limit - 2 = 17 * ...
+    for n in (3_317_044_064_679_887_385_961_981, 10 ** 25):
+        with pytest.raises(ValueError):
+            _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
 
 
 def test_gf9_arithmetic():

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
-from complaff.algebra import PrimeField, Quaternions, scalars
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
 from complaff.chart import (
     AffineChart,
     AffineLine,
     Collineation,
+    ComplementCoord,
     are_complementary,
     charts_equal,
     hat_vector_map,
@@ -16,7 +17,7 @@ from complaff.chart import (
     split_scalar_central,
     symmetric_chart,
 )
-from complaff.errors import ChartMismatchError
+from complaff.errors import ChartMismatchError, DomainMismatchError
 from complaff.linalg import MatrixK, unit_vector, vec_add, vec_scale
 from complaff.projective import Subspace, is_complement
 
@@ -70,6 +71,15 @@ def test_coordinate_rejects_non_complement():
     ch = std_chart(GF2)
     with pytest.raises(ValueError):
         ch.coordinate_of(ch.w)
+
+
+def test_complement_coord_rejects_gamma_of_another_domain():
+    ch = symmetric_chart(GF3, 2)
+    with pytest.raises(DomainMismatchError):
+        ComplementCoord(ch, MatrixK.identity(ExtensionField(2, (1, 1, 1)), 2))
+    with pytest.raises(DomainMismatchError):
+        ComplementCoord(ch, MatrixK.identity(GF2, 2))
+    assert ComplementCoord(ch, MatrixK.identity(GF3, 2)) == ch.coord([[1, 0], [0, 1]])
 
 
 def test_nonstandard_bases_round_trip():

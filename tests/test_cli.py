@@ -297,6 +297,9 @@ MALFORMED = {
                          ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": "abc"})),
     "list-seed": ("enumerate", "--config",
                   ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": [1]})),
+    "25-digit-modulus": ("enumerate", "--config",
+                         ("cfg.json", {"field": "gf(9999999999999999999999991)",
+                                       "n": 4, "k": 2})),
 }
 
 

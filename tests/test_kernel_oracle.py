@@ -5,11 +5,16 @@ rational quaternions (zero-heavy entries, rank-deficient rows, zero
 columns, 0 x n shapes).  Every result of the payload routines must equal
 the result of the boxed reference in boxed_reference.py exactly: the
 same reduced matrix, pivots and transform, the same canonical bases.
+Boxed quaternion arithmetic runs on the integer payloads of
+Quaternions, so those are checked first against plain ``Fraction``
+arithmetic (the ``ref_q*`` functions), which makes the chain of oracles
+independent of the payload code.
 The chart's coordinate_of is checked the same way against the lattice
 route.  Over GF(p) sympy, when installed, is a second oracle for rank and
 nullspace.  Examples are derandomized, so the suite stays deterministic.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,12 +30,16 @@ from boxed_reference import (
     ref_kernel,
     ref_meet,
     ref_product,
+    ref_qadd,
+    ref_qinv,
+    ref_qmul,
+    ref_qneg,
     ref_rank,
     ref_row_space,
     ref_rref,
     ref_solve,
 )
-from complaff.algebra import ExtensionField, PrimeField, Quaternions
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
 from complaff.chart import AffineChart, symmetric_chart
 from complaff.linalg import (
     MatrixK,
@@ -212,6 +221,59 @@ def test_coordinate_of_matches_lattice_route(domain, kind, data):
         assert got is not None and ch.complement(got) == s
     elif kind != "wrong_dim":
         assert got is None
+
+
+# ---------------------------------------------------------------------------
+# quaternion payloads against Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+QUAT = Quaternions()
+_components = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+    st.builds(Fraction, st.integers(-10 ** 20, 10 ** 20),
+              st.integers(10 ** 19, 10 ** 20 - 1)))
+fraction_quaternions = st.tuples(*[_components] * 4)
+
+
+def assert_canonical(w):
+    a, b, c, d, den = w
+    assert all(type(x) is int for x in w)
+    assert den > 0 and math.gcd(a, b, c, d, den) == 1
+    assert (w == (0, 0, 0, 0, 1)) == (not (a or b or c or d))
+
+
+@settings(ORACLE, max_examples=300)
+@given(x=fraction_quaternions, y=fraction_quaternions,
+       k=st.integers(-30, 30).filter(bool))
+def test_quaternion_payloads_match_fraction_arithmetic(x, y, k):
+    q = QUAT
+    wx, wy = q._canon(x), q._canon(y)
+    assert q._public(wx) == x
+    assert q._canon(q._public(wx)) == wx
+    assert q._canon(tuple(k * v for v in wx)) == wx        # any multiple, any sign
+    results = [(q._add(wx, wy), ref_qadd(x, y)), (q._neg(wx), ref_qneg(x)),
+               (q._mul(wx, wy), ref_qmul(x, y)), (q._mul(wy, wx), ref_qmul(y, x))]
+    if any(x):
+        results.append((q._inv(wx), ref_qinv(x)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            q._inv(wx)
+    for w, want in [(wx, x), (wy, y)] + results:
+        assert_canonical(w)
+        assert q._public(w) == want
+        central = want[1] == want[2] == want[3] == 0
+        assert q._is_zero(w) == (not any(want))
+        assert q._is_central(w) == central
+        as_int = want[0].numerator if central and want[0].denominator == 1 else None
+        assert q._int_of(w) == as_int
+        s = Scalar(q, w)
+        assert s.payload == want and s == q.scalar(want)
+        assert hash(s) == hash(q.scalar(want))
+        if as_int is not None:
+            assert s == as_int and hash(s) == hash(as_int)
+    sx, sy = Scalar(q, wx), Scalar(q, wy)
+    assert (sx == sy) == (x == y)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_matrix_from_scalars_ints_and_payloads_agree(domain):
     elems = scalars(domain)[:3]
     mixed = [elems, elems[::-1]]
     for rows in (boxed, mixed):
-        raw = [[x.payload for x in row] for row in rows]
+        raw = [[x.raw for x in row] for row in rows]
         built = [mat(domain, rows), mat(domain, raw), from_payloads(domain, raw, 3)]
         if rows is boxed:
             built.append(mat(domain, ints))
@@ -219,6 +219,8 @@ def test_matrix_from_scalars_ints_and_payloads_agree(domain):
             assert m == built[0] and hash(m) == hash(built[0])
             assert m.payload == tuple(map(tuple, raw))
             assert m.entries == tuple(map(tuple, rows))
+            assert all(m.entries[i][j].payload == x.payload
+                       for i, row in enumerate(rows) for j, x in enumerate(row))
 
 
 @pytest.mark.parametrize("domain", [GF3, GF4, Q], ids=repr)
