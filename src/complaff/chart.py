@@ -194,7 +194,7 @@ class ComplementCoord:
     __slots__ = ("chart", "gamma")
 
     def __init__(self, chart: AffineChart, gamma: MatrixK):
-        if gamma.domain != chart.domain:
+        if gamma.domain is not chart.domain and gamma.domain != chart.domain:
             raise DomainMismatchError(f"gamma over {gamma.domain} in {chart.domain}")
         if (gamma.rows, gamma.cols) != (chart.m, chart.k):
             raise ValueError("gamma has the wrong shape for this chart")
