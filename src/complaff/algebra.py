@@ -24,8 +24,8 @@ All payloads are kept in canonical reduced form, so scalar equality is
 payload equality.  Scalars are immutable and hashable.  A ``Scalar``
 holds the working payload in ``raw``; ``payload`` is the public view,
 ``domain._public(raw)``, which differs from ``raw`` only on the
-quaternions.  ``_canon`` is the one way in (it also accepts the public
-view), ``_public`` the one way out.
+quaternions.  ``_canon`` is the one way in (it takes the public view and
+the working payload alike), ``_public`` the one way out.
 
 Extension-field arithmetic is table lookup, the approach of the
 ``galois`` library (https://github.com/mhostetter/galois).  ``_neg`` and
