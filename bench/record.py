@@ -9,14 +9,16 @@ Run from the repository root:
 Each argument LABEL=DIR names a checkout.  For every workload of
 BENCHMARK.json, ``perfbench/run.py`` of each checkout runs once per seed
 (1-10 by default) with ``--trace 0`` for the ``run_seconds`` that
-BENCHMARK.json fixes, then once with ``--trace 1`` on the first seed.  With several checkouts the runs of one
-seed form a group whose order alternates from seed to seed, so a
-parent/change comparison gets alternating pairs.  Every run is a fresh
-subprocess inside its checkout, so the program measured is that
-checkout's ``src/``.  Each BENCH_<label>.json holds, per workload, the
-metadata and result line of every run, the traced run, and the median
-and [Q1, Q3] (inclusive quartiles) over the seeds of every end-to-end
-metric and of the failure ratio.
+BENCHMARK.json fixes, then once with ``--trace 1`` on the first seed.
+With several checkouts the runs of one seed form a group whose order
+alternates from seed to seed, so a parent/change comparison gets
+alternating pairs.  Every run is a fresh subprocess inside its checkout,
+so the program measured is that checkout's ``src/``.  Each
+BENCH_<label>.json, written to the root of this repository, holds per
+workload the metadata and result line of every run, the traced run, and
+the median and [Q1, Q3] (inclusive quartiles) over the seeds of every
+end-to-end metric and of the failure ratio.  Its ``commit`` is what
+``git describe`` says of the checkout (null outside a git checkout).
 """
 
 from __future__ import annotations
@@ -99,11 +101,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sides", nargs="+", type=parse_side, metavar="LABEL=DIR",
                         help="checkout to measure, written to BENCH_<LABEL>.json")
-    parser.add_argument("--out", default=REPO, help="directory for the BENCH files")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"),
                         help="seeds as 1-10 or 1,3,5 (default 1-10)")
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable); default: all")
     args = parser.parse_args(argv)
     if len({label for label, _ in args.sides}) != len(args.sides):
         parser.error("labels must differ")
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
     records = {label: {"label": label, "commit": git_commit(root), "seeds": args.seeds,
                        "seconds": seconds, "started": started, "workloads": {}}
                for label, root in args.sides}
-    for name in args.workload or [w["name"] for w in benchmark["workloads"]]:
+    for name in [w["name"] for w in benchmark["workloads"]]:
         runs = {label: [] for label, _ in args.sides}
         for i, seed in enumerate(args.seeds):
             for label, root in args.sides[::-1] if i % 2 else args.sides:
@@ -128,7 +127,7 @@ def main(argv=None) -> int:
                 "summary": summarize(runs[label]), "runs": runs[label],
                 "traced": run_once(root, name, args.seeds[0], seconds, 1)}
     for label, record in records.items():
-        path = os.path.join(args.out, f"BENCH_{label}.json")
+        path = os.path.join(REPO, f"BENCH_{label}.json")
         with open(path + ".tmp", "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -499,8 +499,7 @@ class Rationals(ScalarDomain):
 
 
 # The payloads of -1, 0 and 1, one shared tuple each.  Reduced rows are
-# mostly zeros and ones, and returning these instead of a fresh tuple per
-# result lowered the peak memory of the quat-sampled benchmark by ~0.8 MB.
+# mostly zeros and ones, so these stand in for a fresh tuple per result.
 _UNITS = {n: (n, 0, 0, 0, 1) for n in (-1, 0, 1)}
 
 
@@ -584,12 +583,7 @@ class Quaternions(ScalarDomain):
         a1, b1, c1, d1, e1 = q1
         a2, b2, c2, d2, e2 = q2
         if e1 == e2:
-            a, b, c, d, e = a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1
-            if e == 1:
-                if b or c or d:
-                    return (a, b, c, d, 1)
-                return _UNITS.get(a) or (a, 0, 0, 0, 1)
-            return _lowest_terms(a, b, c, d, e)
+            return _lowest_terms(a1 + a2, b1 + b2, c1 + c2, d1 + d2, e1)
         return _lowest_terms(a1 * e2 + a2 * e1, b1 * e2 + b2 * e1,
                              c1 * e2 + c2 * e1, d1 * e2 + d2 * e1, e1 * e2)
 
@@ -603,12 +597,7 @@ class Quaternions(ScalarDomain):
         b = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
         c = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
         d = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
-        e = e1 * e2
-        if e == 1:
-            if b or c or d:
-                return (a, b, c, d, 1)
-            return _UNITS.get(a) or (a, 0, 0, 0, 1)
-        return _lowest_terms(a, b, c, d, e)
+        return _lowest_terms(a, b, c, d, e1 * e2)
 
     def _inv(self, q):
         a, b, c, d, e = q

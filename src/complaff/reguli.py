@@ -37,7 +37,6 @@ from .linalg import (
     MatrixK,
     apply,
     inverse,
-    is_invertible,
     kernel,
     row_space,
     solve,
@@ -366,8 +365,9 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
         image = apply(apply(ch.z.coords_of(b_vec), alpha), ch.w_matrix)
         alpha_rows.append(solve(im_amb.basis, image))
     alpha_prime = MatrixK(dom, alpha_rows, cols=r)
-    if not is_invertible(alpha_prime):
-        raise RuntimeError("restricted alpha is not invertible")
-    base = Regulus(base_chart, alpha_prime, MatrixK.zero(dom, r, r))
+    try:
+        base = Regulus(base_chart, alpha_prime, MatrixK.zero(dom, r, r))
+    except ValueError as exc:
+        raise RuntimeError("restricted alpha is not invertible") from exc
     return ConeDecomposition(vertex, ker_amb, u_prime, base, base_chart,
                              vertex == ker_amb)
