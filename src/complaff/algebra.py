@@ -254,20 +254,19 @@ def _poly_mul(a, b, p):
 
 
 def _poly_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
+    """Quotient and remainder of a by a trimmed b."""
+    a = list(_poly_trim(a))
+    db = len(b) - 1
+    inv_lb = pow(b[-1], p - 2, p)
     q = [0] * max(len(a) - db, 0)
-    while len(_poly_trim(a)) - 1 >= db and a:
-        a = list(_poly_trim(a))
-        if len(a) - 1 < db:
-            break
+    while len(a) - 1 >= db:
         coef = (a[-1] * inv_lb) % p
         shift = len(a) - 1 - db
         q[shift] = coef
         for i, bi in enumerate(b):
             a[shift + i] = (a[shift + i] - coef * bi) % p
-    return _poly_trim(q), _poly_trim(a)
+        a = list(_poly_trim(a))
+    return _poly_trim(q), tuple(a)
 
 
 def _poly_mulmod(a, b, mod, p):
@@ -406,14 +405,9 @@ class ExtensionField(ScalarDomain):
         return Scalar(self, self._canon((0, 1)))
 
     def elements(self) -> tuple:
-        out = []
-        for n in range(self.order):
-            digits = []
-            for _ in range(self.k):
-                digits.append(n % self.p)
-                n //= self.p
-            out.append(Scalar(self, tuple(digits)))
-        return tuple(out)
+        """In the order of c_0 + c_1*p + ... + c_(k-1)*p^(k-1)."""
+        return tuple(Scalar(self, digits[::-1])
+                     for digits in itertools.product(range(self.p), repeat=self.k))
 
     def _canon(self, payload):
         c = tuple(int(x) % self.p for x in payload)
@@ -608,6 +602,10 @@ class Quaternions(ScalarDomain):
 
     def _is_zero(self, a):
         return not (a[0] or a[1] or a[2] or a[3])
+
+    def _imag_parts(self, a):
+        """The i, j and k components of a, each as a real quaternion."""
+        return [_lowest_terms(x, 0, 0, 0, a[4]) for x in a[1:4]]
 
     def _is_central(self, a):
         return not (a[1] or a[2] or a[3])

@@ -25,20 +25,29 @@ from .algebra import Sampled, Scalar, ScalarDomain, scalars
 from .errors import ChartMismatchError, DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
+    _augmented,
     Vector,
     apply,
+    boxed,
     combine,
     from_payloads,
-    inverse,
     is_invertible,
-    payload_of,
+    payload_row,
     reduce_rows,
     rref,
     stack,
-    vec_add,
-    vector,
 )
 from .projective import Subspace, ZStructure, standard_complement_rows
+
+
+def _basis_matrix(domain: ScalarDomain, rows, span: Subspace, message: str):
+    """Checked basis rows of `span` as a MatrixK; by default span.basis."""
+    if rows is None:
+        return span.basis
+    m = rows if isinstance(rows, MatrixK) else MatrixK(domain, rows, cols=span.ambient)
+    if m.rows != span.dim or Subspace.spanned(domain, span.ambient, m.payload) != span:
+        raise ValueError(message)
+    return m
 
 
 class AffineChart:
@@ -54,7 +63,7 @@ class AffineChart:
         if u is None:
             if space is not None:
                 raise ValueError("an explicit U is required inside a proper subspace")
-            u = Subspace.from_rows(domain, ambient, standard_complement_rows(w))
+            u = Subspace.spanned(domain, ambient, standard_complement_rows(w))
         self.u = u
         self.k = w.dim
         self.m = u.dim
@@ -62,17 +71,21 @@ class AffineChart:
             raise ValueError("trivial charts (W = 0 or W = V) are excluded")
         if (w & u).dim != 0 or (w + u) != self.space:
             raise ValueError("V = W (+) U fails for the given data")
-        self.w_basis = tuple(vector(domain, v) for v in (w_basis or w.basis.entries))
-        self.b = tuple(vector(domain, v) for v in (b or u.basis.entries))
-        if Subspace.from_rows(domain, ambient, self.w_basis) != w or len(self.w_basis) != self.k:
-            raise ValueError("w_basis does not span W")
-        if Subspace.from_rows(domain, ambient, self.b) != u or len(self.b) != self.m:
-            raise ValueError("b is not a basis of U")
-        self.z = ZStructure(domain, self.b)
-        self.w_matrix = MatrixK(domain, self.w_basis, cols=ambient)
-        self.b_matrix = MatrixK(domain, self.b, cols=ambient)
+        self.w_matrix = _basis_matrix(domain, w_basis, w, "w_basis does not span W")
+        self.b_matrix = _basis_matrix(domain, b, u, "b is not a basis of U")
+        self.z = ZStructure(domain, self.b_matrix)
         self._t = stack(domain, [self.w_matrix, self.b_matrix], cols=ambient)
-        self._t_ech = rref(self._t)
+        # payload row -> its payload coordinates [x | y] over the rows of
+        # [W-basis; b], or None outside the space
+        self._split = rref(self._t).coordinates
+
+    @property
+    def w_basis(self) -> tuple:
+        return self.w_matrix.entries
+
+    @property
+    def b(self) -> tuple:
+        return self.b_matrix.entries
 
     @property
     def v_dim(self) -> int:
@@ -87,10 +100,10 @@ class AffineChart:
             isinstance(other, AffineChart) and other.domain == self.domain
             and other.ambient == self.ambient and other.space == self.space
             and other.w == self.w and other.u == self.u
-            and other.w_basis == self.w_basis and other.b == self.b)
+            and other.w_matrix == self.w_matrix and other.b_matrix == self.b_matrix)
 
     def __hash__(self):
-        return hash((self.ambient, self.w, self.u, self.w_basis, self.b))
+        return hash((self.ambient, self.w, self.u, self.w_matrix, self.b_matrix))
 
     def __repr__(self):
         return (f"AffineChart({self.domain!r}, V^{self.v_dim} in K^{self.ambient}, "
@@ -98,26 +111,25 @@ class AffineChart:
 
     # -- coordinates ----------------------------------------------------------
 
-    def _split(self, v) -> list | None:
-        """Payload coordinates of the payload row v over the independent
-        rows of [W-basis; b], or None when v is outside the space."""
-        ech, domain = self._t_ech, self.domain
-        coeffs = [v[col] for col in ech.pivots]
-        if combine(domain, coeffs, ech.matrix.payload, self.ambient) != list(v):
-            return None
-        return combine(domain, coeffs, ech.transform.payload, self._t.rows)
+    def _through(self, v, image: MatrixK) -> list:
+        """The payload row v, written in chart coordinates, times `image`."""
+        full = self._split(v)
+        if full is None:
+            raise ValueError("vector outside the chart's space")
+        return combine(self.domain, full, image.payload, image.cols)
 
     def coords_split(self, v) -> tuple[Vector, Vector] | None:
         """(W-part, U-part) of v in the chart bases; None outside the space."""
-        full = self._split([payload_of(self.domain, x) for x in v])
+        full = self._split(payload_row(self.domain, v))
         if full is None:
             return None
-        full = tuple(Scalar(self.domain, x) for x in full)
+        full = boxed(self.domain, full)
         return full[:self.k], full[self.k:]
 
     def from_split(self, x, y) -> Vector:
-        return vec_add(apply(vector(self.domain, x), self.w_matrix),
-                       apply(vector(self.domain, y), self.b_matrix))
+        if len(x) != self.k or len(y) != self.m:
+            raise ValueError(f"expected {self.k} W- and {self.m} U-coordinates")
+        return apply((*x, *y), self._t)
 
     def coord(self, rows) -> "ComplementCoord":
         return ComplementCoord(self, MatrixK(self.domain, rows, cols=self.k))
@@ -141,21 +153,23 @@ class AffineChart:
 
     def _graph(self, s: Subspace) -> MatrixK | None:
         """The gamma whose complement is S, or None when S is no complement
-        of W in the chart's space.  S's rows have chart coordinates [X | Y];
-        S & W = 0 exactly when Y is invertible, and then reducing [Y | X]
-        on its first m columns leaves [I | Y^-1 X], so gamma = Y^-1 X."""
+        of W in the chart's space."""
         if s.dim != self.m:
             return None
         self.w._check(s)
-        rows = []
-        for v in s.basis.payload:
-            full = self._split(v)
-            if full is None:
-                return None
-            rows.append(full[self.k:] + full[:self.k])
-        if len(reduce_rows(self.domain, rows, self.m)) != self.m:
+        rows = [self._split(v) for v in s.basis.payload]
+        return None if None in rows else self._gamma_of(rows)
+
+    def _gamma_of(self, rows) -> MatrixK | None:
+        """The gamma of the span of m payload rows [X | Y] in chart
+        coordinates, or None when the span meets W.  It meets W exactly
+        when Y is singular; otherwise reducing [Y | X] on its first m
+        columns leaves [I | Y^-1 X], so gamma = Y^-1 X."""
+        k, m = self.k, self.m
+        rows = [[*r[k:], *r[:k]] for r in rows]
+        if len(reduce_rows(self.domain, rows, m)) != m:
             return None
-        return from_payloads(self.domain, [r[self.m:] for r in rows], self.k)
+        return from_payloads(self.domain, [r[m:] for r in rows], k)
 
     def coordinate_of(self, s: Subspace) -> "ComplementCoord":
         """Inverse of `complement`; requires S to be a complement of W."""
@@ -170,12 +184,9 @@ class AffineChart:
         """Every complement coordinate, in lexicographic gamma order."""
         if not self.domain.is_finite:
             raise InfiniteDomainError("coordinate enumeration needs a finite field")
-        elems = scalars(self.domain)
-        out = []
-        for combo in itertools.product(elems, repeat=self.m * self.k):
-            rows = [combo[i * self.k:(i + 1) * self.k] for i in range(self.m)]
-            out.append(self.coord(rows))
-        return tuple(out)
+        elems, k = scalars(self.domain), self.k
+        return tuple(self.coord([combo[i * k:(i + 1) * k] for i in range(self.m)])
+                     for combo in itertools.product(elems, repeat=self.m * k))
 
     def subchart(self, indices) -> "Subchart":
         return Subchart(self, tuple(indices))
@@ -183,9 +194,8 @@ class AffineChart:
 
 def symmetric_chart(domain: ScalarDomain, m: int) -> AffineChart:
     """The model V = U x U on K^(2m): W spanned by the first m unit vectors."""
-    w = Subspace.from_rows(domain, 2 * m,
-                           MatrixK.identity(domain, 2 * m).entries[:m])
-    return AffineChart(domain, 2 * m, w)
+    units = MatrixK.identity(domain, 2 * m).payload
+    return AffineChart(domain, 2 * m, Subspace.spanned(domain, 2 * m, units[:m]))
 
 
 class ComplementCoord:
@@ -268,11 +278,11 @@ class AffineLine:
         """The k with c = k*alpha + beta, or None when c is off the line."""
         if c.chart != self.chart:
             raise ChartMismatchError("coordinate from a different chart")
+        dom = self.chart.domain
         diff = c.gamma - self.beta
-        pos = next(((i, j) for i in range(self.alpha.rows)
-                    for j in range(self.alpha.cols)
-                    if not self.alpha.entries[i][j].is_zero()))
-        k = diff.entries[pos[0]][pos[1]] * self.alpha.entries[pos[0]][pos[1]].inverse()
+        x, y = next((x, y) for ra, rd in zip(self.alpha.payload, diff.payload)
+                    for x, y in zip(ra, rd) if not dom._is_zero(x))
+        k = Scalar(dom, dom._mul(y, dom._inv(x)))
         return k if self.alpha.scale_left(k) == diff else None
 
     def contains(self, c: ComplementCoord) -> bool:
@@ -297,20 +307,29 @@ def line_through(c1: ComplementCoord, c2: ComplementCoord) -> AffineLine:
 def are_complementary(c1: ComplementCoord, c2: ComplementCoord) -> bool:
     """Complements U^(g1,1), U^(g2,1) are complementary iff g1-g2 is invertible."""
     c1._check(c2)
-    diff = c1.gamma - c2.gamma
-    return diff.is_square() and is_invertible(diff)
+    return is_invertible(c1.gamma - c2.gamma)
 
 
 # ---------------------------------------------------------------------------
 # collineations stabilising W
 # ---------------------------------------------------------------------------
 
+def _lower_block(a: MatrixK, h: MatrixK, r: MatrixK) -> MatrixK:
+    """The block matrix [[A, 0], [H, R]]."""
+    zeros = (a.domain.zero().raw,) * r.cols
+    rows = [row + zeros for row in a.payload] + [
+        x + y for x, y in zip(h.payload, r.payload)]
+    return from_payloads(a.domain, rows, a.cols + r.cols)
+
+
 class Collineation:
     """Action of the block matrix [[A, 0], [H, R]] w.r.t. the chart bases.
 
-    A in Aut(W), H in Hom(U, W), R in Aut(U).  On coordinates the action
-    is gamma |-> R^-1 * (gamma*A + H); on the ambient space it is the
-    linear map (x, y) |-> (x*A + y*H, y*R) in split coordinates.
+    A in Aut(W), H in Hom(U, W), R in Aut(U).  On the ambient space it is
+    the linear map (x, y) |-> (x*A + y*H, y*R) in split coordinates.  The
+    complement of gamma has the chart coordinate rows [gamma | I], which
+    the block sends to [gamma*A + H | R]: on coordinates the action is
+    gamma |-> R^-1 * (gamma*A + H).
     """
 
     def __init__(self, chart: AffineChart, a: MatrixK, h: MatrixK, r: MatrixK):
@@ -321,10 +340,8 @@ class Collineation:
         if (h.rows, h.cols) != (chart.m, chart.k):
             raise ValueError("H must be an m x k block")
         self.chart = chart
-        self.a = a
-        self.h = h
-        self.r = r
-        self._r_inv = inverse(r)
+        self.block = _lower_block(a, h, r)
+        self._image = self.block * chart._t      # chart coordinates -> K^n
 
     @classmethod
     def translation(cls, chart: AffineChart, eta: MatrixK) -> "Collineation":
@@ -335,20 +352,18 @@ class Collineation:
     def on_coord(self, c: ComplementCoord) -> ComplementCoord:
         if c.chart != self.chart:
             raise ChartMismatchError("coordinate from a different chart")
-        return ComplementCoord(self.chart, self._r_inv * (c.gamma * self.a + self.h))
+        ch = self.chart
+        image = from_payloads(ch.domain, _augmented(c.gamma), ch.k + ch.m) * self.block
+        return ComplementCoord(ch, ch._gamma_of(image.payload))
 
     def on_vector(self, v) -> Vector:
-        split = self.chart.coords_split(v)
-        if split is None:
-            raise ValueError("vector outside the chart's space")
-        x, y = split
-        x2 = vec_add(apply(x, self.a), apply(y, self.h))
-        y2 = apply(y, self.r)
-        return self.chart.from_split(x2, y2)
+        ch = self.chart
+        return boxed(ch.domain, ch._through(payload_row(ch.domain, v), self._image))
 
     def on_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.from_rows(self.chart.domain, self.chart.ambient,
-                                  [self.on_vector(row) for row in s.basis.entries])
+        ch = self.chart
+        return Subspace.spanned(ch.domain, ch.ambient, [
+            ch._through(row, self._image) for row in s.basis.payload])
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +379,11 @@ def split_scalar_central(nu: MatrixK) -> tuple[Scalar, MatrixK] | None:
     """
     if not is_invertible(nu):
         raise ValueError("the matrix must be invertible")
-    lead = next(x for row in nu.entries for x in row if not x.is_zero())
-    zeta = nu.scale_left(lead.inverse())
-    if all(x.is_central() for row in zeta.entries for x in row):
-        return lead, zeta
+    dom = nu.domain
+    lead = next(x for row in nu.payload for x in row if not dom._is_zero(x))
+    zeta = nu.scale_left(Scalar(dom, dom._inv(lead)))
+    if all(dom._is_central(x) for row in zeta.payload for x in row):
+        return Scalar(dom, lead), zeta
     return None
 
 
@@ -381,12 +397,9 @@ def charts_equal(c1: AffineChart, c2: AffineChart) -> bool:
     if (c1.domain != c2.domain or c1.ambient != c2.ambient
             or c1.space != c2.space or c1.w != c2.w or c1.u != c2.u):
         raise ChartMismatchError("charts live on different (V, W, U)")
-    rows = []
-    for b_prime in c2.b:
-        coords = c1.z.coords_of(b_prime)
-        rows.append(coords)
-    r = MatrixK(c1.domain, rows, cols=c1.m)
-    return split_scalar_central(r) is not None
+    # c2's basis lies in U = span(c1.b), so every row has coordinates
+    rows = [c1.z._coords(b) for b in c2.b_matrix.payload]
+    return split_scalar_central(from_payloads(c1.domain, rows, c1.m)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +415,24 @@ def postcompose_w(alpha: MatrixK, c: ComplementCoord,
     and preserves parallelity.
     """
     source = c.chart
-    if source.b != target.b or source.u != target.u:
-        raise ChartMismatchError("the two charts must share U and its basis")
-    if (alpha.rows, alpha.cols) != (source.k, target.k):
-        raise ValueError("alpha has the wrong shape")
+    _check_shared_u(alpha, source, target)
     return ComplementCoord(target, c.gamma * alpha)
 
 
 def hat_vector_map(alpha: MatrixK, source: AffineChart, target: AffineChart):
     """The ambient linear map w + u |-> w^alpha + u behind `postcompose_w`."""
-    if source.b != target.b or source.u != target.u:
+    _check_shared_u(alpha, source, target)
+    dom = source.domain
+    image = _lower_block(alpha, MatrixK.zero(dom, source.m, target.k),
+                         MatrixK.identity(dom, source.m)) * target._t
+    return lambda v: boxed(dom, source._through(payload_row(dom, v), image))
+
+
+def _check_shared_u(alpha: MatrixK, source: AffineChart, target: AffineChart):
+    if source.b_matrix != target.b_matrix or source.u != target.u:
         raise ChartMismatchError("the two charts must share U and its basis")
-
-    def act(v):
-        split = source.coords_split(v)
-        if split is None:
-            raise ValueError("vector outside the source space")
-        x, y = split
-        return target.from_split(apply(x, alpha), y)
-
-    return act
+    if (alpha.rows, alpha.cols) != (source.k, target.k):
+        raise ValueError("alpha has the wrong shape")
 
 
 def precompose_u(delta: MatrixK, c: ComplementCoord,
@@ -433,11 +444,11 @@ def precompose_u(delta: MatrixK, c: ComplementCoord,
     coordinates is eta |-> delta*eta, and it reverses composition.
     """
     source = c.chart
-    if source.w != target.w or source.w_basis != target.w_basis:
+    if source.w != target.w or source.w_matrix != target.w_matrix:
         raise ChartMismatchError("the two charts must share W and its basis")
     if (delta.rows, delta.cols) != (target.m, source.m):
         raise ValueError("delta has the wrong shape")
-    if not all(x.is_central() for row in delta.entries for x in row):
+    if not all(map(delta.domain._is_central, itertools.chain(*delta.payload))):
         raise ValueError("delta must be central w.r.t. the two bases")
     return ComplementCoord(target, delta * c.gamma)
 
@@ -458,14 +469,13 @@ class Subchart:
             raise ValueError("index out of range")
         self.parent = chart
         self.indices = indices
-        dom = chart.domain
-        sub_b = tuple(chart.b[j] for j in indices)
-        u_prime = Subspace.from_rows(dom, chart.ambient, sub_b)
-        self.complement_c = Subspace.from_rows(dom, chart.ambient, [
-            b for i, b in enumerate(chart.b) if i not in indices])
-        self.chart = AffineChart(dom, chart.ambient, chart.w, u_prime,
-                                 b=sub_b, w_basis=chart.w_basis,
-                                 space=chart.w + u_prime)
+        dom, n, rows = chart.domain, chart.ambient, chart.b_matrix.payload
+        sub_b = from_payloads(dom, [rows[j] for j in indices], n)
+        u_prime = Subspace.spanned(dom, n, sub_b.payload)
+        self.complement_c = Subspace.spanned(dom, n, [
+            b for i, b in enumerate(rows) if i not in indices])
+        self.chart = AffineChart(dom, n, chart.w, u_prime, b=sub_b,
+                                 w_basis=chart.w_matrix, space=chart.w + u_prime)
         ident = MatrixK.identity(dom, chart.m).payload
         self.iota = from_payloads(dom, [ident[j] for j in indices], chart.m)
         self.pi = from_payloads(dom, [[row[j] for j in indices] for row in ident],

@@ -247,10 +247,12 @@ def cmd_build_dual_spread(args) -> int:
 
 def cmd_extract_family(args) -> int:
     chart, cfg = _chart(args)
+    if not 0 <= args.index < chart.m:
+        raise ConfigError(f"--index must lie in 0..{chart.m - 1}, not {args.index}")
     cand = dual_spread_from_json(chart, _load_json(args.file))
     try:
         family = family_from_dual_spread(cand, args.index)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         return _fail(args, "extract-family", chart, cfg, exc)
     print(json.dumps(family_to_json(family), sort_keys=True,
                      separators=(",", ":")))

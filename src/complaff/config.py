@@ -14,7 +14,7 @@ import re
 from .algebra import ExtensionField, PrimeField, Quaternions, ScalarDomain
 from .chart import AffineChart
 from .errors import ConfigError
-from .jsonio import vector_from_json
+from .jsonio import int_from_json, vector_from_json
 from .projective import Subspace
 
 _GF_PRIME = re.compile(r"gf\(\s*(\d+)\s*\)\Z")
@@ -74,14 +74,8 @@ def chart_from_config(cfg: dict) -> AffineChart:
         if key not in cfg:
             raise ConfigError(f'config is missing "{key}"')
     domain = parse_field(str(cfg["field"]))
-    try:
-        n, k = int(cfg["n"]), int(cfg["k"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'"n" and "k" must be integers: {exc}') from exc
-    try:
-        int(cfg.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'"seed" must be an integer: {exc}') from exc
+    n, k = int_from_json(cfg, "n"), int_from_json(cfg, "k")
+    int_from_json(cfg, "seed", 0)
     if not 0 < k < n:
         raise ConfigError("need 0 < k < n (trivial charts are excluded)")
     for key in ("W", "U"):
@@ -93,8 +87,7 @@ def chart_from_config(cfg: dict) -> AffineChart:
             w = Subspace.from_rows(domain, n, w_rows)
         else:
             w_rows = None
-            ident = Subspace.full(domain, n).basis.entries
-            w = Subspace.from_rows(domain, n, ident[:k])
+            w = Subspace.spanned(domain, n, Subspace.full(domain, n).basis.payload[:k])
         if w.dim != k:
             raise ConfigError(f"W has dimension {w.dim}, expected {k}")
         u = b_rows = None

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from .algebra import scalars
 from .chart import AffineChart, ComplementCoord
 from .errors import ChartMismatchError, InfiniteDomainError
-from .linalg import MatrixK, apply, is_invertible, solve, stack, vec_add, vector
+from .linalg import (
+    MatrixK,
+    combine,
+    from_payloads,
+    is_invertible,
+    payload_row,
+    rref,
+    stack,
+)
 from .projective import Subspace, hyperplanes_not_containing
 
 
@@ -34,22 +42,22 @@ from .projective import Subspace, hyperplanes_not_containing
 
 def family_to_coord(chart: AffineChart, w_vectors) -> ComplementCoord:
     """The complement spanned by the points K(w_i + b_i)."""
-    ws = tuple(vector(chart.domain, w) for w in w_vectors)
+    ws = [payload_row(chart.domain, w) for w in w_vectors]
     if len(ws) != chart.m:
         raise ValueError(f"expected {chart.m} vectors of W")
     rows = []
     for w in ws:
-        coords = solve(chart.w_matrix, w)
-        if coords is None:
+        # a vector of W has the chart coordinates [W-coordinates | 0]
+        full = chart._split(w)
+        if full is None or not all(map(chart.domain._is_zero, full[chart.k:])):
             raise ValueError("family entries must lie in W")
-        rows.append(coords)
-    return ComplementCoord(chart, MatrixK(chart.domain, rows, cols=chart.k))
+        rows.append(full[:chart.k])
+    return ComplementCoord(chart, from_payloads(chart.domain, rows, chart.k))
 
 
 def coord_to_family(c: ComplementCoord) -> tuple:
     """The W-vector family (b_i^gamma) of a complement."""
-    ch = c.chart
-    return tuple(apply(row, ch.w_matrix) for row in c.gamma.entries)
+    return (c.gamma * c.chart.w_matrix).entries
 
 
 # ---------------------------------------------------------------------------
@@ -73,35 +81,26 @@ class SingularSet:
         self.chart = chart
         self.hyperplane = x
         self.h = x & chart.w
-        self.base_family = self._particular_family()
-
-    def _particular_family(self) -> tuple:
-        """Some (c_i) with all c_i + b_i inside the hyperplane."""
-        ch = self.chart
-        system = stack(ch.domain, [ch.w_matrix, -self.hyperplane.basis],
-                       cols=ch.ambient)
-        out = []
-        for b in ch.b:
-            sol = solve(system, tuple(-x for x in b))
-            if sol is None:
-                raise ValueError("hyperplane admits no complement of W")
-            out.append(apply(sol[:ch.k], ch.w_matrix))
-        return tuple(out)
-
-    def _h_vectors(self) -> tuple:
-        combos = itertools.product(scalars(self.chart.domain), repeat=self.h.dim)
-        return tuple(apply(coeffs, self.h.basis) for coeffs in combos)
+        # the W-coordinate rows of some (c_i) with all c_i + b_i inside X:
+        # c_i = y*W for a solution (y, z) of y*W - z*X = -b_i
+        ech = rref(stack(chart.domain, [chart.w_matrix, -x.basis], cols=chart.ambient))
+        sols = [ech.coordinates(b) for b in (-chart.b_matrix).payload]
+        if None in sols:
+            raise ValueError("hyperplane admits no complement of W")
+        self._base = from_payloads(chart.domain, [y[:chart.k] for y in sols], chart.k)
 
     def coords(self) -> tuple:
-        """All members, via the coset family (c_i) + H^I."""
-        if not self.chart.domain.is_finite:
+        """All members, via the coset family (c_i) + H^I, in W-coordinates."""
+        ch = self.chart
+        if not ch.domain.is_finite:
             raise InfiniteDomainError("singular-set enumeration needs a finite field")
-        hs = self._h_vectors()
-        out = []
-        for combo in itertools.product(hs, repeat=self.chart.m):
-            fam = tuple(vec_add(c, h) for c, h in zip(self.base_family, combo))
-            out.append(family_to_coord(self.chart, fam))
-        return tuple(out)
+        dom, k = ch.domain, ch.k
+        h_rows = [ch._split(row)[:k] for row in self.h.basis.payload]
+        elems = [x.raw for x in scalars(dom)]
+        hs = [combine(dom, coeffs, h_rows, k)
+              for coeffs in itertools.product(elems, repeat=self.h.dim)]
+        return tuple(ComplementCoord(ch, self._base + from_payloads(dom, combo, k))
+                     for combo in itertools.product(hs, repeat=ch.m))
 
     def contains(self, c: ComplementCoord) -> bool:
         if c.chart != self.chart:
@@ -153,8 +152,7 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
     """DS1: distinct members joined by a regular line, i.e. gamma
     differences invertible.  Runs over any domain; duplicates fail."""
     for i, j in itertools.combinations(range(len(b.members)), 2):
-        diff = b.members[i].gamma - b.members[j].gamma
-        if not (diff.is_square() and is_invertible(diff)):
+        if not is_invertible(b.members[i].gamma - b.members[j].gamma):
             return Violation("DS1", f"members {i} and {j} are not joined by a "
                              f"regular line", pair=(i, j))
     return None
@@ -213,9 +211,10 @@ class TransversalFamily:
             raise ValueError("transversal families live in symmetric charts")
         self.chart = chart
         canon = []
+        scalar = chart.domain.scalar
         for u, images in entries:
-            u = vector(chart.domain, u)
-            images = tuple(vector(chart.domain, img) for img in images)
+            u = tuple(map(scalar, u))
+            images = tuple(tuple(map(scalar, img)) for img in images)
             if len(u) != chart.m or len(images) != chart.m \
                     or any(len(img) != chart.m for img in images):
                 raise ValueError("entries must be length-m coordinate tuples")

@@ -33,6 +33,14 @@ def _built(what: str, make, *args, **kwargs):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
+def int_from_json(obj: dict, key: str, default=None) -> int:
+    """obj[key] as a JSON integer: 2.5, "2" and true are refused, not cast."""
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f'"{key}" must be an integer, not {value!r}')
+    return value
+
+
 def scalar_to_json(s: Scalar):
     domain = s.domain
     if isinstance(domain, PrimeField):
@@ -56,7 +64,7 @@ def scalar_from_json(domain: ScalarDomain, obj) -> Scalar:
             if isinstance(obj, int):
                 return domain.from_int(obj)
             return domain.scalar(tuple(Fraction(str(c)) for c in obj))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad scalar {obj!r} for {domain}: {exc}") from exc
     raise ConfigError(f"no JSON form for scalars of {domain}")
 
@@ -89,10 +97,7 @@ def subspace_to_json(s: Subspace):
 def subspace_from_json(domain: ScalarDomain, obj) -> Subspace:
     if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
         raise ConfigError('a subspace needs "ambient" and "rows"')
-    try:
-        ambient = int(obj["ambient"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'subspace "ambient" must be an integer: {exc}') from exc
+    ambient = int_from_json(obj, "ambient")
     if not isinstance(obj["rows"], list):
         raise ConfigError('subspace "rows" must be a list of rows')
     rows = [vector_from_json(domain, row) for row in obj["rows"]]

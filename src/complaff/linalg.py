@@ -19,7 +19,8 @@ The arithmetic runs on them: one routine, ``reduce_rows``, reduces lists
 of payload rows in place with the domain's payload operations bound once
 per call, and ``combine`` forms left linear combinations of payload
 rows.  ``Scalar`` objects are built only when a caller reads ``entries``
-or ``row`` (once per matrix) or gets a vector back.
+or ``row`` (once per matrix) or a vector crosses the API boundary:
+``payload_row`` takes one in, ``boxed`` hands one out.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ def payload_of(domain: ScalarDomain, x):
     if type(x) is Scalar and x.domain is domain:
         return x.raw
     return domain.scalar(x).raw
-
-
-def matrix_rows(m: "MatrixK") -> list:
-    """Fresh mutable payload lists for the rows of m."""
-    return [list(row) for row in m.payload]
 
 
 def from_payloads(domain: ScalarDomain, rows, cols: int) -> "MatrixK":
@@ -113,13 +109,9 @@ def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
 
 def _augmented(m: "MatrixK") -> list:
     """Payload rows of [M | I]."""
-    zero, one = m.domain.zero().raw, m.domain.one().raw
-    out = []
-    for i, row in enumerate(m.payload):
-        unit = [zero] * m.rows
-        unit[i] = one
-        out.append([*row, *unit])
-    return out
+    zero, one, n = m.domain.zero().raw, m.domain.one().raw, m.rows
+    return [[*row, *[zero] * i, one, *[zero] * (n - i - 1)]
+            for i, row in enumerate(m.payload)]
 
 
 def _width(rows, cols: int | None) -> int:
@@ -137,32 +129,25 @@ def _width(rows, cols: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectors
+# the boxing boundary: Scalar tuples in and out
 # ---------------------------------------------------------------------------
 
-def vector(domain: ScalarDomain, items) -> Vector:
-    return tuple(domain.scalar(x) for x in items)
+def payload_row(domain: ScalarDomain, v) -> list:
+    """The working payloads of a vector's entries (ints and payloads coerced)."""
+    return [payload_of(domain, x) for x in v]
 
-def unit_vector(domain: ScalarDomain, n: int, i: int) -> Vector:
-    return tuple(domain.one() if j == i else domain.zero() for j in range(n))
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+def boxed(domain: ScalarDomain, row) -> Vector:
+    """The Scalar tuple of a payload row."""
+    return tuple([Scalar(domain, x) for x in row])
 
-def vec_scale(k: Scalar, v: Vector) -> Vector:
-    """Left scalar multiple k*v."""
-    return tuple(k * a for a in v)
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(a.is_zero() for a in v)
 
 def apply(v: Vector, m: "MatrixK") -> Vector:
     """Row vector times matrix; vector entries multiply on the left."""
     if len(v) != m.rows:
         raise ValueError(f"vector of length {len(v)} times {m.rows}x{m.cols} matrix")
     domain = m.domain
-    acc = combine(domain, [payload_of(domain, x) for x in v], m.payload, m.cols)
-    return tuple(Scalar(domain, x) for x in acc)
+    return boxed(domain, combine(domain, payload_row(domain, v), m.payload, m.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +282,17 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def coordinates(self, row) -> list | None:
+        """Payload coefficients x with x * original = row, or None outside the
+        row space: row's entries at the pivots, carried back by the transform."""
+        reduced = self.matrix
+        if len(row) != reduced.cols:
+            raise ValueError("vector has the wrong length")
+        coeffs = [row[p] for p in self.pivots]
+        if combine(reduced.domain, coeffs, reduced.payload, reduced.cols) != list(row):
+            return None
+        return combine(reduced.domain, coeffs, self.transform.payload, self.transform.cols)
+
 
 def rref(m: MatrixK) -> Echelon:
     """Left-reduced row echelon form with the row-operation transform."""
@@ -308,12 +304,12 @@ def rref(m: MatrixK) -> Echelon:
 
 
 def rank(m: MatrixK) -> int:
-    return len(reduce_rows(m.domain, matrix_rows(m), m.cols))
+    return len(reduce_rows(m.domain, [list(row) for row in m.payload], m.cols))
 
 
 def row_space(m: MatrixK) -> MatrixK:
     """Canonical echelon basis of the row space (zero rows dropped)."""
-    rows = matrix_rows(m)
+    rows = [list(row) for row in m.payload]
     r = len(reduce_rows(m.domain, rows, m.cols))
     return from_payloads(m.domain, rows[:r], m.cols)
 
@@ -343,17 +339,8 @@ def is_invertible(m: MatrixK) -> bool:
 
 def solve(m: MatrixK, rhs: Vector) -> Vector | None:
     """Some x with x*M = rhs, or None when rhs is not in the row space."""
-    if len(rhs) != m.cols:
-        raise ValueError("right-hand side has the wrong length")
-    domain, n = m.domain, m.cols
-    target = [payload_of(domain, x) for x in rhs]
-    rows = _augmented(m)
-    pivots = reduce_rows(domain, rows, n)
-    # in echelon form the only candidate coefficients sit at the pivots
-    full = combine(domain, [target[p] for p in pivots], rows, n + m.rows)
-    if full[:n] != target:
-        return None
-    return tuple(Scalar(domain, x) for x in full[n:])
+    x = rref(m).coordinates(payload_row(m.domain, rhs))
+    return None if x is None else boxed(m.domain, x)
 
 
 def stack(domain: ScalarDomain, parts, cols: int) -> MatrixK:
@@ -365,5 +352,5 @@ def stack(domain: ScalarDomain, parts, cols: int) -> MatrixK:
                 raise DomainMismatchError(f"{part.domain} matrix stacked in {domain}")
             rows.extend(part.payload)
         else:
-            rows.append(tuple([payload_of(domain, x) for x in part]))
+            rows.append(tuple(payload_row(domain, part)))
     return from_payloads(domain, rows, _width(rows, cols))

@@ -15,29 +15,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .algebra import (
-    Quaternions,
-    Rationals,
-    Sampled,
-    Scalar,
-    ScalarDomain,
-    _projective_reps,
-)
+from .algebra import Quaternions, Sampled, ScalarDomain, _projective_reps
 from .errors import DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
     Vector,
     apply,
+    boxed,
     combine,
     from_payloads,
     kernel,
-    payload_of,
+    payload_row,
     reduce_rows,
     row_space,
-    solve,
-    unit_vector,
-    vec_is_zero,
-    vector,
+    rref,
 )
 
 
@@ -57,6 +48,11 @@ class Subspace:
     @classmethod
     def from_rows(cls, domain: ScalarDomain, ambient: int, rows) -> "Subspace":
         return cls(domain, ambient, row_space(MatrixK(domain, rows, cols=ambient)))
+
+    @classmethod
+    def spanned(cls, domain: ScalarDomain, ambient: int, rows) -> "Subspace":
+        """The span of canonical payload rows."""
+        return cls(domain, ambient, row_space(from_payloads(domain, rows, ambient)))
 
     @classmethod
     def zero(cls, domain: ScalarDomain, ambient: int) -> "Subspace":
@@ -97,11 +93,11 @@ class Subspace:
 
     def coefficients_of(self, v) -> Vector | None:
         """Coefficients of v w.r.t. the echelon basis, or None when outside."""
-        v = [payload_of(self.domain, x) for x in v]
+        v = payload_row(self.domain, v)
         if len(v) != self.ambient:
             raise ValueError("vector has the wrong length")
         coeffs = next(self._coefficients([v]))
-        return None if coeffs is None else tuple(Scalar(self.domain, c) for c in coeffs)
+        return None if coeffs is None else boxed(self.domain, coeffs)
 
     def contains_vector(self, v) -> bool:
         return self.coefficients_of(v) is not None
@@ -112,9 +108,8 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        both = self.basis.payload + other.basis.payload
-        return Subspace(self.domain, self.ambient,
-                        row_space(from_payloads(self.domain, both, self.ambient)))
+        return Subspace.spanned(self.domain, self.ambient,
+                                self.basis.payload + other.basis.payload)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection by Zassenhaus' method.
@@ -154,12 +149,13 @@ def is_complement(w: Subspace, s: Subspace) -> bool:
 
 
 def standard_complement_rows(w: Subspace) -> tuple:
-    """The unit vectors at the non-pivot columns of W's echelon basis."""
+    """The unit payload rows at the non-pivot columns of W's echelon basis,
+    in column order: an echelon basis themselves."""
     is_zero = w.domain._is_zero
     pivots = {next(i for i, x in enumerate(row) if not is_zero(x))
               for row in w.basis.payload}
-    return tuple(unit_vector(w.domain, w.ambient, j)
-                 for j in range(w.ambient) if j not in pivots)
+    units = MatrixK.identity(w.domain, w.ambient).payload
+    return tuple(units[j] for j in range(w.ambient) if j not in pivots)
 
 
 def all_complements(w: Subspace) -> tuple:
@@ -212,15 +208,8 @@ def hyperplanes_not_containing(w: Subspace) -> tuple:
 # Z-structure: central subspaces w.r.t. a reference basis
 # ---------------------------------------------------------------------------
 
-_Z_BASIS = None  # 1, i, j, k as payload tuples, built lazily
-
-
-def _quaternion_z_basis():
-    global _Z_BASIS
-    if _Z_BASIS is None:
-        q = Quaternions()
-        _Z_BASIS = (q.one(), q.i, q.j, q.k)
-    return _Z_BASIS
+# 1, i, j, k as working payloads of the quaternions
+_Z_BASIS = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
 
 
 class ZStructure:
@@ -230,34 +219,52 @@ class ZStructure:
     subspace A <= span(b_i) is *central* when it has a basis inside the
     Z-span.  For commutative domains Z = K and every subspace is
     central; all the work happens over the quaternions, where Z = Q.
+    The public helpers take and return Scalar tuples, the ``_`` ones
+    payload rows.
     """
 
     def __init__(self, domain: ScalarDomain, basis_vectors):
-        rows = tuple(vector(domain, v) for v in basis_vectors)
-        if not rows:
-            raise ValueError("empty reference basis")
+        """basis_vectors: a MatrixK over the domain, kept as it is, or rows."""
+        matrix = (basis_vectors if isinstance(basis_vectors, MatrixK)
+                  else MatrixK(domain, tuple(basis_vectors)))
         self.domain = domain
-        self.ambient = len(rows[0])
-        self.basis = rows
-        self.matrix = MatrixK(domain, rows, cols=self.ambient)
-        self.span = Subspace.from_rows(domain, self.ambient, rows)
-        if self.span.dim != len(rows):
+        self.ambient = matrix.cols
+        self.matrix = matrix
+        ech = rref(matrix)
+        if ech.rank != matrix.rows:
             raise ValueError("reference basis is not K-linearly independent")
+        self.span = Subspace(domain, self.ambient, ech.matrix)
+        # payload row -> its payload coordinates w.r.t. (b_i), or None outside
+        self._coords = ech.coordinates
+
+    @property
+    def basis(self) -> tuple:
+        return self.matrix.entries
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.matrix.rows
+
+    def _is_z_point(self, coords) -> bool:
+        """Do the payload coordinates lie in one left coset c*Z, c != 0?"""
+        d = self.domain
+        lead = next((c for c in coords if not d._is_zero(c)), None)
+        if lead is None:
+            return False
+        inv = d._inv(lead)
+        return all(d._is_central(d._mul(inv, c)) for c in coords)
 
     def coords_of(self, v) -> Vector | None:
         """Coordinates w.r.t. (b_i), or None when v is outside the span."""
-        return solve(self.matrix, vector(self.domain, v))
+        coords = self._coords(payload_row(self.domain, v))
+        return None if coords is None else boxed(self.domain, coords)
 
     def from_coords(self, coords) -> Vector:
-        return apply(vector(self.domain, coords), self.matrix)
+        return apply(coords, self.matrix)
 
     def zspan_contains(self, v) -> bool:
-        coords = self.coords_of(v)
-        return coords is not None and all(c.is_central() for c in coords)
+        coords = self._coords(payload_row(self.domain, v))
+        return coords is not None and all(map(self.domain._is_central, coords))
 
     def point_in_projective_z(self, v) -> bool:
         """Is the point K*v in the projective Z-subspace w.r.t. (b_i)?
@@ -265,49 +272,45 @@ class ZStructure:
         K*v meets the Z-span iff the coordinates of v lie in one left
         coset c*Z, tested against the first nonzero coordinate.
         """
-        coords = self.coords_of(v)
-        if coords is None or vec_is_zero(coords):
-            return False
-        lead = next(c for c in coords if not c.is_zero())
-        inv = lead.inverse()
-        return all((inv * c).is_central() for c in coords)
+        coords = self._coords(payload_row(self.domain, v))
+        return coords is not None and self._is_z_point(coords)
+
+    def _z_coords(self, seed: int = 0) -> list:
+        """Payload coordinate rows of the projective Z-points: every one over
+        a finite field, else the deterministic sample of the quaternions.
+
+        The sample is the rational coordinate grid over {0, 1, -1} plus a
+        seeded batch, canonicalised to first nonzero coordinate 1 and
+        de-duplicated.
+        """
+        import random as _random
+
+        if self.domain.is_finite:
+            return [[x.raw for x in c] for c in _projective_reps(self.domain, self.dim)]
+        if not isinstance(self.domain, Quaternions):
+            raise InfiniteDomainError("Z-point sampling is defined for the quaternions")
+        rng = _random.Random(seed)
+        batch = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+                       for _ in range(self.dim)) for _ in range(20)]
+        reps = {}                            # insertion-ordered set
+        for coords in itertools.chain(
+                itertools.product((0, 1, -1), repeat=self.dim), batch):
+            lead = next((c for c in coords if c != 0), None)
+            if lead is not None:
+                reps.setdefault(tuple(Fraction(c) / lead for c in coords))
+        return [[self.domain._canon((c, 0, 0, 0)) for c in canon] for canon in reps]
 
     def z_point_reps(self) -> tuple:
         """Canonical representatives of the projective Z-points (finite)."""
         if not self.domain.is_finite:
             raise InfiniteDomainError("use z_point_samples on an infinite domain")
-        return tuple(self.from_coords(c) for c in _projective_reps(self.domain, self.dim))
+        return tuple(self.z_point_samples())
 
     def z_point_samples(self, seed: int = 0) -> Sampled:
-        """Deterministic sample of projective Z-points (quaternion domain).
-
-        Rational coordinate grid over {0, 1, -1} plus a seeded batch,
-        canonicalised to first nonzero coordinate 1 and de-duplicated.
-        """
-        import random as _random
-
-        if self.domain.is_finite:
-            return Sampled(self.z_point_reps())
-        if not isinstance(self.domain, Quaternions):
-            raise InfiniteDomainError("Z-point sampling is defined for the quaternions")
-        rng = _random.Random(seed)
-        raw = [tuple(Fraction(c) for c in combo)
-               for combo in itertools.product((0, 1, -1), repeat=self.dim)]
-        for _ in range(20):
-            raw.append(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-                             for _ in range(self.dim)))
-        seen, reps = set(), []
-        for coords in raw:
-            if all(c == 0 for c in coords):
-                continue
-            lead = next(c for c in coords if c != 0)
-            canon = tuple(c / lead for c in coords)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            reps.append(self.from_coords(
-                tuple(self.domain.scalar((c, 0, 0, 0)) for c in canon)))
-        return Sampled(reps)
+        """Deterministic sample of projective Z-points (all of them over a
+        finite field); see `_z_coords`."""
+        coords = from_payloads(self.domain, self._z_coords(seed), self.dim)
+        return Sampled((coords * self.matrix).entries)
 
     # -- central subspaces --------------------------------------------------
 
@@ -319,45 +322,29 @@ class ZStructure:
         """The unique largest central subspace inside A.
 
         K-span of (A intersect Z-span), computed by expanding K over Z
-        and solving the resulting Z-linear system exactly.
+        and solving the resulting Z-linear system exactly.  The system
+        is held as real quaternions, a copy of Q inside the domain, so
+        it is solved on the integer payloads.
         """
         self._require_inside(a)
-        if self.domain.is_commutative:
+        if self.domain.is_commutative or a.dim == 0:
             return a
-        if a.dim == 0:
-            return a
-        # coordinates of A w.r.t. (b_i)
-        g = MatrixK(self.domain, [self.coords_of(r) for r in a.basis.entries],
-                    cols=self.dim)
-        r, m = g.rows, self.dim
-        units = _quaternion_z_basis()
-        d = len(units)
+        d = self.domain
+        mul, imag = d._mul, d._imag_parts
         # unknowns y_{i,t} in Q with y_i = sum_t y_{i,t} unit_t; constraints:
-        # the i,j,k components of every column of y*G vanish
-        qq = Rationals()
-        cols = []
-        for i in range(r):
-            for t in range(d):
-                row = []
-                for c in range(m):
-                    prod = units[t] * g.entries[i][c]
-                    row.extend(prod.payload[1:])       # i, j, k parts
-                cols.append([qq.scalar(x) for x in row])
-        system = MatrixK(qq, cols, cols=m * (d - 1))
-        null = kernel(system)
-        vectors_in_z = []
-        for sol in null.entries:
-            y = []
-            for i in range(r):
-                acc = self.domain.zero()
-                for t in range(d):
-                    acc = acc + self.domain.scalar(
-                        (sol[i * d + t].payload, 0, 0, 0)) * units[t]
-                y.append(acc)
-            vectors_in_z.append(apply(tuple(y), g))
-        coord_sub = Subspace.from_rows(self.domain, m, vectors_in_z)
-        ambient_rows = [self.from_coords(row) for row in coord_sub.basis.entries]
-        return Subspace.from_rows(self.domain, self.ambient, ambient_rows)
+        # the i, j, k parts of every column of y*G vanish, where the rows
+        # of G are the coordinates of A's basis w.r.t. (b_i)
+        system = []
+        for v in a.basis.payload:
+            g = self._coords(v)
+            for unit in _Z_BASIS:
+                system.append([p for x in g for p in imag(mul(unit, x))])
+        zero, r = d.zero().raw, a.dim
+        expand = from_payloads(d, [[unit if j == i else zero for j in range(r)]
+                                   for i in range(r) for unit in _Z_BASIS], r)
+        # y*G*B = y * A's basis, with y = solution * expand
+        null = kernel(from_payloads(d, system, 3 * self.dim))
+        return Subspace(d, self.ambient, row_space(null * expand * a.basis))
 
     def is_central_subspace(self, a: Subspace) -> bool:
         return self.maximal_central_subspace(a) == a
@@ -370,16 +357,13 @@ class ZStructure:
         exactly when i is in J.
         """
         self._require_inside(a)
-        current = a
-        chosen = []
-        for b in self.basis:
+        current, chosen = a, []
+        for b in self.matrix.payload:
             if current.dim == self.dim:
                 break
-            if not current.contains_vector(b):
+            bigger = Subspace.spanned(self.domain, self.ambient,
+                                      current.basis.payload + (b,))
+            if bigger.dim > current.dim:
                 chosen.append(b)
-                current = current + Subspace.from_rows(self.domain, self.ambient, [b])
-        c = Subspace.from_rows(self.domain, self.ambient, chosen)
-        # current = A + C, so dim(A + C) = dim A + dim C says A & C = 0
-        if not current.dim == a.dim + c.dim == self.dim:
-            raise RuntimeError("central complement is not a complement")
-        return c
+                current = bigger
+        return Subspace.spanned(self.domain, self.ambient, chosen)

@@ -33,15 +33,7 @@ from .chart import (
     line_through,
 )
 from .errors import InfiniteDomainError, ReconstructionError
-from .linalg import (
-    MatrixK,
-    apply,
-    inverse,
-    kernel,
-    row_space,
-    solve,
-    vec_add,
-)
+from .linalg import MatrixK, combine, from_payloads, inverse, kernel
 from .projective import Subspace
 
 
@@ -68,14 +60,11 @@ class Regulus:
     def members(self, seed: int = 0):
         """W first, then the affine members in parameter order."""
         rest = self.affine_members(seed)
-        members = (self.chart.w,) + rest
-        return Sampled(members) if isinstance(rest, Sampled) else members
+        return type(rest)((self.chart.w, *rest))
 
     def affine_members(self, seed: int = 0):
         pts = self.line.points(seed)
-        if isinstance(pts, Sampled):
-            return Sampled(p.subspace() for p in pts)
-        return tuple(p.subspace() for p in pts)
+        return type(pts)(p.subspace() for p in pts)      # a tuple or a Sampled
 
     def contains(self, s: Subspace) -> bool:
         if s == self.chart.w:
@@ -96,23 +85,28 @@ def standard_regulus(chart: AffineChart) -> Regulus:
 
 
 class TransversalSet:
-    """The transversals of a regulus, enumerated through the Z-points of U."""
+    """The transversals of a regulus, enumerated through the Z-points of U.
+
+    The transversal through the Z-point with coordinates z is
+    span{z*(alpha*W), z*(beta*W + B)}, W and B the chart's basis matrices;
+    the two products are formed once.
+    """
 
     def __init__(self, regulus: Regulus):
         self.regulus = regulus
-        self.chart = regulus.chart
+        self.chart = ch = regulus.chart
+        self._alpha_w = regulus.alpha * ch.w_matrix
+        self._beta_w_b = regulus.beta * ch.w_matrix + ch.b_matrix
 
-    def _line_for(self, z_coords) -> Subspace:
+    def _line_for(self, z) -> Subspace:
+        """The transversal through the payload coordinate row z."""
         ch = self.chart
-        w_part = apply(z_coords, self.regulus.alpha)
-        v1 = apply(w_part, ch.w_matrix)
-        v2 = vec_add(apply(apply(z_coords, self.regulus.beta), ch.w_matrix),
-                     apply(z_coords, ch.b_matrix))
-        return Subspace.from_rows(ch.domain, ch.ambient, [v1, v2])
+        return Subspace.spanned(ch.domain, ch.ambient, [
+            combine(ch.domain, z, self._alpha_w.payload, ch.ambient),
+            combine(ch.domain, z, self._beta_w_b.payload, ch.ambient)])
 
     def lines(self, seed: int = 0):
-        return _over_z_points(self.chart, seed,
-                              lambda z: self._line_for(self.chart.z.coords_of(z)))
+        return _over_z_points(self.chart, seed, self._line_for)
 
     def contains(self, t: Subspace) -> bool:
         """Exact membership: recover z from T's trace on W and compare."""
@@ -122,13 +116,10 @@ class TransversalSet:
         trace_w = t & ch.w
         if trace_w.dim != 1:
             return False
-        w_coords = solve(ch.w_matrix, trace_w.basis.entries[0])
-        if w_coords is None:
-            return False
-        z_coords = apply(w_coords, self.regulus.alpha_inv)
-        if not ch.z.point_in_projective_z(apply(z_coords, ch.b_matrix)):
-            return False
-        return self._line_for(z_coords) == t
+        # the trace lies in W: its chart coordinates are [W-coordinates | 0]
+        w_coords = ch._split(trace_w.basis.payload[0])[:ch.k]
+        z = combine(ch.domain, w_coords, self.regulus.alpha_inv.payload, ch.m)
+        return ch.z._is_z_point(z) and self._line_for(z) == t
 
     def __iter__(self):
         return iter(self.lines())
@@ -147,17 +138,17 @@ def w_plus_transversals(regulus: Regulus, seed: int = 0):
 
 def w_plus_z(chart: AffineChart, seed: int = 0):
     """The family {W + Kz : z a Z-point of U}."""
-    made = _over_z_points(chart, seed, lambda z: chart.w + Subspace.from_rows(
-        chart.domain, chart.ambient, [z]))
+    dom, n, w = chart.domain, chart.ambient, chart.w.basis.payload
+    made = _over_z_points(chart, seed, lambda z: Subspace.spanned(
+        dom, n, w + (combine(dom, z, chart.b_matrix.payload, n),)))
     return made if isinstance(made, Sampled) else frozenset(made)
 
 
 def _over_z_points(chart: AffineChart, seed: int, f):
-    """f at every Z-point of U: a tuple over a finite field, else at a
-    seeded sample of them, as a Sampled."""
-    if chart.domain.is_finite:
-        return tuple(f(z) for z in chart.z.z_point_reps())
-    return Sampled(f(z) for z in chart.z.z_point_samples(seed))
+    """f at the payload coordinate row of every Z-point of U: a tuple over a
+    finite field, else at a seeded sample of them, as a Sampled."""
+    made = (f(z) for z in chart.z._z_coords(seed))
+    return tuple(made) if chart.domain.is_finite else Sampled(made)
 
 
 def regular_line_regulus(line: AffineLine) -> Regulus:
@@ -181,12 +172,11 @@ def regulus_through(c1: ComplementCoord, c2: ComplementCoord) -> Regulus:
 
 def _points_of_plane_line(t: Subspace):
     """The 1-dim subspaces of a 2-dim subspace over a finite field."""
-    domain = t.domain
-    r1, r2 = t.basis.entries
-    reps = [r2]
-    for c in scalars(domain):
-        reps.append(vec_add(r1, tuple(c * x for x in r2)))
-    return [Subspace.from_rows(domain, t.ambient, [v]) for v in reps]
+    domain, rows = t.domain, t.basis.payload
+    one = domain.one().raw
+    reps = [rows[1]] + [combine(domain, (one, c.raw), rows, t.ambient)
+                        for c in scalars(domain)]
+    return [Subspace.spanned(domain, t.ambient, [v]) for v in reps]
 
 
 def reconstruct_from_transversals(lines) -> tuple:
@@ -228,10 +218,8 @@ def reconstruct_from_transversals(lines) -> tuple:
                 raise ReconstructionError("no unique line through the point "
                                           "meeting both transversals")
             pieces.append(hit)
-        member = pieces[0]
-        for piece in pieces[1:]:
-            member = member + piece
-        members.append(member)
+        members.append(Subspace.spanned(domain, ambient, [
+            row for piece in pieces for row in piece.basis.payload]))
 
     _verify_regulus_against(members, lines)
     return tuple(members)
@@ -311,12 +299,15 @@ def line_transversal_image(line: AffineLine, seed: int = 0):
     if not line.beta.is_zero():
         raise ValueError("reduce to beta = 0 by a translation first")
     ch = line.chart
+    dom, n = ch.domain, ch.ambient
+    alpha_w = line.alpha * ch.w_matrix
 
     def image(z):
-        image_w = apply(apply(ch.z.coords_of(z), line.alpha), ch.w_matrix)
-        if all(x.is_zero() for x in image_w):
-            return ("point", Subspace.from_rows(ch.domain, ch.ambient, [z]))
-        return ("line", Subspace.from_rows(ch.domain, ch.ambient, [image_w, z]))
+        image_w = combine(dom, z, alpha_w.payload, n)
+        point = combine(dom, z, ch.b_matrix.payload, n)
+        if all(map(dom._is_zero, image_w)):
+            return ("point", Subspace.spanned(dom, n, [point]))
+        return ("line", Subspace.spanned(dom, n, [image_w, point]))
 
     return _over_z_points(ch, seed, image)
 
@@ -336,38 +327,30 @@ class ConeDecomposition:
 
 
 def cone_decompose(line: AffineLine) -> ConeDecomposition:
-    """Vertex, base regulus and exactness of the cone shape of l(alpha, 0)."""
+    """Vertex, base regulus and exactness of the cone shape of l(alpha, 0).
+
+    U' & ker(alpha) = 0 and dim U' = m - dim ker(alpha) = rank(alpha), so
+    alpha maps U' onto im(alpha) and the restricted alpha' is invertible.
+    """
     if not line.beta.is_zero():
         raise ValueError("reduce to beta = 0 by a translation first")
     ch = line.chart
-    dom = ch.domain
-    alpha = line.alpha
-
-    ker_coords = kernel(alpha)
-    ker_rows = [apply(y, ch.b_matrix) for y in ker_coords.entries]
-    ker_amb = Subspace.from_rows(dom, ch.ambient, ker_rows)
+    dom, n, b_rows = ch.domain, ch.ambient, ch.b_matrix.payload
+    alpha_w = line.alpha * ch.w_matrix
+    ker_amb = Subspace.spanned(dom, n, (kernel(line.alpha) * ch.b_matrix).payload)
     vertex = ch.z.maximal_central_subspace(ker_amb)
     u_prime = ch.z.central_complement(ker_amb)
-    # the base chart's basis is the chosen b_j themselves, not an echelon basis
-    u_prime_vectors = tuple(b for b in ch.b if u_prime.contains_vector(b))
-
-    im_rows = row_space(alpha)
-    im_amb = Subspace.from_rows(dom, ch.ambient,
-                                [apply(r, ch.w_matrix) for r in im_rows.entries])
+    # the base chart's basis is the b_j in U' themselves, not an echelon basis
+    chosen = [j for j, c in enumerate(u_prime._coefficients(b_rows)) if c is not None]
+    u_prime_basis = from_payloads(dom, [b_rows[j] for j in chosen], n)
+    im_amb = Subspace.spanned(dom, n, alpha_w.payload)
+    base_chart = AffineChart(dom, n, im_amb, u_prime,
+                             b=u_prime_basis, space=im_amb + u_prime)
+    # b_j maps to row j of alpha*W; alpha' holds its coefficients over the
+    # echelon basis of im(alpha), which the base chart uses as its W-basis
     r = im_amb.dim
-    if u_prime.dim != r:
-        raise RuntimeError("central complement of the kernel has the wrong dimension")
-
-    base_chart = AffineChart(dom, ch.ambient, im_amb, u_prime,
-                             b=u_prime_vectors, space=im_amb + u_prime)
-    alpha_rows = []
-    for b_vec in u_prime_vectors:
-        image = apply(apply(ch.z.coords_of(b_vec), alpha), ch.w_matrix)
-        alpha_rows.append(solve(im_amb.basis, image))
-    alpha_prime = MatrixK(dom, alpha_rows, cols=r)
-    try:
-        base = Regulus(base_chart, alpha_prime, MatrixK.zero(dom, r, r))
-    except ValueError as exc:
-        raise RuntimeError("restricted alpha is not invertible") from exc
+    alpha_prime = from_payloads(dom, im_amb._coefficients(
+        [alpha_w.payload[j] for j in chosen]), r)
+    base = Regulus(base_chart, alpha_prime, MatrixK.zero(dom, r, r))
     return ConeDecomposition(vertex, ker_amb, u_prime, base, base_chart,
                              vertex == ker_amb)

@@ -13,8 +13,16 @@ subspace follows the lattice route as well.
 The ``ref_q*`` functions are rational quaternion arithmetic on four
 ``Fraction`` components (a, b, c, d) = a + bi + cj + dk, independent of
 the integer payloads that complaff.algebra.Quaternions works on.
+
+The geometry references at the end (maximal central subspace, central
+complement, transversal membership, cone decomposition) are the boxed
+library versions these replaced: one Scalar vector at a time, through
+coordinates and back, with the quaternion Z-system solved over
+``Rationals`` on the ``Fraction`` view.  They take and return echelon
+bases as MatrixK.
 """
 
+from complaff.algebra import Rationals
 from complaff.linalg import Echelon, MatrixK
 
 
@@ -178,3 +186,105 @@ def ref_complement(chart, gamma: MatrixK) -> MatrixK:
     rows = [tuple(x + y for x, y in zip(row, b))
             for row, b in zip(ref_product(gamma, w).entries, chart.b)]
     return ref_row_space(MatrixK(chart.domain, rows, cols=chart.ambient))
+
+
+# ---------------------------------------------------------------------------
+# geometry: Z-structures, transversals and cones
+# ---------------------------------------------------------------------------
+
+def _vec_add(u, v) -> tuple:
+    return tuple(x + y for x, y in zip(u, v, strict=True))
+
+
+def ref_point_in_projective_z(z_basis: MatrixK, v) -> bool:
+    """Is K*v a point of the projective Z-subspace of the rows z_basis?"""
+    coords = ref_solve(z_basis, v)
+    if coords is None or all(c.is_zero() for c in coords):
+        return False
+    inv = next(c for c in coords if not c.is_zero()).inverse()
+    return all((inv * c).is_central() for c in coords)
+
+
+def ref_maximal_central_subspace(z_basis: MatrixK, a_basis: MatrixK) -> MatrixK:
+    """Echelon basis of the largest central subspace inside the row space of
+    a_basis (a quaternion subspace of the span of z_basis): the unknowns
+    y_(i,t) in Q of y_i = sum_t y_(i,t) unit_t, the i, j, k parts of every
+    column of y*G set to zero over Rationals, G the coordinates of A."""
+    q = z_basis.domain
+    if a_basis.rows == 0:
+        return a_basis
+    units = (q.one(), q.i, q.j, q.k)
+    g = MatrixK(q, [ref_solve(z_basis, row) for row in a_basis.entries],
+                cols=z_basis.rows)
+    qq = Rationals()
+    system = [[qq.scalar(x) for c in row for x in (unit * c).payload[1:]]
+              for row in g.entries for unit in units]
+    null = ref_kernel(MatrixK(qq, system, cols=3 * z_basis.rows))
+    rows = []
+    for sol in null.entries:
+        y = []
+        for i in range(g.rows):
+            acc = q.zero()
+            for t, unit in enumerate(units):
+                acc = acc + q.scalar((sol[4 * i + t].payload, 0, 0, 0)) * unit
+            y.append(acc)
+        rows.append(ref_apply(ref_apply(y, g), z_basis))
+    return ref_row_space(MatrixK(q, rows, cols=z_basis.cols))
+
+
+def ref_central_complement(z_basis: MatrixK, a_basis: MatrixK):
+    """(echelon basis, chosen rows) of the greedy central complement of the
+    row space of a_basis in the span of z_basis: each b_j in turn joins
+    when it lies outside A plus the ones chosen before it."""
+    current, chosen = a_basis, []
+    for b in z_basis.entries:
+        if current.rows == z_basis.rows:
+            break
+        if ref_coefficients(current, b) is None:
+            chosen.append(b)
+            current = ref_join(current, MatrixK(z_basis.domain, [b], cols=z_basis.cols))
+    return ref_row_space(MatrixK(z_basis.domain, chosen, cols=z_basis.cols)), chosen
+
+
+def _ref_chart_bases(chart):
+    return (MatrixK(chart.domain, chart.w_basis, cols=chart.ambient),
+            MatrixK(chart.domain, chart.b, cols=chart.ambient))
+
+
+def ref_transversal_contains(chart, alpha: MatrixK, beta: MatrixK,
+                             t_basis: MatrixK) -> bool:
+    """Is the row space of t_basis a transversal of {W} u l(alpha, beta)?
+    Its trace on W gives z^alpha; z must be a Z-point and T must be
+    span{z^alpha, z^beta + z}."""
+    if t_basis.rows != 2:
+        return False
+    trace = ref_meet(t_basis, chart.w.basis)
+    if trace.rows != 1:
+        return False
+    w, b = _ref_chart_bases(chart)
+    w_coords = ref_solve(w, trace.entries[0])
+    if w_coords is None:
+        return False
+    z = ref_apply(w_coords, ref_inverse(alpha))
+    if not ref_point_in_projective_z(b, ref_apply(z, b)):
+        return False
+    v1 = ref_apply(ref_apply(z, alpha), w)
+    v2 = _vec_add(ref_apply(ref_apply(z, beta), w), ref_apply(z, b))
+    return ref_row_space(MatrixK(chart.domain, [v1, v2], cols=chart.ambient)) == t_basis
+
+
+def ref_cone_decompose(chart, alpha: MatrixK) -> dict:
+    """The cone shape of l(alpha, 0): vertex, kernel and U' as echelon
+    bases, the chosen b_j spanning U', alpha' and exactness."""
+    dom = chart.domain
+    w, b = _ref_chart_bases(chart)
+    ker = ref_row_space(MatrixK(dom, [ref_apply(y, b) for y in ref_kernel(alpha).entries],
+                                cols=chart.ambient))
+    vertex = ker if dom.is_commutative else ref_maximal_central_subspace(b, ker)
+    u_prime, chosen = ref_central_complement(b, ker)
+    im = ref_row_space(ref_product(ref_row_space(alpha), w))
+    alpha_prime = MatrixK(dom, [ref_solve(im, ref_apply(ref_apply(ref_solve(b, bj), alpha), w))
+                                for bj in chosen], cols=im.rows)
+    return {"vertex": vertex, "kernel": ker, "u_prime": u_prime,
+            "u_prime_basis": tuple(chosen), "alpha_prime": alpha_prime,
+            "exact": vertex == ker}

@@ -31,13 +31,7 @@ from complaff.dualspread import (
     singular_subspace,
     verify_family,
 )
-from complaff.linalg import (
-    MatrixK,
-    is_invertible,
-    unit_vector,
-    vec_add,
-    vec_scale,
-)
+from complaff.linalg import MatrixK, is_invertible
 from complaff.projective import (
     Subspace,
     hyperplanes_not_containing,
@@ -52,6 +46,7 @@ from complaff.reguli import (
     w_plus_transversals,
     w_plus_z,
 )
+from vectors import unit_vector, vec_add, vec_scale
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

@@ -18,8 +18,9 @@ from complaff.chart import (
     symmetric_chart,
 )
 from complaff.errors import ChartMismatchError, DomainMismatchError
-from complaff.linalg import MatrixK, unit_vector, vec_add, vec_scale
+from complaff.linalg import MatrixK
 from complaff.projective import Subspace, is_complement
+from vectors import unit_vector, vec_add, vec_scale
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

@@ -300,6 +300,28 @@ MALFORMED = {
     "25-digit-modulus": ("enumerate", "--config",
                          ("cfg.json", {"field": "gf(9999999999999999999999991)",
                                        "n": 4, "k": 2})),
+    "quaternion-over-zero": ("regulus", "--through",
+                             ("a.json", {"gamma": [[0, 0], [0, 0]]}),
+                             ("b.json", {"gamma": [[1, 0], [0, 1]]}),
+                             "--config",
+                             ("cfg.json", {"field": "quat(Q)", "n": 4, "k": 2,
+                                           "W": [[["1", "0", "0", "1/0"], 0, 0, 0],
+                                                 [0, 1, 0, 0]]})),
+    "index-negative": ("extract-family", "--index", "-1",
+                       ("spread.json", {"kind": "dual-spread", "gammas": spread_gammas()})),
+    "index-too-large": ("extract-family", "--index", "7",
+                        ("spread.json", {"kind": "dual-spread", "gammas": spread_gammas()})),
+    "fractional-ambient": ("regulus", "--through",
+                           ("a.json", {"ambient": 4.5, "rows": [[1, 0, 1, 0], [0, 1, 0, 1]]}),
+                           ("b.json", {"gamma": [[1, 0], [0, 1]]})),
+    "fractional-k": ("enumerate", "--config",
+                     ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2.5})),
+    "string-n": ("enumerate", "--config",
+                 ("cfg.json", {"field": "gf(2)", "n": "4", "k": 2})),
+    "boolean-seed": ("enumerate", "--config",
+                     ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": True})),
+    "fractional-seed": ("enumerate", "--config",
+                        ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": 1.5})),
 }
 
 

@@ -20,8 +20,9 @@ from complaff.dualspread import (
     verify_family,
 )
 from complaff.errors import InfiniteDomainError
-from complaff.linalg import MatrixK, is_invertible, unit_vector, vec_add
+from complaff.linalg import MatrixK, is_invertible
 from complaff.projective import Subspace, hyperplanes, hyperplanes_not_containing
+from vectors import unit_vector, vec_add
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

@@ -18,9 +18,9 @@ from complaff.linalg import (
     rref,
     solve,
     stack,
-    vector,
 )
 from complaff.projective import Subspace
+from vectors import vector
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

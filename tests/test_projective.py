@@ -6,7 +6,7 @@ from boxed_reference import ref_complement
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
 from complaff.chart import AffineChart
 from complaff.errors import InfiniteDomainError
-from complaff.linalg import MatrixK, unit_vector, vec_add, vec_scale, vector
+from complaff.linalg import MatrixK
 from complaff.projective import (
     Subspace,
     ZStructure,
@@ -16,6 +16,7 @@ from complaff.projective import (
     is_complement,
     standard_complement_rows,
 )
+from vectors import unit_vector, vec_add, vec_scale, vector
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)

@@ -18,7 +18,7 @@ from complaff.chart import (
     symmetric_chart,
 )
 from complaff.errors import ReconstructionError
-from complaff.linalg import MatrixK, is_invertible, unit_vector, vec_add, vec_scale
+from complaff.linalg import MatrixK, is_invertible
 from complaff.projective import Subspace, is_complement
 from complaff.reguli import (
     Regulus,
@@ -33,6 +33,7 @@ from complaff.reguli import (
     w_plus_transversals,
     w_plus_z,
 )
+from vectors import unit_vector, vec_add, vec_scale
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
