@@ -69,15 +69,18 @@ class AffineChart:
         self.m = u.dim
         if self.k == 0 or self.m == 0:
             raise ValueError("trivial charts (W = 0 or W = V) are excluded")
-        if (w & u).dim != 0 or (w + u) != self.space:
-            raise ValueError("V = W (+) U fails for the given data")
         self.w_matrix = _basis_matrix(domain, w_basis, w, "w_basis does not span W")
         self.b_matrix = _basis_matrix(domain, b, u, "b is not a basis of U")
-        self.z = ZStructure(domain, self.b_matrix)
         self._t = stack(domain, [self.w_matrix, self.b_matrix], cols=ambient)
+        echelon = rref(self._t)
+        # V = W (+) U: [W-basis; b] has rank k + m and the space's echelon rows
+        if (echelon.rank != self.k + self.m
+                or echelon.matrix.payload[:echelon.rank] != self.space.basis.payload):
+            raise ValueError("V = W (+) U fails for the given data")
+        self.z = ZStructure(domain, self.b_matrix)
         # payload row -> its payload coordinates [x | y] over the rows of
         # [W-basis; b], or None outside the space
-        self._split = rref(self._t).coordinates
+        self._split = echelon.coordinates
 
     @property
     def w_basis(self) -> tuple:

@@ -52,16 +52,22 @@ def scalar_to_json(s: Scalar):
     raise ConfigError(f"no JSON form for scalars of {domain}")
 
 
+def _json_int(obj) -> int:
+    if type(obj) is not int:             # 2.5, "2" and true are not cast
+        raise TypeError("expected a JSON integer")
+    return obj
+
+
 def scalar_from_json(domain: ScalarDomain, obj) -> Scalar:
     try:
         if isinstance(domain, PrimeField):
-            return domain.from_int(int(obj))
+            return domain.from_int(_json_int(obj))
         if isinstance(domain, ExtensionField):
-            if isinstance(obj, int):
+            if type(obj) is int:
                 return domain.from_int(obj)
-            return domain.scalar(tuple(int(c) for c in obj))
+            return domain.scalar(tuple(map(_json_int, obj)))
         if isinstance(domain, Quaternions):
-            if isinstance(obj, int):
+            if type(obj) is int:
                 return domain.from_int(obj)
             return domain.scalar(tuple(Fraction(str(c)) for c in obj))
     except (TypeError, ValueError, ZeroDivisionError) as exc:

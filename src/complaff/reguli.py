@@ -9,10 +9,11 @@ over infinite domains.
 A transversal of a regulus is a line meeting every member in exactly one
 point.  For the regulus {W} union l(alpha, beta) the transversals are
         span{ z^alpha (in W),  z^beta + z }
-with z running over the nonzero Z-points of U; reconstructing the
-regulus from these lines follows the unique-line argument: the member
-through a point P1 of one transversal meets every other transversal T2
-on the line (P1 + T2) intersect (P1 + T3), where T1 <= T2 + T3.
+with z running over the nonzero Z-points of U.  Reconstruction from
+these lines builds three members by the unique-line argument (the member
+through a point P1 of T1 meets T2 in (P1 + T3) intersect T2 when
+T1 <= T2 + T3) and reads the others off the chart in which the three are
+W, U and U^(I, 1), where the regulus is the standard one.
 
 Non-regular lines decompose as cones: vertex = the maximal central
 subspace of ker(alpha), base = a regulus in im(alpha) (+) U' for a
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Sampled, scalars
+from .algebra import Sampled, Scalar, scalars
 from .chart import (
     AffineChart,
     AffineLine,
@@ -180,13 +181,25 @@ def _points_of_plane_line(t: Subspace):
 
 
 def reconstruct_from_transversals(lines) -> tuple:
-    """The unique regulus with the given transversal set, as member subspaces.
+    """The unique regulus with the given transversal set: its members, one
+    per point of the first line T1, in `_points_of_plane_line` order.
 
-    Follows the constructive uniqueness argument: fix T1 and a point P1
-    on it; for every other transversal T2 pick some T3 with T1 <= T2+T3;
-    the member through P1 meets T2 on (P1+T2) & (P1+T3).  The assembled
-    candidates are then verified against the full incidence and
-    collinearity conditions; any failure raises ReconstructionError.
+    With a companion T of each other T_j (T1 <= T_j + T), the line through
+    a point P of T1 meeting T_j and T lies in P + T and meets T_j in
+    (P + T) & T_j; the member X(P) is spanned by P and these points.  Only
+    X1, X2, X3 are built, through the first three points.  The lines are
+    accepted exactly when X1 (+) X2 is a chart in which X3 is the graph of
+    an invertible gamma3, so that X3 = U^(I, 1) for the W-basis gamma3*W.
+    This is the full incidence check.  If it holds, each line holds points
+    (x, 0), (0, y), (z, z) of X1, X2, X3, so it is span{(z, 0), (0, z)}, a
+    transversal of the standard regulus {W} u {U^(kI, 1)}; the points
+    (kz, z) on T1, T_j and its companion are collinear (z1 is in the span
+    of the other two), so X(P) is the member through P.  Conversely, if
+    the X(P) are pairwise complementary, meet every line once and are
+    spanned by these points, any two span the sum of the lines, so X3 is a
+    complement of X1 and of X2.  X1 = W is the member through the first
+    point, U^(kI, 1) with k = x_i / y_i the one through [x | y], y_i != 0.
+    Failures raise ReconstructionError.
     """
     lines = tuple(lines)
     if len(lines) < 3:
@@ -197,60 +210,37 @@ def reconstruct_from_transversals(lines) -> tuple:
     ambient = lines[0].ambient
     if any(t.dim != 2 or t.ambient != ambient for t in lines):
         raise ReconstructionError("transversals must be 2-dimensional subspaces")
-    for t1, t2 in itertools.combinations(lines, 2):
-        if (t1 & t2).dim != 0:
-            raise ReconstructionError("transversals of a regulus are pairwise skew")
+    if any((a & b).dim != 0 for a, b in itertools.combinations(lines, 2)):
+        raise ReconstructionError("transversals of a regulus are pairwise skew")
 
-    t1 = lines[0]
-    members = []
-    for p1 in _points_of_plane_line(t1):
-        pieces = [p1]
-        for tj in lines[1:]:
-            t3 = next((t for t in lines
-                       if t is not tj and t is not t1 and (tj + t).contains(t1)),
-                      None)
-            if t3 is None:
-                raise ReconstructionError(
-                    "no companion transversal inside a common 3-space")
-            ell = (p1 + tj) & (p1 + t3)
-            hit = ell & tj
-            if hit.dim != 1:
-                raise ReconstructionError("no unique line through the point "
-                                          "meeting both transversals")
-            pieces.append(hit)
-        members.append(Subspace.spanned(domain, ambient, [
-            row for piece in pieces for row in piece.basis.payload]))
+    t1, rest = lines[0], lines[1:]
+    companions = [(tj, next((t for t in rest if t is not tj and (tj + t).contains(t1)),
+                            None)) for tj in rest]
+    if any(t is None for _, t in companions):
+        raise ReconstructionError("no companion transversal inside a common 3-space")
 
-    _verify_regulus_against(members, lines)
-    return tuple(members)
+    def member_through(p: Subspace) -> Subspace:
+        return Subspace.spanned(domain, ambient, [*p.basis.payload, *(
+            row for tj, t in companions for row in ((p + t) & tj).basis.payload)])
 
+    points = _points_of_plane_line(t1)
+    x1, x2, x3 = map(member_through, points[:3])
+    try:
+        chart = AffineChart(domain, ambient, x1, x2, space=x1 + x2)
+        gamma3 = chart.coordinate_of(x3).gamma
+        chart = AffineChart(domain, ambient, x1, x2, space=chart.space,
+                            w_basis=gamma3 * chart.w_matrix)
+    except ValueError as exc:
+        raise ReconstructionError(
+            f"the lines are not the transversals of one regulus: {exc}") from exc
 
-def _verify_regulus_against(members, lines):
-    traces = {}
-    for x in members:
-        for t in lines:
-            hit = t & x
-            if hit.dim != 1:
-                raise ReconstructionError("a transversal misses a candidate member")
-            traces[(id(x), id(t))] = hit
-        spanned = None
-        for t in lines:
-            hit = traces[(id(x), id(t))]
-            spanned = hit if spanned is None else spanned + hit
-        if spanned != x:
-            raise ReconstructionError("a member is not spanned by its trace")
-    for ta, tb, tc in itertools.combinations(lines, 3):
-        for one, two, three in ((ta, tb, tc), (tb, ta, tc), (tc, ta, tb)):
-            if (two + three).contains(one):
-                for x in members:
-                    stacked = (traces[(id(x), id(one))]
-                               + traces[(id(x), id(two))]
-                               + traces[(id(x), id(three))])
-                    if stacked.dim > 2:
-                        raise ReconstructionError("collinearity condition fails")
-    for xa, xb in itertools.combinations(members, 2):
-        if (xa & xb).dim != 0 or xa.dim + xb.dim != (xa + xb).dim:
-            raise ReconstructionError("members are not pairwise complementary")
+    def parameter(p: Subspace) -> Scalar:
+        coords, k = chart._split(p.basis.payload[0]), chart.k
+        i = next(i for i in range(k) if not domain._is_zero(coords[k + i]))
+        return Scalar(domain, domain._mul(coords[i], domain._inv(coords[k + i])))
+
+    line = standard_regulus(chart).line
+    return (x1, *(line.point_at(parameter(p)).subspace() for p in points[1:]))
 
 
 # ---------------------------------------------------------------------------

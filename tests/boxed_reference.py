@@ -19,11 +19,17 @@ complement, transversal membership, cone decomposition) are the boxed
 library versions these replaced: one Scalar vector at a time, through
 coordinates and back, with the quaternion Z-system solved over
 ``Rationals`` on the ``Fraction`` view.  They take and return echelon
-bases as MatrixK.
+bases as MatrixK.  ``ref_reconstruct_from_transversals`` is the former
+reconstruction on the Subspace lattice: every member built by joins and
+meets, then every trace, span, collinear triple and pair re-checked.
 """
 
+import itertools
+
 from complaff.algebra import Rationals
+from complaff.errors import InfiniteDomainError, ReconstructionError
 from complaff.linalg import Echelon, MatrixK
+from complaff.projective import Subspace
 
 
 def ref_qadd(x, y) -> tuple:
@@ -288,3 +294,71 @@ def ref_cone_decompose(chart, alpha: MatrixK) -> dict:
     return {"vertex": vertex, "kernel": ker, "u_prime": u_prime,
             "u_prime_basis": tuple(chosen), "alpha_prime": alpha_prime,
             "exact": vertex == ker}
+
+
+def ref_reconstruct_from_transversals(lines) -> tuple:
+    """The members through the points of T1 (T1's second basis row, then
+    first row + c * second row for c in element order), each spanned by the
+    point and its hits (P + T_j) & (P + T3) & T_j on the other lines, with
+    every incidence of the result verified afterwards."""
+    lines = tuple(lines)
+    if len(lines) < 3:
+        raise ReconstructionError("need at least three transversals")
+    domain = lines[0].domain
+    if not domain.is_finite:
+        raise InfiniteDomainError("reconstruction enumerates points; finite only")
+    ambient = lines[0].ambient
+    if any(t.dim != 2 or t.ambient != ambient for t in lines):
+        raise ReconstructionError("transversals must be 2-dimensional subspaces")
+    for t1, t2 in itertools.combinations(lines, 2):
+        if (t1 & t2).dim != 0:
+            raise ReconstructionError("transversals of a regulus are pairwise skew")
+
+    t1 = lines[0]
+    first, second = t1.basis.entries
+    points = [second] + [_vec_add(first, [c * x for x in second])
+                         for c in domain.elements()]
+    members = []
+    for v in points:
+        p1 = Subspace.from_rows(domain, ambient, [v])
+        pieces = [p1]
+        for tj in lines[1:]:
+            t3 = next((t for t in lines
+                       if t is not tj and t is not t1 and (tj + t).contains(t1)),
+                      None)
+            if t3 is None:
+                raise ReconstructionError(
+                    "no companion transversal inside a common 3-space")
+            hit = (p1 + tj) & (p1 + t3) & tj
+            if hit.dim != 1:
+                raise ReconstructionError("no unique line through the point "
+                                          "meeting both transversals")
+            pieces.append(hit)
+        members.append(Subspace.from_rows(domain, ambient, [
+            row for piece in pieces for row in piece.rows()]))
+    _ref_verify_regulus(members, lines)
+    return tuple(members)
+
+
+def _ref_verify_regulus(members, lines):
+    traces = {}
+    for i, x in enumerate(members):
+        for j, t in enumerate(lines):
+            traces[i, j] = hit = t & x
+            if hit.dim != 1:
+                raise ReconstructionError("a transversal misses a candidate member")
+        spanned = traces[i, 0]
+        for j in range(1, len(lines)):
+            spanned = spanned + traces[i, j]
+        if spanned != x:
+            raise ReconstructionError("a member is not spanned by its trace")
+    for a, b, c in itertools.combinations(range(len(lines)), 3):
+        for one, two, three in ((a, b, c), (b, a, c), (c, a, b)):
+            if (lines[two] + lines[three]).contains(lines[one]):
+                for i in range(len(members)):
+                    stacked = traces[i, one] + traces[i, two] + traces[i, three]
+                    if stacked.dim > 2:
+                        raise ReconstructionError("collinearity condition fails")
+    for xa, xb in itertools.combinations(members, 2):
+        if (xa & xb).dim != 0 or xa.dim + xb.dim != (xa + xb).dim:
+            raise ReconstructionError("members are not pairwise complementary")

@@ -177,6 +177,25 @@ def test_reconstruct_rejects_bad_file(cfg3, tmp_path):
     assert out.returncode == 1
 
 
+def test_reconstruct_fails_on_skew_lines_of_no_regulus(cfg3, tmp_path):
+    """Three transversals of the standard regulus and a fourth line skew to
+    all three that is no transversal: the skew pre-check passes, the
+    incidence test fails."""
+    rows = ([[1, 0, 0, 0], [0, 0, 1, 0]], [[0, 1, 0, 0], [0, 0, 0, 1]],
+            [[1, 1, 0, 0], [0, 0, 1, 1]], [[1, 2, 0, 1], [0, 0, 1, 2]])
+    tfile = tmp_path / "skew.json"
+    tfile.write_text(json.dumps({"kind": "transversals", "subspaces": [
+        {"ambient": 4, "rows": r} for r in rows]}))
+    out = run_cli("reconstruct", "--transversals", str(tfile), "--config", cfg3)
+    assert (out.returncode, out.stderr) == (1, "")
+    assert len(out.stdout.splitlines()) == 1
+    assert out.stdout.startswith("FAIL: the lines are not the transversals")
+    out = run_cli("reconstruct", "--transversals", str(tfile), "--config", cfg3,
+                  "--json")
+    assert out.returncode == 1
+    assert json.loads(out.stdout)["result"] == "FAIL"
+
+
 def test_check_dual_spread_pass(cfg2, spread_file):
     out = run_cli("check-dual-spread", spread_file, "--config", cfg2, "--json")
     assert out.returncode == 0
@@ -279,6 +298,15 @@ def test_every_command_is_deterministic(cfg2, spread_file, tmp_path):
 
 
 
+def gamma_pair(field: str, entry) -> tuple:
+    """regulus --through two gamma files, the first with `entry` at [0][0]."""
+    zero, one = (0, 1) if field == "gf(3)" else ([0, 0], [1, 0])
+    return ("regulus", "--through",
+            ("a.json", {"gamma": [[entry, zero], [zero, zero]]}),
+            ("b.json", {"gamma": [[one, zero], [zero, one]]}),
+            "--config", ("cfg.json", {"field": field, "n": 4, "k": 2}))
+
+
 MALFORMED = {
     "non-integer-n": ("enumerate", "--config",
                       ("cfg.json", {"field": "gf(3)", "n": "abc", "k": 2})),
@@ -322,6 +350,11 @@ MALFORMED = {
                      ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": True})),
     "fractional-seed": ("enumerate", "--config",
                         ("cfg.json", {"field": "gf(2)", "n": 4, "k": 2, "seed": 1.5})),
+    "gf3-fractional-scalar": gamma_pair("gf(3)", 2.5),
+    "gf3-boolean-scalar": gamma_pair("gf(3)", True),
+    "gf3-string-scalar": gamma_pair("gf(3)", "2"),
+    "gf4-fractional-boolean-component": gamma_pair("gf(2^2; modulus=[1,1,1])",
+                                                   [1.9, True]),
 }
 
 

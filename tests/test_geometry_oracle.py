@@ -4,7 +4,9 @@ The library computes maximal central subspaces, transversal membership
 and cone decompositions on payload rows and matrix products.  The
 references in boxed_reference.py are the former boxed versions: one
 Scalar vector at a time, through coordinates and back, the quaternion
-Z-system solved over Rationals.  Hypothesis draws charts whose U-basis
+Z-system solved over Rationals.  Reconstruction from transversals is
+compared with the former construction, which builds every member by
+joins and meets and re-checks every incidence.  Hypothesis draws charts whose U-basis
 is a random base change of the standard one, so the coordinates are not
 the ambient entries.  Examples are derandomized.
 """
@@ -20,14 +22,22 @@ from boxed_reference import (
     ref_cone_decompose,
     ref_maximal_central_subspace,
     ref_rank,
+    ref_reconstruct_from_transversals,
     ref_transversal_contains,
 )
 from complaff.algebra import ExtensionField, PrimeField, Quaternions
 from complaff.chart import AffineChart, AffineLine, symmetric_chart
+from complaff.errors import ReconstructionError
 from complaff.linalg import MatrixK
 from complaff.projective import Subspace
-from complaff.reguli import cone_decompose, regulus_through, transversals_of
+from complaff.reguli import (
+    cone_decompose,
+    reconstruct_from_transversals,
+    regulus_through,
+    transversals_of,
+)
 
+GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF4 = ExtensionField(2, (1, 1, 1))
 Q = Quaternions()
@@ -110,10 +120,10 @@ def test_maximal_central_subspace_matches_boxed(m, data):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def reguli(draw, domain):
-    ch = draw(charts(domain, 2))
-    g1 = draw(matrices(domain, 2, 2))
-    alpha = draw(invertible(domain, 2))
+def reguli(draw, domain, m=2):
+    ch = draw(charts(domain, m))
+    g1 = draw(matrices(domain, m, m))
+    alpha = draw(invertible(domain, m))
     return ch, regulus_through(ch.coord(g1.entries), ch.coord((g1 + alpha).entries))
 
 
@@ -188,3 +198,63 @@ def test_cone_decompose_matches_boxed(domain, m, data):
     assert cone.base_chart.b == want["u_prime_basis"]
     assert cone.base.alpha == want["alpha_prime"]
     assert cone.exact == want["exact"]
+
+
+# ---------------------------------------------------------------------------
+# reconstruction from transversals
+# ---------------------------------------------------------------------------
+
+@st.composite
+def transversal_sets(draw, domain, m, kind):
+    """The transversals of a random regulus in shuffled order: all of them,
+    a proper subset of at least three, or at least three with one replaced
+    by a random line skew to the others."""
+    _, reg = draw(reguli(domain, m))
+    lines = list(transversals_of(reg).lines())
+    rng = draw(st.randoms(use_true_random=False))
+    rng.shuffle(lines)
+    if kind == "full":
+        return reg, lines
+    top = len(lines) - 1 if kind == "subset" else len(lines)
+    lines = lines[:draw(st.integers(3, top))]
+    if kind == "replaced":
+        i = draw(st.integers(0, len(lines) - 1))
+        others = lines[:i] + lines[i + 1:]
+        elems, n = domain.elements(), 2 * m
+        for _ in range(200):
+            t = Subspace.from_rows(domain, n, [[rng.choice(elems) for _ in range(n)]
+                                               for _ in range(2)])
+            if t.dim == 2 and all((t & o).dim == 0 for o in others):
+                break
+        assume(t.dim == 2 and all((t & o).dim == 0 for o in others))
+        lines[i] = t
+    return reg, lines
+
+
+def _outcome(reconstruct, lines):
+    """The member tuple, or the class of the ReconstructionError raised."""
+    try:
+        return reconstruct(lines)
+    except ReconstructionError as exc:
+        return type(exc)
+
+
+# GF(2)^4 has only three transversals per regulus, so no proper subset
+RECONSTRUCT_CASES = [
+    pytest.param(dom, m, kind, id=f"{name}-{m}-{kind}")
+    for name, dom, m in (("GF2", GF2, 2), ("GF3", GF3, 2), ("GF4", GF4, 2),
+                         ("GF2", GF2, 3))
+    for kind in ("full", "subset", "replaced")
+    if (name, m, kind) != ("GF2", 2, "subset")]
+
+
+@pytest.mark.parametrize("domain, m, kind", RECONSTRUCT_CASES)
+@settings(ORACLE, max_examples=20, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.filter_too_much])   # invertible GF(2) 3x3
+@given(data=st.data())
+def test_reconstruct_matches_join_and_meet_construction(domain, m, kind, data):
+    reg, lines = data.draw(transversal_sets(domain, m, kind))
+    got = _outcome(reconstruct_from_transversals, lines)
+    assert got == _outcome(ref_reconstruct_from_transversals, lines)
+    if kind == "full":
+        assert set(got) == set(reg.members())
