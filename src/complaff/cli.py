@@ -23,6 +23,7 @@ from .dualspread import (
 )
 from .errors import ConfigError, InfiniteDomainError, ReconstructionError
 from .jsonio import (
+    _read_json,
     dual_spread_from_json,
     dual_spread_to_json,
     family_from_json,
@@ -63,14 +64,6 @@ def _chart(args):
         cfg["seed"] = args.seed
     chart = chart_from_config(cfg)
     return chart, cfg
-
-
-def _load_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _base_report(command: str, chart, cfg) -> dict:
@@ -153,7 +146,7 @@ def cmd_classify_lines(args) -> int:
 
 
 def _coord_from_file(chart, path: str) -> ComplementCoord:
-    obj = _load_json(path)
+    obj = _read_json(path)
     if isinstance(obj, dict) and "gamma" in obj:
         gamma = matrix_from_json(chart.domain, obj["gamma"], cols=chart.k)
         if gamma.rows != chart.m:
@@ -194,7 +187,7 @@ def cmd_regulus(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     chart, cfg = _chart(args)
-    lines = transversals_from_json(chart.domain, _load_json(args.transversals))
+    lines = transversals_from_json(chart.domain, _read_json(args.transversals))
     try:
         members = reconstruct_from_transversals(lines)
     except ReconstructionError as exc:
@@ -208,7 +201,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_check_dual_spread(args) -> int:
     chart, cfg = _chart(args)
-    cand = dual_spread_from_json(chart, _load_json(args.file))
+    cand = dual_spread_from_json(chart, _read_json(args.file))
     result = is_dual_spread(cand)
     report = _base_report("check-dual-spread", chart, cfg)
     report["members"] = len(cand.members)
@@ -230,7 +223,7 @@ def cmd_check_dual_spread(args) -> int:
 
 def cmd_build_dual_spread(args) -> int:
     chart, cfg = _chart(args)
-    family = family_from_json(chart, _load_json(args.family))
+    family = family_from_json(chart, _read_json(args.family))
     result = verify_family(family)
     if not result.ok:
         v = result.violation
@@ -249,7 +242,7 @@ def cmd_extract_family(args) -> int:
     chart, cfg = _chart(args)
     if not 0 <= args.index < chart.m:
         raise ConfigError(f"--index must lie in 0..{chart.m - 1}, not {args.index}")
-    cand = dual_spread_from_json(chart, _load_json(args.file))
+    cand = dual_spread_from_json(chart, _read_json(args.file))
     try:
         family = family_from_dual_spread(cand, args.index)
     except ValueError as exc:

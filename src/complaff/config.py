@@ -8,13 +8,12 @@ optional "seed".  Defaults: W spanned by e_1..e_k, U by e_{k+1}..e_n.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .algebra import ExtensionField, PrimeField, Quaternions, ScalarDomain
 from .chart import AffineChart
 from .errors import ConfigError
-from .jsonio import int_from_json, vector_from_json
+from .jsonio import _read_json, int_from_json, vector_from_json
 from .projective import Subspace
 
 _GF_PRIME = re.compile(r"gf\(\s*(\d+)\s*\)\Z")
@@ -59,11 +58,7 @@ def field_spec_string(domain: ScalarDomain) -> str:
 
 
 def load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg

@@ -15,6 +15,7 @@ spread candidates are ``{"kind": "dual-spread", "gammas": [...]}`` (or
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .algebra import ExtensionField, PrimeField, Quaternions, Scalar, ScalarDomain
@@ -33,12 +34,25 @@ def _built(what: str, make, *args, **kwargs):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def int_from_json(obj: dict, key: str, default=None) -> int:
-    """obj[key] as a JSON integer: 2.5, "2" and true are refused, not cast."""
-    value = obj.get(key, default)
+def _read_json(path: str):
+    """The JSON document in the file at `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:      # ValueError: bad JSON or UTF-8
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _json_int(value, what: str) -> int:
+    """value as a JSON integer: 2.5, "2" and true are refused, not cast."""
     if type(value) is not int:
-        raise ConfigError(f'"{key}" must be an integer, not {value!r}')
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
     return value
+
+
+def int_from_json(obj: dict, key: str, default=None) -> int:
+    """obj[key] (or the default) as a JSON integer."""
+    return _json_int(obj.get(key, default), f'"{key}"')
 
 
 def scalar_to_json(s: Scalar):
@@ -52,20 +66,14 @@ def scalar_to_json(s: Scalar):
     raise ConfigError(f"no JSON form for scalars of {domain}")
 
 
-def _json_int(obj) -> int:
-    if type(obj) is not int:             # 2.5, "2" and true are not cast
-        raise TypeError("expected a JSON integer")
-    return obj
-
-
 def scalar_from_json(domain: ScalarDomain, obj) -> Scalar:
     try:
         if isinstance(domain, PrimeField):
-            return domain.from_int(_json_int(obj))
+            return domain.from_int(_json_int(obj, "a scalar"))
         if isinstance(domain, ExtensionField):
             if type(obj) is int:
                 return domain.from_int(obj)
-            return domain.scalar(tuple(map(_json_int, obj)))
+            return domain.scalar(tuple(_json_int(c, "a component") for c in obj))
         if isinstance(domain, Quaternions):
             if type(obj) is int:
                 return domain.from_int(obj)

@@ -141,11 +141,10 @@ class Subspace:
 
 
 def is_complement(w: Subspace, s: Subspace) -> bool:
-    """V = W (+) S: trivial intersection and full sum."""
+    """V = W (+) S, the chart's test: the dimensions add up to n and so
+    does the dimension of the sum."""
     w._check(s)
-    if w.dim + s.dim != w.ambient:
-        return False
-    return (w & s).dim == 0
+    return w.dim + s.dim == w.ambient == (w + s).dim
 
 
 def standard_complement_rows(w: Subspace) -> tuple:

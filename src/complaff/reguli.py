@@ -11,9 +11,10 @@ point.  For the regulus {W} union l(alpha, beta) the transversals are
         span{ z^alpha (in W),  z^beta + z }
 with z running over the nonzero Z-points of U.  Reconstruction from
 these lines builds three members by the unique-line argument (the member
-through a point P1 of T1 meets T2 in (P1 + T3) intersect T2 when
-T1 <= T2 + T3) and reads the others off the chart in which the three are
-W, U and U^(I, 1), where the regulus is the standard one.
+through a point P1 of T1 meets T2 in the T2-part of P1 in T2 (+) T3 when
+T1 <= T2 (+) T3) and reads the others off the chart in which the three
+are W, U and U^(I, 1), where the regulus is the standard one.  Incidence
+is decided on chart coordinates, not by meets of subspaces.
 
 Non-regular lines decompose as cones: vertex = the maximal central
 subspace of ker(alpha), base = a regulus in im(alpha) (+) U' for a
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Sampled, Scalar, scalars
+from .algebra import Sampled
 from .chart import (
     AffineChart,
     AffineLine,
@@ -34,7 +35,7 @@ from .chart import (
     line_through,
 )
 from .errors import InfiniteDomainError, ReconstructionError
-from .linalg import MatrixK, combine, from_payloads, inverse, kernel
+from .linalg import MatrixK, combine, from_payloads, kernel, rref, stack
 from .projective import Subspace
 
 
@@ -44,11 +45,10 @@ class Regulus:
     def __init__(self, chart: AffineChart, alpha: MatrixK, beta: MatrixK):
         if not chart.is_symmetric:
             raise ValueError("reguli live in symmetric charts (dim W = dim U)")
-        self.alpha_inv = inverse(alpha) if alpha.is_square() else None
-        if self.alpha_inv is None:
-            raise ValueError("the defining alpha must be invertible")
         self.chart = chart
         self.line = AffineLine(chart, alpha, beta)
+        if not self.line.is_regular:
+            raise ValueError("the defining alpha must be invertible")
 
     @property
     def alpha(self) -> MatrixK:
@@ -110,17 +110,21 @@ class TransversalSet:
         return _over_z_points(self.chart, seed, self._line_for)
 
     def contains(self, t: Subspace) -> bool:
-        """Exact membership: recover z from T's trace on W and compare."""
+        """Exact membership, read off T's chart coordinates.
+
+        The points of span{z^alpha, z^beta + z} have U-parts c*z, so the
+        first nonzero U-part of T's rows names its z up to a left multiple;
+        the Z-point test and `_line_for` do not see that multiple.
+        """
         ch = self.chart
         if t.dim != 2 or t.domain != ch.domain or t.ambient != ch.ambient:
             return False
-        trace_w = t & ch.w
-        if trace_w.dim != 1:
+        coords = [ch._split(row) for row in t.basis.payload]
+        if None in coords:                   # T leaves the chart's space
             return False
-        # the trace lies in W: its chart coordinates are [W-coordinates | 0]
-        w_coords = ch._split(trace_w.basis.payload[0])[:ch.k]
-        z = combine(ch.domain, w_coords, self.regulus.alpha_inv.payload, ch.m)
-        return ch.z._is_z_point(z) and self._line_for(z) == t
+        z = next((y for y in (c[ch.k:] for c in coords)
+                  if not all(map(ch.domain._is_zero, y))), None)
+        return z is not None and ch.z._is_z_point(z) and self._line_for(z) == t
 
     def __iter__(self):
         return iter(self.lines())
@@ -154,8 +158,6 @@ def _over_z_points(chart: AffineChart, seed: int, f):
 
 def regular_line_regulus(line: AffineLine) -> Regulus:
     """A regular line, extended by W, is a regulus."""
-    if not line.is_regular:
-        raise ValueError("the line is not regular")
     return Regulus(line.chart, line.alpha, line.beta)
 
 
@@ -171,34 +173,26 @@ def regulus_through(c1: ComplementCoord, c2: ComplementCoord) -> Regulus:
 # reconstruction from the transversal set
 # ---------------------------------------------------------------------------
 
-def _points_of_plane_line(t: Subspace):
-    """The 1-dim subspaces of a 2-dim subspace over a finite field."""
-    domain, rows = t.domain, t.basis.payload
-    one = domain.one().raw
-    reps = [rows[1]] + [combine(domain, (one, c.raw), rows, t.ambient)
-                        for c in scalars(domain)]
-    return [Subspace.spanned(domain, t.ambient, [v]) for v in reps]
-
-
 def reconstruct_from_transversals(lines) -> tuple:
-    """The unique regulus with the given transversal set: its members, one
-    per point of the first line T1, in `_points_of_plane_line` order.
+    """The members of the unique regulus with the given transversal set.
 
-    With a companion T of each other T_j (T1 <= T_j + T), the line through
-    a point P of T1 meeting T_j and T lies in P + T and meets T_j in
-    (P + T) & T_j; the member X(P) is spanned by P and these points.  Only
-    X1, X2, X3 are built, through the first three points.  The lines are
-    accepted exactly when X1 (+) X2 is a chart in which X3 is the graph of
-    an invertible gamma3, so that X3 = U^(I, 1) for the W-basis gamma3*W.
-    This is the full incidence check.  If it holds, each line holds points
-    (x, 0), (0, y), (z, z) of X1, X2, X3, so it is span{(z, 0), (0, z)}, a
-    transversal of the standard regulus {W} u {U^(kI, 1)}; the points
-    (kz, z) on T1, T_j and its companion are collinear (z1 is in the span
-    of the other two), so X(P) is the member through P.  Conversely, if
-    the X(P) are pairwise complementary, meet every line once and are
-    spanned by these points, any two span the sum of the lines, so X3 is a
-    complement of X1 and of X2.  X1 = W is the member through the first
-    point, U^(kI, 1) with k = x_i / y_i the one through [x | y], y_i != 0.
+    With a companion T of each other line T_j (T1 <= T_j (+) T), the line
+    through a point P of T1 meeting T_j and T hits T_j in the T_j-part of
+    P, read off one `rref([T_j; T])`; the member X(P) is spanned by P and
+    its hits.  Only X1, X2, X3 are built, through T1's rows[1], rows[0]
+    and rows[0] + rows[1].  The lines are accepted exactly when X1 (+) X2
+    is a chart in which X3 is the graph of an invertible gamma3, so that
+    X3 = U^(I, 1) for the W-basis gamma3*W.  This is the full incidence
+    check.  If it holds, each line holds points (x, 0), (0, y), (z, z) of
+    X1, X2, X3, so it is span{(z, 0), (0, z)}, a transversal of the
+    standard regulus {W} u {U^(kI, 1)}; the points (kz, z) on T1, T_j and
+    its companion are collinear, so X(P) is the member through P.
+    Conversely, if the X(P) are pairwise complementary, meet every line
+    once and are spanned by these points, any two span the sum of the
+    lines, so X3 is a complement of X1 and of X2.  Order: rows[1] = (x, 0),
+    rows[0] = (0, y), and rows[0] + rows[1] in X3 = graph(I) force x = y,
+    so rows[0] + c*rows[1] = (cy, y) lies on U^(cI, 1).  The standard
+    regulus lists W (through rows[1]) and then these, c in element order.
     Failures raise ReconstructionError.
     """
     lines = tuple(lines)
@@ -210,21 +204,29 @@ def reconstruct_from_transversals(lines) -> tuple:
     ambient = lines[0].ambient
     if any(t.dim != 2 or t.ambient != ambient for t in lines):
         raise ReconstructionError("transversals must be 2-dimensional subspaces")
-    if any((a & b).dim != 0 for a, b in itertools.combinations(lines, 2)):
+    if any((a + b).dim != 4 for a, b in itertools.combinations(lines, 2)):
         raise ReconstructionError("transversals of a regulus are pairwise skew")
 
-    t1, rest = lines[0], lines[1:]
-    companions = [(tj, next((t for t in rest if t is not tj and (tj + t).contains(t1)),
-                            None)) for tj in rest]
-    if any(t is None for _, t in companions):
-        raise ReconstructionError("no companion transversal inside a common 3-space")
+    t1 = lines[0].basis.payload
+    hits = []                     # per T_j: the hits from T1's two rows
+    for tj in lines[1:]:
+        for t in lines[1:]:
+            if t is tj:
+                continue
+            coords = rref(stack(domain, [tj.basis, t.basis], cols=ambient)).coordinates
+            parts = [coords(row) for row in t1]
+            if None not in parts:
+                hits.append([combine(domain, c[:2], tj.basis.payload, ambient)
+                             for c in parts])
+                break
+        else:
+            raise ReconstructionError("no companion transversal inside a common 3-space")
 
-    def member_through(p: Subspace) -> Subspace:
-        return Subspace.spanned(domain, ambient, [*p.basis.payload, *(
-            row for tj, t in companions for row in ((p + t) & tj).basis.payload)])
-
-    points = _points_of_plane_line(t1)
-    x1, x2, x3 = map(member_through, points[:3])
+    # X1, X2, X3 through T1's rows[1], rows[0] and rows[0] + rows[1]
+    zero, one = domain.zero().raw, domain.one().raw
+    x1, x2, x3 = (Subspace.spanned(domain, ambient, [
+        combine(domain, e, rows, ambient) for rows in (t1, *hits)])
+        for e in ((zero, one), (one, zero), (one, one)))
     try:
         chart = AffineChart(domain, ambient, x1, x2, space=x1 + x2)
         gamma3 = chart.coordinate_of(x3).gamma
@@ -233,14 +235,7 @@ def reconstruct_from_transversals(lines) -> tuple:
     except ValueError as exc:
         raise ReconstructionError(
             f"the lines are not the transversals of one regulus: {exc}") from exc
-
-    def parameter(p: Subspace) -> Scalar:
-        coords, k = chart._split(p.basis.payload[0]), chart.k
-        i = next(i for i in range(k) if not domain._is_zero(coords[k + i]))
-        return Scalar(domain, domain._mul(coords[i], domain._inv(coords[k + i])))
-
-    line = standard_regulus(chart).line
-    return (x1, *(line.point_at(parameter(p)).subspace() for p in points[1:]))
+    return standard_regulus(chart).members()
 
 
 # ---------------------------------------------------------------------------

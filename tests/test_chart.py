@@ -72,13 +72,16 @@ def test_round_trip_exhaustive(domain, count):
     None, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]], ids=["full", "proper"])
 def test_chart_accepts_exactly_the_direct_sums(space_rows):
     """V = W (+) U, decided by the lattice: W & U = 0 and W + U = V, over
-    every pair of proper nonzero subspaces of GF(2)^4."""
+    every pair of proper nonzero subspaces of GF(2)^4; in the full space
+    `is_complement` decides it the same way."""
     vectors = list(itertools.product(range(2), repeat=4))[1:]
     subspaces = {Subspace.from_rows(GF2, 4, rows) for r in (1, 2, 3)
                  for rows in itertools.combinations(vectors, r)}
     space = (Subspace.full(GF2, 4) if space_rows is None
              else Subspace.from_rows(GF2, 4, space_rows))
     for w, u in itertools.product(subspaces, repeat=2):
+        if space_rows is None:
+            assert is_complement(w, u) == ((w & u).dim == 0 and w + u == space)
         if (w & u).dim == 0 and w + u == space:
             ch = AffineChart(GF2, 4, w, u, space=space)
             assert (ch.k, ch.m, ch.space) == (w.dim, u.dim, space)

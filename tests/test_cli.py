@@ -375,3 +375,18 @@ def test_malformed_input_exits_2_with_one_line(name, cfg2, tmp_path):
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("config error: ")
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("which", ["config", "input"])
+def test_a_file_that_is_not_utf8_exits_2_with_one_line(which, cfg2, tmp_path):
+    """Config and input files are read by one reader, which refuses bytes
+    that are not UTF-8 like any other unreadable file."""
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"field": "gf(2)", "n": 4, "k": 2, "note": "caf\xe9"}')
+    argv = (["enumerate", "--config", str(bad)] if which == "config"
+            else ["check-dual-spread", str(bad), "--config", cfg2])
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("config error: cannot read ")

@@ -131,27 +131,39 @@ def reguli(draw, domain, m=2):
 def planes(draw, ch, reg, kind):
     """A 2-space of the given kind: a transversal; span{z^alpha, z^beta + z}
     for any nonzero z in U, a Z-point or not; a transversal with a W-vector
-    added to its second row; skew to W (a complement of W); meeting W in a
-    point; or any 2-space."""
-    dom, n = ch.domain, ch.ambient
+    added to its second row; a transversal with a random vector of itself,
+    of W, of the chart's space or of K^n added to one of its rows; skew to
+    W (a complement of W); meeting W in a point; inside W; or any 2-space."""
+    dom, n, r = ch.domain, ch.ambient, ch.k          # dim U = dim W = r
     w = MatrixK(dom, ch.w_basis, cols=n)
-    pair = st.lists(elements(dom), min_size=2, max_size=2)
+    coeffs = st.lists(elements(dom), min_size=r, max_size=r)
     if kind == "transversal":
         return draw(st.sampled_from(transversals_of(reg).lines()))
     if kind in ("any_point", "perturbed"):
-        z = draw(pair.filter(lambda v: not all(x.is_zero() for x in v)))
+        z = draw(coeffs.filter(lambda v: not all(x.is_zero() for x in v)))
         b = MatrixK(dom, ch.b, cols=n)
         rows = [ref_apply(ref_apply(z, reg.alpha), w),
                 [x + y for x, y in zip(ref_apply(ref_apply(z, reg.beta), w),
                                        ref_apply(z, b))]]
         if kind == "perturbed":
-            rows[1] = [x + y for x, y in zip(rows[1], ref_apply(draw(pair), w))]
+            rows[1] = [x + y for x, y in zip(rows[1], ref_apply(draw(coeffs), w))]
+    elif kind == "row_perturbed":
+        rows = list(draw(planes(ch, reg, "transversal")).basis.entries)
+        source = MatrixK(dom, draw(st.sampled_from([
+            rows, ch.w_basis, ch.w_basis + ch.b, MatrixK.identity(dom, n).entries])),
+            cols=n)
+        shift = ref_apply(draw(st.lists(elements(dom), min_size=source.rows,
+                                        max_size=source.rows)), source)
+        i = draw(st.integers(0, 1))
+        rows[i] = [x + y for x, y in zip(rows[i], shift)]
     elif kind == "skew":
-        rows = ch.complement(draw(matrices(dom, 2, 2))).basis.entries
+        rows = ch.complement(draw(matrices(dom, r, r))).basis.entries
+    elif kind == "inside_w":
+        rows = [ref_apply(draw(coeffs), w) for _ in range(2)]
     else:
         rows = draw(matrices(dom, 2, n)).entries
         if kind == "through_w":
-            rows = [ref_apply(draw(pair), w), rows[1]]
+            rows = [ref_apply(draw(coeffs), w), rows[1]]
     t = Subspace.from_rows(dom, n, rows)
     assume(t.dim == 2)
     return t
@@ -170,6 +182,46 @@ def test_transversal_contains_matches_boxed(domain, kind, data):
     if kind == "transversal" or (kind == "any_point" and domain.is_finite):
         assert got
     elif kind == "skew":
+        assert not got
+
+
+@st.composite
+def cone_base(draw, domain, m):
+    """The base regulus of a cone l(alpha, 0) with rank(alpha) = m - 1 in a
+    random chart of K^(2m); its chart space im(alpha) (+) U' is proper."""
+    ch = draw(charts(domain, m))
+    alpha = draw(matrices(domain, m, m))
+    k = draw(elements(domain))
+    alpha = MatrixK(domain, [[k * x for x in alpha.entries[1]], *alpha.entries[1:]],
+                    cols=m)
+    assume(ref_rank(alpha) == m - 1)
+    return cone_decompose(AffineLine(ch, alpha, MatrixK.zero(domain, m, m))).base
+
+
+# the base regulus of a cone with m = 2 lives in a chart with dim W = 1
+MEMBERSHIP_CASES = [
+    pytest.param(dom, m, source, kind, id=f"{name}-{m}-{source}-{kind}")
+    for name, dom, m in (("GF2", GF2, 2), ("GF2", GF2, 3), ("GF3", GF3, 2),
+                         ("GF3", GF3, 3), ("GF4", GF4, 2), ("GF4", GF4, 3),
+                         ("Quat", Q, 2))
+    for source in ("chart", "cone")
+    for kind in ("any_point", "row_perturbed", "inside_w", "random")
+    if (m, source, kind) != (2, "cone", "inside_w")]
+
+
+@pytest.mark.parametrize("domain, m, source, kind", MEMBERSHIP_CASES)
+@settings(ORACLE, max_examples=12, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_transversal_contains_matches_meet_reference(domain, m, source, kind, data):
+    """Membership read off chart coordinates against the trace on W, also
+    for m = 3 and in the proper chart space of a cone's base."""
+    reg = (data.draw(cone_base(domain, m)) if source == "cone"
+           else data.draw(reguli(domain, m))[1])
+    t = data.draw(planes(reg.chart, reg, kind))
+    got = transversals_of(reg).contains(t)
+    assert got == ref_transversal_contains(reg.chart, reg.alpha, reg.beta, t.basis)
+    if kind == "inside_w":
         assert not got
 
 
