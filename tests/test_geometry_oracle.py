@@ -221,7 +221,9 @@ def test_transversal_contains_matches_meet_reference(domain, m, source, kind, da
     t = data.draw(planes(reg.chart, reg, kind))
     got = transversals_of(reg).contains(t)
     assert got == ref_transversal_contains(reg.chart, reg.alpha, reg.beta, t.basis)
-    if kind == "inside_w":
+    if kind == "any_point" and domain.is_finite:
+        assert got
+    elif kind == "inside_w":
         assert not got
 
 
