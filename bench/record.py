@@ -17,7 +17,10 @@ so the program measured is that checkout's ``src/``.  Each
 BENCH_<label>.json, written to the root of this repository, holds per
 workload the metadata and result line of every run, the traced run, and
 the median and [Q1, Q3] (inclusive quartiles) over the seeds of every
-end-to-end metric and of the failure ratio.  Its ``commit`` is what
+end-to-end metric, of the failure ratio and of ``samples``, the number of
+jobs each run completed: peak_rss_mb grows with it, so a reader can tell
+an RSS rise that comes from more jobs from one that comes from the
+program.  Its ``commit`` is what
 ``git describe`` says of the checkout (null outside a git checkout).
 """
 
@@ -78,12 +81,14 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
 
 
 def summarize(runs: list) -> dict:
-    """Median and [Q1, Q3] of every metric, plus the failure ratio."""
+    """Median and [Q1, Q3] of every metric, plus the failure ratio and the
+    number of jobs run (``samples``)."""
     columns = {}
     for run in runs:
         for name, entry in run["result"]["metrics"].items():
             columns.setdefault(name, (entry["unit"], []))[1].append(entry["value"])
         columns.setdefault("fail_ratio", ("ratio", []))[1].append(run["meta"]["fail_ratio"])
+        columns.setdefault("samples", ("jobs", []))[1].append(run["meta"]["samples"])
     out = {}
     for name, (unit, values) in columns.items():
         q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")

@@ -91,11 +91,12 @@ class ScalarDomain:
             return self.from_int(value)
         return Scalar(self, self._canon(value))
 
+    # every domain sets _zero and _one, the payloads of 0 and 1, once
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return Scalar(self, self._zero)
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return Scalar(self, self._one)
 
     def from_int(self, n: int) -> "Scalar":
         raise NotImplementedError
@@ -185,6 +186,7 @@ class PrimeField(ScalarDomain):
     is_finite = True
     is_commutative = True
     center_description = "the whole field"
+    _zero, _one = 0, 1
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -382,6 +384,8 @@ class ExtensionField(ScalarDomain):
         self.modulus = mod
         self.k = len(mod) - 1
         self.characteristic = p
+        self._zero = (0,) * self.k
+        self._one = (1,) + self._zero[1:]
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -455,6 +459,7 @@ class Rationals(ScalarDomain):
     kind = "rational"
     is_commutative = True
     center_description = "the whole field"
+    _zero, _one = Fraction(0), Fraction(1)
 
     def __repr__(self):
         return "QQ"
@@ -514,6 +519,7 @@ class Quaternions(ScalarDomain):
     kind = "quaternion"
     is_commutative = False
     center_description = "the rational subfield"
+    _zero, _one = _UNITS[0], _UNITS[1]
 
     def __repr__(self):
         return "Quat(Q)"

@@ -319,7 +319,7 @@ def are_complementary(c1: ComplementCoord, c2: ComplementCoord) -> bool:
 
 def _lower_block(a: MatrixK, h: MatrixK, r: MatrixK) -> MatrixK:
     """The block matrix [[A, 0], [H, R]]."""
-    zeros = (a.domain.zero().raw,) * r.cols
+    zeros = (a.domain._zero,) * r.cols
     rows = [row + zeros for row in a.payload] + [
         x + y for x, y in zip(h.payload, r.payload)]
     return from_payloads(a.domain, rows, a.cols + r.cols)

@@ -14,6 +14,16 @@ A set of complements together with W is a dual spread iff
 tau_i: D -> U with the basis-difference property (T1*) and the
 coset-hitting property (T2*) produce dual spreads member-by-member, and
 every dual spread containing W arises that way.
+
+Both conditions are decided on chart coordinates, over payload rows.
+DS1: the complements of gamma and eta are complementary exactly when
+gamma - eta is regular, and over a finite field with dim U = dim W that
+fails exactly when some projective point u of U gives u*gamma = u*eta;
+so bucketing the rows u*gamma_i per point finds every singular
+difference (`check_pairwise_regular`).  DS2: a hyperplane is the kernel
+of a form c, and the singular set S(ker c) is read off the two columns
+c_W = W*c and c_U = B*c of the chart's bases, without building the
+hyperplane (`_uncovered_hyperplane`).
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import scalars
+from .algebra import _projective_reps, scalars
 from .chart import AffineChart, ComplementCoord
 from .errors import ChartMismatchError, InfiniteDomainError
 from .linalg import (
@@ -29,11 +39,12 @@ from .linalg import (
     combine,
     from_payloads,
     is_invertible,
+    kernel,
     payload_row,
     rref,
     stack,
 )
-from .projective import Subspace, hyperplanes_not_containing
+from .projective import Subspace
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +161,56 @@ class DualSpreadCandidate:
 
 def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
     """DS1: distinct members joined by a regular line, i.e. gamma
-    differences invertible.  Runs over any domain; duplicates fail."""
-    for i, j in itertools.combinations(range(len(b.members)), 2):
-        if not is_invertible(b.members[i].gamma - b.members[j].gamma):
-            return Violation("DS1", f"members {i} and {j} are not joined by a "
-                             f"regular line", pair=(i, j))
-    return None
+    differences invertible.  Runs over any domain; duplicates fail.
+
+    The reported pair is the first failing (i, j) in the order of
+    `itertools.combinations`.  Over an infinite domain, or when
+    dim U != dim W, every pair is tested by a rank reduction in that
+    order.  Over a finite field with m = dim U = dim W, a difference
+    gamma_i - gamma_j is singular exactly when some nonzero u in K^m has
+    u*(gamma_i - gamma_j) = 0, and then also the canonical representative
+    of K*u does.  So the members are bucketed by their rows u*gamma_i, one
+    pass per projective point u: a bucket holding i < j means gamma_i -
+    gamma_j is singular, and every singular pair shares a bucket at some
+    point.  For a singular pair (i, j), the bucket holding it starts with
+    two indices (a, b) <= (i, j), and (a, b) is itself singular.  The
+    least of the buckets' first two indices, over every point, is
+    therefore the least singular pair, the one the combinations order
+    reaches first.  Every bucket of every point counts: stopping at a
+    point's first collision can name (3, 5) where (0, 15) is first.
+    The cost is (q^m - 1)/(q - 1) * N products of a row by an m x m
+    matrix, against N(N - 1)/2 reductions.
+    """
+    ch = b.chart
+    if ch.domain.is_finite and ch.m == ch.k:
+        pair = _least_singular_pair(ch.domain, ch.m, ch.k,
+                                    [c.gamma.payload for c in b.members])
+    else:
+        pair = next(((i, j) for i, j in itertools.combinations(range(len(b.members)), 2)
+                     if not is_invertible(b.members[i].gamma - b.members[j].gamma)),
+                    None)
+    if pair is None:
+        return None
+    i, j = pair
+    return Violation("DS1", f"members {i} and {j} are not joined by a "
+                     f"regular line", pair=pair)
+
+
+def _least_singular_pair(domain, m: int, k: int, gammas) -> tuple | None:
+    """The least (i, j), i < j, with gammas[i] - gammas[j] singular: the m x k
+    payload matrices bucketed by their rows u*gamma, per projective point u
+    of K^m."""
+    best = None
+    for u in _projective_reps(domain, m):
+        u = [x.raw for x in u]
+        first = {}
+        for j, gamma in enumerate(gammas):
+            i = first.setdefault(tuple(combine(domain, u, gamma, k)), j)
+            if i != j and (best is None or (i, j) < best):
+                best = (i, j)
+        if best == (0, 1):
+            break                            # nothing comes before (0, 1)
+    return best
 
 
 def is_dual_spread(b: DualSpreadCandidate) -> Report:
@@ -175,8 +230,8 @@ def is_dual_spread(b: DualSpreadCandidate) -> Report:
 
 
 def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
-    """The first hyperplane without W that contains no member, or None.
-    Call it only once DS1 holds.
+    """The first hyperplane of K^n without W that contains no member, or
+    None.  The verdict by count needs DS1; the scan does not.
 
     DS1 makes the members pairwise complementary, so no hyperplane
     contains two of them: the sets of hyperplanes through the members are
@@ -184,15 +239,52 @@ def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
     V/S.  The q^m (q^k-1)/(q-1) hyperplanes of the chart's space without
     W are therefore all covered exactly when there are q^m members
     (Dembowski, Finite Geometries, 1968), and the scan only runs to find
-    the witness when the count falls short.  Hyperplanes of K^n without
-    W meet a proper chart space in its hyperplanes without W, so the
-    scan over K^n finds the same verdict.
+    the witness when the count falls short.
+
+    The scan walks the canonical forms c of K^n (`_projective_reps`, the
+    order of `hyperplanes`) and tests each through the chart, which is
+    the correspondence X <-> S(X) of hyperplanes without W and singular
+    sets.  With W and B the matrices of the chart's bases of W and U, put
+    c_W = W*c and c_U = B*c.  ker c contains W exactly when c_W = 0; those
+    forms are skipped.  The member of gamma is spanned by the rows of
+    gamma*W + B, and c takes the values gamma*c_W + c_U on them, so the
+    member lies in ker c exactly when gamma*c_W + c_U = 0: m products of
+    a row of gamma by c_W per member, no subspace built.  In a chart
+    whose space V is a proper subspace, gamma*W + B still spans the
+    member, and the hyperplanes of K^n without W meet V in its
+    hyperplanes without W, so the scan over K^n finds the same verdict.
+    Only the
+    witness is built, as the kernel of its form, so it is the subspace
+    `hyperplanes` returns for that form.
     """
-    if len(b.members) == b.chart.domain.order ** b.chart.m:
+    ch = b.chart
+    if len(b.members) == ch.domain.order ** ch.m:
         return None
-    members = b.subspaces()
-    return next((x for x in hyperplanes_not_containing(b.chart.w)
-                 if not any(x.contains(s) for s in members)), None)
+    domain, n = ch.domain, ch.ambient
+    mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
+    zero = domain._zero
+
+    def dot(row, col):
+        """sum_l row[l] * col[l], the entries of row on the left."""
+        acc = zero
+        for x, y in zip(row, col):
+            if x != zero and y != zero:
+                acc = add(acc, mul(x, y))
+        return acc
+
+    w, u = ch.w_matrix.payload, ch.b_matrix.payload
+    gammas = [c.gamma.payload for c in b.members]
+    for form in _projective_reps(domain, n):
+        c = [x.raw for x in form]
+        c_w = [dot(row, c) for row in w]
+        if all(map(is_zero, c_w)):
+            continue                         # ker c contains W
+        # the member of gamma lies in ker c iff gamma*c_W = -c_U
+        target = [neg(dot(row, c)) for row in u]
+        if not any(all(dot(row, c_w) == t for row, t in zip(gamma, target))
+                   for gamma in gammas):
+            return Subspace(domain, n, kernel(from_payloads(domain, [[x] for x in c], 1)))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
 def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
     """The payload row sum_i coeffs[i] * rows[i] (left multiples)."""
     add, mul, is_zero = domain._add, domain._mul, domain._is_zero
-    acc = [domain.zero().raw] * width
+    acc = [domain._zero] * width
     for c, row in zip(coeffs, rows):
         if not is_zero(c):
             acc = [add(a, mul(c, x)) for a, x in zip(acc, row)]
@@ -109,7 +109,7 @@ def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
 
 def _augmented(m: "MatrixK") -> list:
     """Payload rows of [M | I]."""
-    zero, one, n = m.domain.zero().raw, m.domain.one().raw, m.rows
+    zero, one, n = m.domain._zero, m.domain._one, m.rows
     return [[*row, *[zero] * i, one, *[zero] * (n - i - 1)]
             for i, row in enumerate(m.payload)]
 
@@ -187,13 +187,13 @@ class MatrixK:
 
     @classmethod
     def identity(cls, domain: ScalarDomain, n: int) -> "MatrixK":
-        one, zero = domain.one().raw, domain.zero().raw
+        one, zero = domain._one, domain._zero
         return from_payloads(domain, [[one if i == j else zero for j in range(n)]
                                       for i in range(n)], n)
 
     @classmethod
     def zero(cls, domain: ScalarDomain, rows: int, cols: int) -> "MatrixK":
-        return from_payloads(domain, [[domain.zero().raw] * cols] * rows, cols)
+        return from_payloads(domain, [[domain._zero] * cols] * rows, cols)
 
     def row(self, i: int) -> Vector:
         return self.entries[i]

@@ -122,7 +122,7 @@ class Subspace:
         """
         self._check(other)
         n, domain = self.ambient, self.domain
-        zeros = (domain.zero().raw,) * n
+        zeros = (domain._zero,) * n
         rows = ([[*row, *row] for row in self.basis.payload]
                 + [[*row, *zeros] for row in other.basis.payload])
         pivots = reduce_rows(domain, rows, 2 * n)
@@ -338,7 +338,7 @@ class ZStructure:
             g = self._coords(v)
             for unit in _Z_BASIS:
                 system.append([p for x in g for p in imag(mul(unit, x))])
-        zero, r = d.zero().raw, a.dim
+        zero, r = d._zero, a.dim
         expand = from_payloads(d, [[unit if j == i else zero for j in range(r)]
                                    for i in range(r) for unit in _Z_BASIS], r)
         # y*G*B = y * A's basis, with y = solution * expand

@@ -223,7 +223,7 @@ def reconstruct_from_transversals(lines) -> tuple:
             raise ReconstructionError("no companion transversal inside a common 3-space")
 
     # X1, X2, X3 through T1's rows[1], rows[0] and rows[0] + rows[1]
-    zero, one = domain.zero().raw, domain.one().raw
+    zero, one = domain._zero, domain._one
     x1, x2, x3 = (Subspace.spanned(domain, ambient, [
         combine(domain, e, rows, ambient) for rows in (t1, *hits)])
         for e in ((zero, one), (one, zero), (one, one)))

@@ -22,14 +22,22 @@ coordinates and back, with the quaternion Z-system solved over
 bases as MatrixK.  ``ref_reconstruct_from_transversals`` is the former
 reconstruction on the Subspace lattice: every member built by joins and
 meets, then every trace, span, collinear triple and pair re-checked.
+
+The dual-spread references are the former library checks: DS1 as a rank
+test of every difference gamma_i - gamma_j in ``combinations`` order, and
+DS2 as the scan that builds every hyperplane without W as the kernel of
+its form and asks ``Subspace.contains`` of every member.
+``ref_is_dual_spread`` and ``ref_verify_family`` put them together with
+the library's verdicts and messages.
 """
 
 import itertools
 
 from complaff.algebra import Rationals
+from complaff.dualspread import Report, Violation, family_to_dual_spread
 from complaff.errors import InfiniteDomainError, ReconstructionError
-from complaff.linalg import Echelon, MatrixK
-from complaff.projective import Subspace
+from complaff.linalg import Echelon, MatrixK, is_invertible
+from complaff.projective import Subspace, hyperplanes_not_containing
 
 
 def ref_qadd(x, y) -> tuple:
@@ -362,3 +370,49 @@ def _ref_verify_regulus(members, lines):
     for xa, xb in itertools.combinations(members, 2):
         if (xa & xb).dim != 0 or xa.dim + xb.dim != (xa + xb).dim:
             raise ReconstructionError("members are not pairwise complementary")
+
+
+def ref_check_pairwise_regular(b) -> Violation | None:
+    """DS1 by a rank test of every difference, in combinations order."""
+    for i, j in itertools.combinations(range(len(b.members)), 2):
+        if not is_invertible(b.members[i].gamma - b.members[j].gamma):
+            return Violation("DS1", f"members {i} and {j} are not joined by a "
+                             f"regular line", pair=(i, j))
+    return None
+
+
+def ref_uncovered_hyperplane(b) -> Subspace | None:
+    """DS2 once DS1 holds: q^m members cover every hyperplane without W;
+    short of that, the first such hyperplane containing no member."""
+    if len(b.members) == b.chart.domain.order ** b.chart.m:
+        return None
+    members = b.subspaces()
+    return next((x for x in hyperplanes_not_containing(b.chart.w)
+                 if not any(x.contains(s) for s in members)), None)
+
+
+def ref_is_dual_spread(b) -> Report:
+    bad = ref_check_pairwise_regular(b)
+    if bad is not None:
+        return Report(False, bad)
+    x = ref_uncovered_hyperplane(b)
+    if x is not None:
+        return Report(False, Violation(
+            "DS2", "a maximal singular set contains no member", hyperplane=x))
+    return Report(True)
+
+
+def ref_verify_family(f) -> Report:
+    spread = family_to_dual_spread(f)
+    bad = ref_check_pairwise_regular(spread)
+    if bad is not None:
+        i, j = bad.pair
+        return Report(False, Violation(
+            "T1*", "image differences of two domain points do not form "
+            "a basis of U", pair=(f.entries[i][0], f.entries[j][0])))
+    x = ref_uncovered_hyperplane(spread)
+    if x is not None:
+        return Report(False, Violation(
+            "T2*", "no domain point lands in the coset family of this "
+            "hyperplane", hyperplane=x))
+    return Report(True)

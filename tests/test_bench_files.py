@@ -3,11 +3,15 @@
 Each file must parse and hold, for every workload of BENCHMARK.json, the
 runs of every seed and a summary (median and [Q1, Q3]) of each of the
 six end-to-end metrics, plus one traced run with every per-layer metric.
+Files written since bench/record.py began to record it also hold the
+median and [Q1, Q3] of ``samples``, the job count of every run; the files
+in RECORDED_WITHOUT_SAMPLES predate it.
 """
 
 import glob
 import json
 import os
+import statistics
 
 import pytest
 
@@ -16,6 +20,26 @@ FILES = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
 
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
     BENCHMARK = json.load(fh)
+
+RECORDED_WITHOUT_SAMPLES = frozenset([
+    "BENCH_2326915.json",
+    "BENCH_73185dd.json",
+    "BENCH_88cd087.json",
+    "BENCH_99b2dc5.json",
+    "BENCH_e4284a5.json",
+    "BENCH_pr6-parent-seeds11-12.json",
+    "BENCH_pr6-parent.json",
+    "BENCH_pr6-seeds11-12.json",
+    "BENCH_pr6.json",
+    "BENCH_pr7-parent.json",
+    "BENCH_pr7.json",
+    "BENCH_pr8-parent-seeds11-12.json",
+    "BENCH_pr8-parent.json",
+    "BENCH_pr8-seeds11-12.json",
+    "BENCH_pr8.json",
+    "BENCH_pr9-parent.json",
+    "BENCH_pr9.json",
+])
 
 
 def test_bench_files_are_committed():
@@ -42,3 +66,10 @@ def test_bench_file_holds_every_metric_of_every_workload(path):
                        for run in runs)
         traced = entry["traced"]["result"]["metrics"]
         assert all(metric["name"] in traced for metric in BENCHMARK["per_layer"])
+        if os.path.basename(path) not in RECORDED_WITHOUT_SAMPLES:
+            samples = entry["summary"]["samples"]
+            jobs = [run["meta"]["samples"] for run in runs]
+            assert samples["unit"] == "jobs" and samples["n"] == len(runs)
+            assert samples["median"] == statistics.median(jobs)
+            q1, q3 = samples["iqr"]
+            assert min(jobs) <= q1 <= samples["median"] <= q3 <= max(jobs)

@@ -1,14 +1,18 @@
+import functools
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
-from complaff.chart import AffineChart, are_complementary, symmetric_chart
+from complaff.chart import AffineChart, ComplementCoord, are_complementary, symmetric_chart
 from complaff.dualspread import (
     DualSpreadCandidate,
     TransversalFamily,
+    _uncovered_hyperplane,
     check_pairwise_regular,
     coord_to_family,
     family_from_dual_spread,
@@ -20,8 +24,14 @@ from complaff.dualspread import (
     verify_family,
 )
 from complaff.errors import InfiniteDomainError
-from complaff.linalg import MatrixK, is_invertible
+from complaff.linalg import MatrixK, from_payloads, is_invertible
 from complaff.projective import Subspace, hyperplanes, hyperplanes_not_containing
+from boxed_reference import (
+    ref_check_pairwise_regular,
+    ref_is_dual_spread,
+    ref_uncovered_hyperplane,
+    ref_verify_family,
+)
 from vectors import unit_vector, vec_add
 
 GF2 = PrimeField(2)
@@ -392,14 +402,23 @@ COUNT_CHARTS = {"GF2": lambda: symmetric_chart(GF2, 2),
                 "GF3-subchart": _subchart_gf3}
 
 
-@pytest.mark.parametrize("name", list(COUNT_CHARTS))
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(data=st.data())
-def test_ds2_count_matches_hyperplane_scan(name, data):
-    ch = COUNT_CHARTS[name]()
+@functools.lru_cache(maxsize=None)
+def gamma_matrices(domain, m, k):
+    """Every m x k matrix over a finite domain, in lexicographic order."""
+    return [MatrixK(domain, [c[i * k:(i + 1) * k] for i in range(m)])
+            for c in itertools.product(domain.elements(), repeat=m * k)]
+
+
+def draw_gammas(data, ch):
+    """The gammas of a candidate: a regular spread moved by gamma ->
+    gamma*A + H, whole, with one member deleted or repeated, a subset of
+    it, or random matrices, in a drawn order.  A chart with dim U !=
+    dim W has no spread, so it gets random matrices only."""
     domain = ch.domain
-    squares = [MatrixK(domain, [c[:2], c[2:]])
-               for c in itertools.product(domain.elements(), repeat=4)]
+    squares = gamma_matrices(domain, ch.m, ch.k)
+    if ch.m != ch.k:
+        return data.draw(st.lists(st.sampled_from(squares),
+                                  max_size=domain.order ** ch.m + 1))
     # a regular spread moved by gamma -> gamma*A + H keeps DS1 and its size
     a = data.draw(st.sampled_from([g for g in squares if is_invertible(g)]))
     h = data.draw(st.sampled_from(squares))
@@ -420,14 +439,22 @@ def test_ds2_count_matches_hyperplane_scan(name, data):
     else:
         gammas = data.draw(st.lists(st.sampled_from(squares),
                                     max_size=len(spread) + 1))
-    gammas = data.draw(st.permutations(gammas))
+    return data.draw(st.permutations(gammas))
+
+
+@pytest.mark.parametrize("name", list(COUNT_CHARTS))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ds2_count_matches_hyperplane_scan(name, data):
+    ch = COUNT_CHARTS[name]()
+    gammas = draw_gammas(data, ch)
     cand = DualSpreadCandidate(ch, [ch.coord(g.entries) for g in gammas])
     report = is_dual_spread(cand)
     if check_pairwise_regular(cand) is not None:
         assert report.violation.kind == "DS1"
         return
     witness = first_uncovered(cand)
-    assert report.ok == (witness is None) == (len(gammas) == len(spread))
+    assert report.ok == (witness is None) == (len(gammas) == ch.domain.order ** 2)
     if witness is not None:
         assert report.violation.kind == "DS2"
         assert report.violation.hyperplane == witness
@@ -436,3 +463,100 @@ def test_ds2_count_matches_hyperplane_scan(name, data):
     if witness is not None:
         assert family.violation.kind == "T2*"
         assert family.violation.hyperplane == witness
+
+
+# ---------------------------------------------------------------------------
+# the bucket and form tests against the rank path and the hyperplane scan
+# ---------------------------------------------------------------------------
+
+def _non_symmetric_gf2():
+    # K^5 = W (+) U with dim W = 2 and dim U = 3: no difference is square
+    return AffineChart(GF2, 5, Subspace.from_rows(GF2, 5, [e(GF2, 5, 0), e(GF2, 5, 1)]))
+
+
+ORACLE_CHARTS = {**COUNT_CHARTS,
+                 "GF8": lambda: symmetric_chart(ExtensionField(2, (1, 1, 0, 1)), 2),
+                 "GF9": lambda: symmetric_chart(ExtensionField(3, (1, 0, 1)), 2),
+                 "GF2-m3-k2": _non_symmetric_gf2}
+
+
+def _check_against_reference(ch, gammas):
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+    ds1 = check_pairwise_regular(cand)
+    assert ds1 == ref_check_pairwise_regular(cand)
+    # the form test needs no DS1; only the verdict by count does
+    if ds1 is None or len(gammas) != ch.domain.order ** ch.m:
+        assert _uncovered_hyperplane(cand) == ref_uncovered_hyperplane(cand)
+    assert is_dual_spread(cand) == ref_is_dual_spread(cand)
+    points = list(itertools.product(ch.domain.elements(), repeat=ch.m))
+    if ch.is_symmetric and len(gammas) <= len(points):
+        family = TransversalFamily(ch, [(u, g.entries) for u, g in zip(points, gammas)])
+        assert verify_family(family) == ref_verify_family(family)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CHARTS))
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_dual_spread_checks_match_reference(name, data):
+    ch = ORACLE_CHARTS[name]()
+    _check_against_reference(ch, draw_gammas(data, ch))
+
+
+# Over GF(5): gamma_0 - gamma_15 and gamma_3 - gamma_5 are the only singular
+# differences, both killed by u = (1, 0), the first projective point.  Its
+# buckets are {0, 15} and {3, 5}, and the first collision (at 5) is not the
+# first pair in combinations order.
+TWO_BUCKETS_GF5 = [
+    [[0, 0], [0, 0]], [[0, 2], [1, 0]], [[0, 3], [4, 0]], [[0, 1], [3, 0]],
+    [[0, 4], [2, 0]], [[0, 1], [3, 1]], [[1, 2], [1, 1]], [[1, 3], [4, 1]],
+    [[1, 4], [2, 1]], [[2, 0], [0, 2]], [[2, 1], [3, 2]], [[3, 0], [0, 3]],
+    [[3, 1], [3, 3]], [[3, 2], [1, 3]], [[3, 3], [4, 3]], [[0, 0], [0, 1]]]
+
+
+def test_ds1_reports_the_least_pair_over_all_buckets():
+    ch = symmetric_chart(PrimeField(5), 2)
+    gammas = [MatrixK(ch.domain, g) for g in TWO_BUCKETS_GF5]
+    singular = [(i, j) for i, j in itertools.combinations(range(16), 2)
+                if not is_invertible(gammas[i] - gammas[j])]
+    assert singular == [(0, 15), (3, 5)]
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+    assert check_pairwise_regular(cand).pair == (0, 15)
+    assert is_dual_spread(cand).violation.pair == (0, 15)
+    _check_against_reference(ch, gammas)
+
+
+def test_checks_keep_no_memory_across_calls():
+    gf4 = ExtensionField(2, (1, 1, 1))
+    gammas = regular_spread_gammas(gf4)
+    points = list(itertools.product(gf4.elements(), repeat=2))
+    # one member dropped (the DS2 and T2* scans run) and one repeated (DS1)
+    shapes = (gammas[1:], gammas + gammas[:1])
+    units = MatrixK.identity(gf4, 4)
+    w = Subspace.spanned(gf4, 4, units.payload[:2])
+    u = Subspace.spanned(gf4, 4, units.payload[2:])
+    w0, u0 = (from_payloads(gf4, rows, 4) for rows in (units.payload[:2], units.payload[2:]))
+    # a new chart every round: its own bases A*W0 of W and B*U0 of U
+    bases = itertools.product([g for g in gamma_matrices(gf4, 2, 2) if is_invertible(g)],
+                              repeat=2)
+
+    def run():
+        a, b = next(bases)
+        ch = AffineChart(gf4, 4, w, u, b=b * u0, w_basis=a * w0)
+        for members in shapes:
+            is_dual_spread(DualSpreadCandidate(ch, [ComplementCoord(ch, g)
+                                                    for g in members]))
+        verify_family(TransversalFamily(ch, [(p, g.entries)
+                                             for p, g in zip(points, shapes[0])]))
+
+    run()                       # fills the shared GF(4) tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            run()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 32 * 1024, f"{grown} bytes retained over 200 calls"
