@@ -15,15 +15,10 @@ tau_i: D -> U with the basis-difference property (T1*) and the
 coset-hitting property (T2*) produce dual spreads member-by-member, and
 every dual spread containing W arises that way.
 
-Both conditions are decided on chart coordinates, over payload rows.
-DS1: the complements of gamma and eta are complementary exactly when
-gamma - eta is regular, and over a finite field with dim U = dim W that
-fails exactly when some projective point u of U gives u*gamma = u*eta;
-so bucketing the rows u*gamma_i per point finds every singular
-difference (`check_pairwise_regular`).  DS2: a hyperplane is the kernel
-of a form c, and the singular set S(ker c) is read off the two columns
-c_W = W*c and c_U = B*c of the chart's bases, without building the
-hyperplane (`_uncovered_hyperplane`).
+Both conditions are decided on chart coordinates: DS1 by bucketing the
+rows u*gamma_i over the projective points u of U (`check_pairwise_regular`),
+DS2 by reading the singular set S(ker c) of each form c off c_W = W*c and
+c_U = B*c (`_uncovered_hyperplane`).
 """
 
 from __future__ import annotations
@@ -165,21 +160,19 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
 
     The reported pair is the first failing (i, j) in the order of
     `itertools.combinations`.  Over an infinite domain, or when
-    dim U != dim W, every pair is tested by a rank reduction in that
-    order.  Over a finite field with m = dim U = dim W, a difference
-    gamma_i - gamma_j is singular exactly when some nonzero u in K^m has
-    u*(gamma_i - gamma_j) = 0, and then also the canonical representative
-    of K*u does.  So the members are bucketed by their rows u*gamma_i, one
-    pass per projective point u: a bucket holding i < j means gamma_i -
-    gamma_j is singular, and every singular pair shares a bucket at some
-    point.  For a singular pair (i, j), the bucket holding it starts with
-    two indices (a, b) <= (i, j), and (a, b) is itself singular.  The
-    least of the buckets' first two indices, over every point, is
-    therefore the least singular pair, the one the combinations order
-    reaches first.  Every bucket of every point counts: stopping at a
+    dim U != dim W, each pair in that order gets a rank test.  Over a
+    finite field with m = dim U = dim W, gamma_i - gamma_j is singular
+    exactly when u*(gamma_i - gamma_j) = 0 for some projective point u of
+    K^m (a canonical representative kills it whenever any nonzero u
+    does).  So the members are bucketed by their rows u*gamma_i, one pass
+    per point, and every singular pair shares a bucket at some point.
+    The bucket of a singular pair (i, j) starts with two indices
+    (a, b) <= (i, j), themselves a singular pair; so the least of the
+    buckets' first two indices, over every point, is the first singular
+    pair in combinations order.  Every bucket counts: stopping at a
     point's first collision can name (3, 5) where (0, 15) is first.
-    The cost is (q^m - 1)/(q - 1) * N products of a row by an m x m
-    matrix, against N(N - 1)/2 reductions.
+    The cost is (q^m - 1)/(q - 1) * N row-by-matrix products, against
+    N(N - 1)/2 reductions.
     """
     ch = b.chart
     if ch.domain.is_finite and ch.m == ch.k:
@@ -253,9 +246,8 @@ def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
     whose space V is a proper subspace, gamma*W + B still spans the
     member, and the hyperplanes of K^n without W meet V in its
     hyperplanes without W, so the scan over K^n finds the same verdict.
-    Only the
-    witness is built, as the kernel of its form, so it is the subspace
-    `hyperplanes` returns for that form.
+    Only the witness is built, as the kernel of its form, so it is the
+    subspace `hyperplanes` returns for that form.
     """
     ch = b.chart
     if len(b.members) == ch.domain.order ** ch.m:
