@@ -21,12 +21,15 @@ end-to-end metric, of the failure ratio and of ``samples``, the number of
 jobs each run completed: peak_rss_mb grows with it, so a reader can tell
 an RSS rise that comes from more jobs from one that comes from the
 program.  Its ``commit`` is what
-``git describe`` says of the checkout (null outside a git checkout).
+``git describe`` says of the checkout (null outside a git checkout), and
+its ``src_lines`` the size of the checkout's library, the line count of
+``wc -l src/complaff/*.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -64,6 +67,15 @@ def git_commit(root: str) -> str | None:
     proc = subprocess.run(["git", "-C", root, "describe", "--always", "--dirty"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_lines(root: str) -> int:
+    """The lines of the checkout's src/complaff/*.py, as wc -l counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "complaff", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -116,7 +128,8 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"]
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     records = {label: {"label": label, "commit": git_commit(root), "seeds": args.seeds,
-                       "seconds": seconds, "started": started, "workloads": {}}
+                       "seconds": seconds, "started": started,
+                       "src_lines": src_lines(root), "workloads": {}}
                for label, root in args.sides}
     for name in [w["name"] for w in benchmark["workloads"]]:
         runs = {label: [] for label, _ in args.sides}

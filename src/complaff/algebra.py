@@ -24,8 +24,8 @@ All payloads are kept in canonical reduced form, so scalar equality is
 payload equality.  Scalars are immutable and hashable.  A ``Scalar``
 holds the working payload in ``raw``; ``payload`` is the public view,
 ``domain._public(raw)``, which differs from ``raw`` only on the
-quaternions.  ``_canon`` is the one way in (it takes the public view and
-the working payload alike), ``_public`` the one way out.
+quaternions.  ``_canon`` is the one way in (an int, the public view or
+the working payload, on every domain), ``_public`` the one way out.
 
 Extension-field arithmetic is table lookup, the approach of the
 ``galois`` library (https://github.com/mhostetter/galois).  ``_neg`` and
@@ -87,8 +87,6 @@ class ScalarDomain:
             if value.domain != self:
                 raise DomainMismatchError(f"scalar from {value.domain} used in {self}")
             return value
-        if isinstance(value, int):
-            return self.from_int(value)
         return Scalar(self, self._canon(value))
 
     # every domain sets _zero and _one, the payloads of 0 and 1, once
@@ -99,7 +97,7 @@ class ScalarDomain:
         return Scalar(self, self._one)
 
     def from_int(self, n: int) -> "Scalar":
-        raise NotImplementedError
+        return Scalar(self, self._canon(n))
 
     # -- enumeration ----------------------------------------------------------
 
@@ -206,9 +204,6 @@ class PrimeField(ScalarDomain):
     @property
     def order(self) -> int:
         return self.p
-
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, n % self.p)
 
     def elements(self) -> tuple:
         return tuple(Scalar(self, n) for n in range(self.p))
@@ -401,9 +396,6 @@ class ExtensionField(ScalarDomain):
     def order(self) -> int:
         return self.p ** self.k
 
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, (n % self.p,) + (0,) * (self.k - 1))
-
     def generator(self) -> "Scalar":
         """The residue class of x."""
         return Scalar(self, self._canon((0, 1)))
@@ -414,6 +406,8 @@ class ExtensionField(ScalarDomain):
                      for digits in itertools.product(range(self.p), repeat=self.k))
 
     def _canon(self, payload):
+        if isinstance(payload, int):
+            payload = (payload,)
         c = tuple(int(x) % self.p for x in payload)
         if len(c) >= len(self.modulus):
             _, c = _poly_divmod(c, self.modulus, self.p)
@@ -469,9 +463,6 @@ class Rationals(ScalarDomain):
 
     def __hash__(self):
         return hash("rational")
-
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, Fraction(n))
 
     def _canon(self, payload):
         return Fraction(payload)
@@ -530,9 +521,6 @@ class Quaternions(ScalarDomain):
     def __hash__(self):
         return hash("quaternion")
 
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, _UNITS.get(n) or (n, 0, 0, 0, 1))
-
     @property
     def i(self) -> "Scalar":
         return Scalar(self, (0, 1, 0, 0, 1))
@@ -561,6 +549,8 @@ class Quaternions(ScalarDomain):
         return Fraction(a * a + b * b + c * c + d * d, den * den)
 
     def _canon(self, payload):
+        if isinstance(payload, int):
+            return _lowest_terms(payload, 0, 0, 0, 1)
         t = tuple(payload)
         if len(t) == 5:
             if not all(type(x) is int for x in t) or t[4] == 0:
@@ -744,11 +734,11 @@ def scalars(domain: ScalarDomain, seed: int = 0):
 
 
 def _projective_reps(domain: ScalarDomain, n: int):
-    """The n-tuples over a finite domain whose first nonzero entry is 1:
-    one per projective point of K^n, ordered by the position of the
+    """The payload n-tuples over a finite domain whose first nonzero entry
+    is 1: one per projective point of K^n, ordered by the position of the
     leading 1, then by the tail in `elements()` order."""
-    elems = domain.elements()
-    zero, one = domain.zero(), domain.one()
+    elems = [x.raw for x in domain.elements()]
+    zero, one = domain._zero, domain._one
     for lead in range(n):
         for tail in itertools.product(elems, repeat=n - lead - 1):
             yield (zero,) * lead + (one,) + tail

@@ -236,7 +236,6 @@ class ComplementCoord:
 
     def __rmul__(self, k):
         """Left scalar action k*c, the entrywise left multiple of gamma."""
-        k = self.chart.domain.scalar(k)
         return ComplementCoord(self.chart, self.gamma.scale_left(k))
 
     def subspace(self) -> Subspace:
@@ -268,7 +267,6 @@ class AffineLine:
         self.beta = beta
 
     def point_at(self, k) -> ComplementCoord:
-        k = self.chart.domain.scalar(k)
         return ComplementCoord(self.chart, self.alpha.scale_left(k) + self.beta)
 
     def points(self, seed: int = 0):

@@ -35,9 +35,8 @@ from .jsonio import (
     subspace_to_json,
     transversals_from_json,
     transversals_to_json,
-    vector_to_json,
 )
-from .linalg import MatrixK, is_invertible
+from .linalg import MatrixK, from_payloads, is_invertible
 from .reguli import (
     cone_decompose,
     reconstruct_from_transversals,
@@ -46,6 +45,8 @@ from .reguli import (
     w_plus_transversals,
     w_plus_z,
 )
+
+_MAX_LISTED = 10 ** 5            # complements or lines one command may list
 
 
 def _emit(args, report: dict, human_lines) -> None:
@@ -62,8 +63,7 @@ def _chart(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    chart = chart_from_config(cfg)
-    return chart, cfg
+    return chart_from_config(cfg), cfg
 
 
 def _base_report(command: str, chart, cfg) -> dict:
@@ -93,11 +93,14 @@ def cmd_enumerate(args) -> int:
         raise InfiniteDomainError(
             "the complements of W over an infinite field cannot be listed; "
             "enumerate needs a finite field")
+    q, mk = chart.domain.order, chart.m * chart.k
+    if q ** mk > _MAX_LISTED:
+        raise ConfigError(f"{q}^{mk} complements exceed the limit {_MAX_LISTED}")
     coords = chart.all_coords()
     report = _base_report("enumerate", chart, cfg)
     report["chart"] = {"W": subspace_to_json(chart.w),
                        "U": subspace_to_json(chart.u),
-                       "basis": [vector_to_json(b) for b in chart.b]}
+                       "basis": matrix_to_json(chart.b_matrix)}
     report["count"] = len(coords)
     report["complements"] = [{"gamma": matrix_to_json(c.gamma),
                               "subspace": subspace_to_json(c.subspace())}
@@ -113,12 +116,15 @@ def cmd_classify_lines(args) -> int:
     chart, cfg = _chart(args)
     if not chart.domain.is_finite:
         raise InfiniteDomainError("line classification needs a finite field")
+    q, mk = chart.domain.order, chart.m * chart.k
+    if (q ** mk - 1) // (q - 1) > _MAX_LISTED:
+        raise ConfigError(f"({q}^{mk}-1)/({q}-1) lines exceed the limit {_MAX_LISTED}")
     counts = {"regular": 0, "cone_exact": 0, "cone_nonexact": 0}
     entries = []
     # nonzero alpha up to left scaling: first nonzero entry 1
-    for flat in _projective_reps(chart.domain, chart.m * chart.k):
-        alpha = MatrixK(chart.domain, [flat[i * chart.k:(i + 1) * chart.k]
-                                       for i in range(chart.m)], cols=chart.k)
+    for flat in _projective_reps(chart.domain, mk):
+        alpha = from_payloads(chart.domain, [flat[i * chart.k:(i + 1) * chart.k]
+                                             for i in range(chart.m)], chart.k)
         if chart.is_symmetric and is_invertible(alpha):
             cls, kernel_dim, vertex_dim = "regular", 0, 0
         else:

@@ -13,13 +13,14 @@ import re
 from .algebra import ExtensionField, PrimeField, Quaternions, ScalarDomain
 from .chart import AffineChart
 from .errors import ConfigError
-from .jsonio import _read_json, int_from_json, vector_from_json
+from .jsonio import _read_json, int_from_json, matrix_from_json
 from .projective import Subspace
 
 _GF_PRIME = re.compile(r"gf\(\s*(\d+)\s*\)\Z")
 _GF_EXT = re.compile(
     r"gf\(\s*(\d+)\s*\^\s*(\d+)\s*;\s*modulus\s*=\s*\[([0-9,\s-]*)\]\s*\)\Z")
 _QUAT = re.compile(r"quat\(\s*q\s*\)\Z")   # matched against lowercased input
+_MAX_N = 64                                 # the largest ambient dimension n
 
 
 def parse_field(spec: str) -> ScalarDomain:
@@ -73,26 +74,23 @@ def chart_from_config(cfg: dict) -> AffineChart:
     int_from_json(cfg, "seed", 0)
     if not 0 < k < n:
         raise ConfigError("need 0 < k < n (trivial charts are excluded)")
+    if n > _MAX_N:
+        raise ConfigError(f"n = {n} exceeds the limit of {_MAX_N}")
     for key in ("W", "U"):
         if key in cfg and not isinstance(cfg[key], list):
             raise ConfigError(f'"{key}" must be a list of rows')
     try:
-        if "W" in cfg:
-            w_rows = [vector_from_json(domain, row) for row in cfg["W"]]
-            w = Subspace.from_rows(domain, n, w_rows)
-        else:
-            w_rows = None
-            w = Subspace.spanned(domain, n, Subspace.full(domain, n).basis.payload[:k])
+        w_rows = matrix_from_json(domain, cfg["W"], cols=n) if "W" in cfg else None
+        w = Subspace.spanned(domain, n, Subspace.full(domain, n).basis.payload[:k]
+                             if w_rows is None else w_rows.payload)
         if w.dim != k:
             raise ConfigError(f"W has dimension {w.dim}, expected {k}")
         u = b_rows = None
         if "U" in cfg:
-            b_rows = [vector_from_json(domain, row) for row in cfg["U"]]
-            u = Subspace.from_rows(domain, n, b_rows)
+            b_rows = matrix_from_json(domain, cfg["U"], cols=n)
+            u = Subspace.spanned(domain, n, b_rows.payload)
             if u.dim != n - k:
                 raise ConfigError(f"U has dimension {u.dim}, expected {n - k}")
         return AffineChart(domain, n, w, u, b=b_rows, w_basis=w_rows)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except ValueError as exc:             # a ConfigError keeps its message
         raise ConfigError(str(exc)) from exc

@@ -31,6 +31,7 @@ from .chart import AffineChart, ComplementCoord
 from .errors import ChartMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
+    boxed,
     combine,
     from_payloads,
     is_invertible,
@@ -195,7 +196,6 @@ def _least_singular_pair(domain, m: int, k: int, gammas) -> tuple | None:
     of K^m."""
     best = None
     for u in _projective_reps(domain, m):
-        u = [x.raw for x in u]
         first = {}
         for j, gamma in enumerate(gammas):
             i = first.setdefault(tuple(combine(domain, u, gamma, k)), j)
@@ -266,8 +266,7 @@ def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
 
     w, u = ch.w_matrix.payload, ch.b_matrix.payload
     gammas = [c.gamma.payload for c in b.members]
-    for form in _projective_reps(domain, n):
-        c = [x.raw for x in form]
+    for c in _projective_reps(domain, n):
         c_w = [dot(row, c) for row in w]
         if all(map(is_zero, c_w)):
             continue                         # ker c contains W
@@ -286,35 +285,45 @@ def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
 class TransversalFamily:
     """tau_i: D -> U, tabulated in b-coordinates.
 
-    entries are pairs (u, (u^tau_0, ..., u^tau_{m-1})) with every vector
-    a length-m coordinate tuple over the chart's U-basis.
+    Built from pairs (u, (u^tau_0, ..., u^tau_{m-1})) of length-m
+    coordinate tuples over the chart's U-basis, or (u, the m x m MatrixK
+    of the images), kept as it is.  Holds each u as a payload row and its
+    images as that matrix, the gamma of u's member.
     """
 
     def __init__(self, chart: AffineChart, entries):
         if not chart.is_symmetric:
             raise ValueError("transversal families live in symmetric charts")
         self.chart = chart
-        canon = []
-        scalar = chart.domain.scalar
+        dom, m = chart.domain, chart.m
+        shape = "entries must be length-m coordinate tuples"
+        self._points, self._images = [], []
         for u, images in entries:
-            u = tuple(map(scalar, u))
-            images = tuple(tuple(map(scalar, img)) for img in images)
-            if len(u) != chart.m or len(images) != chart.m \
-                    or any(len(img) != chart.m for img in images):
-                raise ValueError("entries must be length-m coordinate tuples")
-            canon.append((u, images))
-        if len({u for u, _ in canon}) != len(canon):
+            u = tuple(payload_row(dom, u))
+            if not isinstance(images, MatrixK):
+                rows = [payload_row(dom, img) for img in images]
+                if any(len(r) != m for r in rows):
+                    raise ValueError(shape)
+                images = from_payloads(dom, rows, m)
+            if (len(u), images.rows, images.cols) != (m, m, m):
+                raise ValueError(shape)
+            self._points.append(u)
+            self._images.append(images)
+        if len(set(self._points)) != len(self._points):
             raise ValueError("domain points must be distinct")
-        self.entries = tuple(canon)
+
+    @property
+    def entries(self) -> tuple:
+        """The pairs (u, (u^tau_0, ..., u^tau_{m-1})) as Scalar tuples."""
+        dom = self.chart.domain
+        return tuple((boxed(dom, u), images.entries)
+                     for u, images in zip(self._points, self._images))
 
 
 def family_to_dual_spread(f: TransversalFamily) -> DualSpreadCandidate:
     """psi image of the family: one member per domain point, plus W."""
-    members = []
-    for _, images in f.entries:
-        gamma = MatrixK(f.chart.domain, images, cols=f.chart.k)
-        members.append(ComplementCoord(f.chart, gamma))
-    return DualSpreadCandidate(f.chart, members)
+    return DualSpreadCandidate(f.chart, [ComplementCoord(f.chart, gamma)
+                                         for gamma in f._images])
 
 
 def verify_family(f: TransversalFamily) -> Report:
@@ -323,10 +332,10 @@ def verify_family(f: TransversalFamily) -> Report:
     spread = family_to_dual_spread(f)
     bad = check_pairwise_regular(spread)
     if bad is not None:
-        i, j = bad.pair
         return Report(False, Violation(
             "T1*", "image differences of two domain points do not form "
-            "a basis of U", pair=(f.entries[i][0], f.entries[j][0])))
+            "a basis of U", pair=tuple(boxed(f.chart.domain, f._points[i])
+                                       for i in bad.pair)))
     if not f.chart.domain.is_finite:
         raise InfiniteDomainError("(T2*) is checked by hyperplane enumeration")
     x = _uncovered_hyperplane(spread)
@@ -347,22 +356,17 @@ def family_from_dual_spread(b: DualSpreadCandidate, index: int) -> TransversalFa
     ch = b.chart
     if not 0 <= index < ch.m:
         raise IndexError("coordinate index out of range")
-    entries = []
-    seen = set()
-    for member in b.members:
-        rows = member.gamma.entries
-        u = rows[index]
-        if u in seen:
-            raise ValueError("two members agree in a coordinate; "
-                             "the candidate is not a dual spread")
-        seen.add(u)
-        entries.append((u, rows))
-    return TransversalFamily(ch, entries)
+    gammas = [member.gamma for member in b.members]
+    points = [gamma.payload[index] for gamma in gammas]
+    if len(set(points)) != len(points):
+        raise ValueError("two members agree in a coordinate; "
+                         "the candidate is not a dual spread")
+    return TransversalFamily(ch, zip(points, gammas))
 
 
 def normalized_family(f: TransversalFamily, index: int) -> TransversalFamily:
     """Re-index the domain so that tau_index becomes the inclusion."""
     if not 0 <= index < f.chart.m:
         raise IndexError("coordinate index out of range")
-    entries = [(images[index], images) for _, images in f.entries]
-    return TransversalFamily(f.chart, entries)
+    return TransversalFamily(f.chart, [(gamma.payload[index], gamma)
+                                       for gamma in f._images])

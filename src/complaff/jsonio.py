@@ -5,6 +5,13 @@ Scalar encoding depends on the domain:
 * prime field      -- plain int
 * extension field  -- list of k ints, constant coefficient first
 * quaternions      -- list of four exact fraction strings "a", "-1/2", ...
+  (or ints); a plain int n reads as n in every domain
+
+JSON goes payload to payload.  `vector_from_json` checks JSON types only
+and returns ints and public payloads, no ``Scalar``; ``_canon`` reads each
+value once, where its row enters ``MatrixK``, ``Subspace.from_rows`` or
+``TransversalFamily``.  `vector_to_json` writes payload rows through
+``domain._public``.
 
 Subspaces are ``{"ambient": n, "rows": [[scalar, ...], ...]}``.  Dual
 spread candidates are ``{"kind": "dual-spread", "gammas": [...]}`` (or
@@ -56,45 +63,50 @@ def int_from_json(obj: dict, key: str, default=None) -> int:
 
 
 def scalar_to_json(s: Scalar):
-    domain = s.domain
-    if isinstance(domain, PrimeField):
-        return s.payload
-    if isinstance(domain, ExtensionField):
-        return list(s.payload)
-    if isinstance(domain, Quaternions):
-        return [str(c) for c in s.payload]
-    raise ConfigError(f"no JSON form for scalars of {domain}")
+    return vector_to_json(s.domain, [s.raw])[0]
 
 
 def scalar_from_json(domain: ScalarDomain, obj) -> Scalar:
-    try:
-        if isinstance(domain, PrimeField):
-            return domain.from_int(_json_int(obj, "a scalar"))
-        if isinstance(domain, ExtensionField):
-            if type(obj) is int:
-                return domain.from_int(obj)
-            return domain.scalar(tuple(_json_int(c, "a component") for c in obj))
-        if isinstance(domain, Quaternions):
-            if type(obj) is int:
-                return domain.from_int(obj)
-            return domain.scalar(tuple(Fraction(str(c)) for c in obj))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad scalar {obj!r} for {domain}: {exc}") from exc
+    return domain.scalar(vector_from_json(domain, [obj])[0])
+
+
+def vector_to_json(domain: ScalarDomain, row) -> list:
+    """The JSON list of a working payload row."""
+    public = domain._public
+    if isinstance(domain, PrimeField):
+        return [public(x) for x in row]
+    if isinstance(domain, ExtensionField):
+        return [list(public(x)) for x in row]
+    if isinstance(domain, Quaternions):
+        return [[str(c) for c in public(x)] for x in row]
     raise ConfigError(f"no JSON form for scalars of {domain}")
 
 
-def vector_to_json(v):
-    return [scalar_to_json(x) for x in v]
-
-
-def vector_from_json(domain: ScalarDomain, obj):
+def vector_from_json(domain: ScalarDomain, obj) -> tuple:
+    """A JSON list of scalars as a row of ints and public payloads."""
     if not isinstance(obj, list):
         raise ConfigError("expected a list of scalars")
-    return tuple(scalar_from_json(domain, x) for x in obj)
+    return tuple(x if type(x) is int else _payload_from_json(domain, x) for x in obj)
+
+
+def _payload_from_json(domain: ScalarDomain, obj):
+    """A JSON scalar other than an int: the int components of a GF(p^k)
+    element, or the four components (strings or ints) of a quaternion."""
+    try:
+        if type(obj) is list and isinstance(domain, ExtensionField):
+            return tuple(_json_int(c, "a component") for c in obj)
+        if type(obj) is list and isinstance(domain, Quaternions):
+            if len(obj) != 4 or not all(type(c) in (str, int) for c in obj):
+                raise ValueError("need 4 components, each a string or an integer")
+            return tuple(map(Fraction, obj))
+        raise ValueError("a scalar must be an integer" + (
+            "" if isinstance(domain, PrimeField) else " or a list"))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad scalar {obj!r} for {domain}: {exc}") from exc
 
 
 def matrix_to_json(m: MatrixK):
-    return [vector_to_json(row) for row in m.entries]
+    return [vector_to_json(m.domain, row) for row in m.payload]
 
 
 def matrix_from_json(domain: ScalarDomain, obj, cols: int | None = None) -> MatrixK:
@@ -163,9 +175,9 @@ def transversals_from_json(domain: ScalarDomain, obj):
 
 def family_to_json(f: TransversalFamily):
     return {"kind": "family",
-            "entries": [{"u": vector_to_json(u),
-                         "images": [vector_to_json(img) for img in images]}
-                        for u, images in f.entries]}
+            "entries": [{"u": vector_to_json(f.chart.domain, u),
+                         "images": matrix_to_json(images)}
+                        for u, images in zip(f._points, f._images)]}
 
 
 def family_from_json(chart: AffineChart, obj) -> TransversalFamily:
@@ -176,8 +188,6 @@ def family_from_json(chart: AffineChart, obj) -> TransversalFamily:
         if not (isinstance(rec, dict) and "u" in rec
                 and isinstance(rec.get("images"), list)):
             raise ConfigError('a family entry needs "u" and an "images" list')
-        u = vector_from_json(chart.domain, rec["u"])
-        images = tuple(vector_from_json(chart.domain, img)
-                       for img in rec["images"])
-        entries.append((u, images))
+        entries.append((vector_from_json(chart.domain, rec["u"]),
+                        [vector_from_json(chart.domain, img) for img in rec["images"]]))
     return _built("family", TransversalFamily, chart, entries)

@@ -18,7 +18,8 @@ not the ``Fraction`` view that ``Scalar.payload`` shows.)
 The arithmetic runs on them: one routine, ``reduce_rows``, reduces lists
 of payload rows in place with the domain's payload operations bound once
 per call, and ``combine`` forms left linear combinations of payload
-rows.  ``Scalar`` objects are built only when a caller reads ``entries``
+rows.  Ints and payloads enter through the domain's ``_canon``, never
+through a ``Scalar``, which is built only when a caller reads ``entries``
 or ``row`` (once per matrix) or a vector crosses the API boundary:
 ``payload_row`` takes one in, ``boxed`` hands one out.
 """
@@ -38,11 +39,11 @@ Vector = tuple  # tuple[Scalar, ...]
 # ---------------------------------------------------------------------------
 
 def payload_of(domain: ScalarDomain, x):
-    """The working payload of x as an element of `domain` (ints and payloads
-    coerced)."""
-    if type(x) is Scalar and x.domain is domain:
-        return x.raw
-    return domain.scalar(x).raw
+    """The working payload of x as an element of `domain`: a Scalar of the
+    domain unwrapped, anything else canonicalized by ``_canon``."""
+    if isinstance(x, Scalar):
+        return x.raw if x.domain is domain else domain.scalar(x).raw
+    return domain._canon(x)
 
 
 def from_payloads(domain: ScalarDomain, rows, cols: int) -> "MatrixK":

@@ -187,7 +187,7 @@ def hyperplane_forms(domain: ScalarDomain, n: int) -> tuple:
     """
     if not domain.is_finite:
         raise InfiniteDomainError("hyperplane enumeration needs a finite field")
-    return tuple(_projective_reps(domain, n))
+    return tuple(boxed(domain, c) for c in _projective_reps(domain, n))
 
 
 def hyperplanes(domain: ScalarDomain, n: int) -> tuple:
@@ -285,7 +285,7 @@ class ZStructure:
         import random as _random
 
         if self.domain.is_finite:
-            return [[x.raw for x in c] for c in _projective_reps(self.domain, self.dim)]
+            return list(_projective_reps(self.domain, self.dim))
         if not isinstance(self.domain, Quaternions):
             raise InfiniteDomainError("Z-point sampling is defined for the quaternions")
         rng = _random.Random(seed)

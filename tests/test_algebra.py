@@ -10,6 +10,7 @@ from complaff.algebra import (
     Quaternions,
     Rationals,
     Sampled,
+    Scalar,
     _is_prime,
     _projective_reps,
     is_sample,
@@ -228,7 +229,7 @@ def _hyperplane_forms_loop(domain, n):
 @pytest.mark.parametrize("domain", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_projective_reps(domain, n):
-    reps = list(_projective_reps(domain, n))
+    reps = [tuple(Scalar(domain, x) for x in v) for v in _projective_reps(domain, n)]
     q = domain.order
     assert len(reps) == (q ** n - 1) // (q - 1)
     for v in reps:

@@ -5,7 +5,9 @@ runs of every seed and a summary (median and [Q1, Q3]) of each of the
 six end-to-end metrics, plus one traced run with every per-layer metric.
 Files written since bench/record.py began to record it also hold the
 median and [Q1, Q3] of ``samples``, the job count of every run; the files
-in RECORDED_WITHOUT_SAMPLES predate it.
+in RECORDED_WITHOUT_SAMPLES predate it.  Files written since it began to
+record ``src_lines``, the line count of the checkout's src/complaff/*.py,
+hold that too; the files in RECORDED_WITHOUT_SRC_LINES predate it.
 """
 
 import glob
@@ -41,6 +43,11 @@ RECORDED_WITHOUT_SAMPLES = frozenset([
     "BENCH_pr9.json",
 ])
 
+RECORDED_WITHOUT_SRC_LINES = RECORDED_WITHOUT_SAMPLES | {
+    "BENCH_pr11-parent.json",
+    "BENCH_pr11.json",
+}
+
 
 def test_bench_files_are_committed():
     assert FILES
@@ -51,6 +58,8 @@ def test_bench_file_holds_every_metric_of_every_workload(path):
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)
     assert os.path.basename(path) == f"BENCH_{record['label']}.json"
+    if os.path.basename(path) not in RECORDED_WITHOUT_SRC_LINES:
+        assert type(record["src_lines"]) is int and record["src_lines"] > 0
     for workload in BENCHMARK["workloads"]:
         entry = record["workloads"][workload["name"]]
         runs = entry["runs"]

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from complaff import cli
 from complaff.algebra import ExtensionField, PrimeField
 from complaff.chart import symmetric_chart
 from complaff.projective import Subspace
@@ -300,7 +304,7 @@ def test_every_command_is_deterministic(cfg2, spread_file, tmp_path):
 
 def gamma_pair(field: str, entry) -> tuple:
     """regulus --through two gamma files, the first with `entry` at [0][0]."""
-    zero, one = (0, 1) if field == "gf(3)" else ([0, 0], [1, 0])
+    zero, one = (0, 1) if field != "gf(2^2; modulus=[1,1,1])" else ([0, 0], [1, 0])
     return ("regulus", "--through",
             ("a.json", {"gamma": [[entry, zero], [zero, zero]]}),
             ("b.json", {"gamma": [[one, zero], [zero, one]]}),
@@ -355,6 +359,10 @@ MALFORMED = {
     "gf3-string-scalar": gamma_pair("gf(3)", "2"),
     "gf4-fractional-boolean-component": gamma_pair("gf(2^2; modulus=[1,1,1])",
                                                    [1.9, True]),
+    # json.load reads 1.0000000000000001 as the float 1.0
+    "quaternion-float-component": gamma_pair("quat(Q)",
+                                             [1.0000000000000001, "0", "0", "0"]),
+    "quaternion-boolean-component": gamma_pair("quat(Q)", ["1", True, "0", "0"]),
 }
 
 
@@ -390,3 +398,34 @@ def test_a_file_that_is_not_utf8_exits_2_with_one_line(which, cfg2, tmp_path):
     assert "Traceback" not in out.stderr
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("config error: cannot read ")
+
+
+OVERSIZED = {
+    # 3^16 complements and (3^16 - 1)/2 lines through U
+    "enumerate-gf3-n8-k4": ("enumerate", {"field": "gf(3)", "n": 8, "k": 4}),
+    "classify-lines-gf3-n8-k4": ("classify-lines", {"field": "gf(3)", "n": 8, "k": 4}),
+    # the default chart alone reduces a 2000 x 4000 matrix
+    "check-dual-spread-gf2-n2000": ("check-dual-spread", {"field": "gf(2)", "n": 2000,
+                                                          "k": 1000}),
+}
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_oversized_work_is_refused_before_it_starts(name, tmp_path):
+    command, cfg = OVERSIZED[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = [command, "--config", str(cfg_path)]
+    if command == "check-dual-spread":
+        spread = tmp_path / "spread.json"
+        spread.write_text(json.dumps({"kind": "dual-spread", "gammas": []}))
+        argv.append(str(spread))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("config error: ") and "limit" in err.getvalue()

@@ -1,10 +1,17 @@
 import json
+import os
+from fractions import Fraction
 
 import pytest
 
-from complaff.algebra import ExtensionField, PrimeField, Quaternions
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
 from complaff.chart import symmetric_chart
-from complaff.dualspread import TransversalFamily
+from complaff.config import chart_from_config
+from complaff.dualspread import (
+    TransversalFamily,
+    family_from_dual_spread,
+    family_to_dual_spread,
+)
 from complaff.errors import ConfigError
 from complaff.jsonio import (
     dual_spread_from_json,
@@ -20,6 +27,9 @@ from complaff.jsonio import (
 )
 from complaff.linalg import MatrixK
 from complaff.projective import Subspace
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "golden", "inputs")
 
 GF3 = PrimeField(3)
 GF4 = ExtensionField(2, (1, 1, 1))
@@ -94,3 +104,47 @@ def test_bad_payloads_raise_config_error():
     ch = symmetric_chart(PrimeField(2), 2)
     with pytest.raises(ConfigError):
         dual_spread_from_json(ch, {"nothing": []})
+
+
+@pytest.mark.parametrize("component", [1.0000000000000001, 0.5, True, None, [1]])
+def test_quaternion_components_must_be_strings_or_integers(component):
+    # json.load has already rounded 1.0000000000000001 to 1.0: a float
+    # component would be read as a number the file does not hold
+    with pytest.raises(ConfigError, match="each a string or an integer"):
+        scalar_from_json(Q, [component, "0", "0", "0"])
+
+
+def test_quaternion_components_read_exactly():
+    s = scalar_from_json(Q, [1, "1.0000000000000001", "-1/3", 0])
+    assert s.payload == (1, Fraction(10 ** 16 + 1, 10 ** 16), Fraction(-1, 3), 0)
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN_INPUTS, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("field", ["gf4", "quat"])
+def test_json_and_family_paths_build_no_scalar(field, monkeypatch):
+    """Files are decoded to payload rows, families are held as payload rows
+    and encoded from them: no Scalar is built from file to file."""
+    chart = chart_from_config(_golden(f"{field}.json"))
+    spread_doc, family_doc = _golden(f"{field}_spread.json"), _golden(f"{field}_family.json")
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(self, domain, raw):
+        built.append(raw)
+        init(self, domain, raw)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    spread = dual_spread_from_json(chart, spread_doc)
+    family = family_from_json(chart, family_doc)
+    extracted = family_from_dual_spread(spread, 0)
+    rebuilt = family_to_dual_spread(family)
+    docs = [family_to_json(extracted), family_to_json(family),
+            dual_spread_to_json(rebuilt), dual_spread_to_json(spread)]
+    monkeypatch.undo()
+    assert built == []
+    assert docs[2]["gammas"] == [m["images"] for m in docs[1]["entries"]]
+    assert len(spread.members) == len(extracted.entries) > 1
