@@ -363,6 +363,8 @@ MALFORMED = {
     "quaternion-float-component": gamma_pair("quat(Q)",
                                              [1.0000000000000001, "0", "0", "0"]),
     "quaternion-boolean-component": gamma_pair("quat(Q)", ["1", True, "0", "0"]),
+    # iterating an empty JSON object as components would give zero
+    "gf4-object-scalar": gamma_pair("gf(2^2; modulus=[1,1,1])", {}),
 }
 
 
