@@ -13,7 +13,9 @@ Three domains are available to users, one more internally:
   five ints (a, b, c, d, den) meaning (a + bi + cj + dk) / den, with
   den > 0, gcd(a, b, c, d, den) = 1 and zero as (0, 0, 0, 0, 1): the
   content/denominator form of FLINT's ``fmpq_poly`` (https://flintlib.org).
-  Every operation runs on plain ints and normalizes with one ``gcd``.
+  Every operation runs on plain ints and normalizes with one ``gcd``; a
+  left linear combination of rows (``_combine``) sums numerators over a
+  common denominator and pays one ``gcd`` per entry, not two per term.
   The public payload (``Scalar.payload``) is the four ``Fraction``
   components (a/den, b/den, c/den, d/den).
 * ``Rationals()``            -- plain ``Fraction`` arithmetic.  Internal
@@ -106,13 +108,18 @@ class ScalarDomain:
         raise InfiniteDomainError(f"{self} is infinite")
 
     def elements(self) -> tuple:
-        raise InfiniteDomainError(f"cannot enumerate the elements of {self}")
+        return tuple([Scalar(self, x) for x in self._payloads()])
 
     def sample(self, seed: int = 0, extra: int = 40):
         """Finite domains: the full element tuple.  Infinite: a Sampled tuple."""
         return self.elements()
 
     # -- payload hooks ---------------------------------------------------------
+
+    def _payloads(self):
+        """The payloads of all elements in their canonical order (finite
+        domains only)."""
+        raise InfiniteDomainError(f"cannot enumerate the elements of {self}")
 
     def _canon(self, payload):
         raise NotImplementedError
@@ -135,6 +142,16 @@ class ScalarDomain:
 
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
+
+    def _combine(self, coeffs, rows, width: int) -> list:
+        """The payload row sum_i coeffs[i] * rows[i] (left multiples) on
+        the first `width` columns."""
+        add, mul, is_zero = self._add, self._mul, self._is_zero
+        acc = [self._zero] * width
+        for c, row in zip(coeffs, rows):
+            if not is_zero(c):
+                acc = [add(a, mul(c, x)) for a, x in zip(acc, row)]
+        return acc
 
     def _is_central(self, a) -> bool:
         return True
@@ -205,8 +222,8 @@ class PrimeField(ScalarDomain):
     def order(self) -> int:
         return self.p
 
-    def elements(self) -> tuple:
-        return tuple(Scalar(self, n) for n in range(self.p))
+    def _payloads(self):
+        return range(self.p)
 
     def _canon(self, payload):
         return int(payload) % self.p
@@ -400,10 +417,9 @@ class ExtensionField(ScalarDomain):
         """The residue class of x."""
         return Scalar(self, self._canon((0, 1)))
 
-    def elements(self) -> tuple:
+    def _payloads(self):
         """In the order of c_0 + c_1*p + ... + c_(k-1)*p^(k-1)."""
-        return tuple(Scalar(self, digits[::-1])
-                     for digits in itertools.product(range(self.p), repeat=self.k))
+        return [digits[::-1] for digits in itertools.product(range(self.p), repeat=self.k)]
 
     def _canon(self, payload):
         if isinstance(payload, int):
@@ -599,6 +615,40 @@ class Quaternions(ScalarDomain):
     def _is_zero(self, a):
         return not (a[0] or a[1] or a[2] or a[3])
 
+    def _combine(self, coeffs, rows, width):
+        """The left combination with one gcd per output entry: each entry
+        sums the integer numerators of its products c * x over a running
+        common denominator, which grows to the least common multiple only
+        when a term's denominator differs from it.  The one
+        ``_lowest_terms`` at the end gives the canonical 5-tuple that the
+        generic loop would."""
+        terms = [(q, row) for q, row in zip(coeffs, rows)
+                 if q[0] or q[1] or q[2] or q[3]]
+        out = []
+        for j in range(width):
+            a = b = c = d = 0
+            den = 1
+            for (a1, b1, c1, d1, e1), row in terms:
+                a2, b2, c2, d2, e2 = row[j]
+                if not (a2 or b2 or c2 or d2):
+                    continue
+                ta = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+                tb = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+                tc = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+                td = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+                f = e1 * e2
+                if f != den:
+                    g = gcd(den, f)
+                    s, t = f // g, den // g
+                    a, b, c, d, den = a * s, b * s, c * s, d * s, den * s
+                    ta, tb, tc, td = ta * t, tb * t, tc * t, td * t
+                a += ta
+                b += tb
+                c += tc
+                d += td
+            out.append(_lowest_terms(a, b, c, d, den))
+        return out
+
     def _imag_parts(self, a):
         """The i, j and k components of a, each as a real quaternion."""
         return [_lowest_terms(x, 0, 0, 0, a[4]) for x in a[1:4]]
@@ -737,8 +787,7 @@ def _projective_reps(domain: ScalarDomain, n: int):
     """The payload n-tuples over a finite domain whose first nonzero entry
     is 1: one per projective point of K^n, ordered by the position of the
     leading 1, then by the tail in `elements()` order."""
-    elems = [x.raw for x in domain.elements()]
-    zero, one = domain._zero, domain._one
+    elems, zero, one = domain._payloads(), domain._zero, domain._one
     for lead in range(n):
         for tail in itertools.product(elems, repeat=n - lead - 1):
             yield (zero,) * lead + (one,) + tail

@@ -194,6 +194,10 @@ def cmd_regulus(args) -> int:
 def cmd_reconstruct(args) -> int:
     chart, cfg = _chart(args)
     lines = transversals_from_json(chart.domain, _read_json(args.transversals))
+    for line in lines:
+        if line.ambient != chart.ambient:
+            raise ConfigError(f"{args.transversals}: a line of K^{line.ambient} "
+                              f"in a chart of K^{chart.ambient}")
     try:
         members = reconstruct_from_transversals(lines)
     except ReconstructionError as exc:

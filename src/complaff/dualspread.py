@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import _projective_reps, scalars
+from .algebra import _projective_reps
 from .chart import AffineChart, ComplementCoord
 from .errors import ChartMismatchError, InfiniteDomainError
 from .linalg import (
@@ -103,9 +103,8 @@ class SingularSet:
             raise InfiniteDomainError("singular-set enumeration needs a finite field")
         dom, k = ch.domain, ch.k
         h_rows = [ch._split(row)[:k] for row in self.h.basis.payload]
-        elems = [x.raw for x in scalars(dom)]
         hs = [combine(dom, coeffs, h_rows, k)
-              for coeffs in itertools.product(elems, repeat=self.h.dim)]
+              for coeffs in itertools.product(dom._payloads(), repeat=self.h.dim)]
         return tuple(ComplementCoord(ch, self._base + from_payloads(dom, combo, k))
                      for combo in itertools.product(hs, repeat=ch.m))
 

@@ -365,6 +365,13 @@ MALFORMED = {
     "quaternion-boolean-component": gamma_pair("quat(Q)", ["1", True, "0", "0"]),
     # iterating an empty JSON object as components would give zero
     "gf4-object-scalar": gamma_pair("gf(2^2; modulus=[1,1,1])", {}),
+    "transversals-outside-the-chart": (
+        "reconstruct", "--transversals",
+        ("t.json", {"kind": "transversals", "subspaces": [
+            {"ambient": 4, "rows": rows}
+            for rows in ([[1, 0, 0, 0], [0, 0, 1, 0]], [[1, 1, 0, 0], [0, 0, 1, 1]],
+                         [[0, 1, 0, 0], [0, 0, 0, 1]])]}),
+        "--config", ("cfg.json", {"field": "gf(2)", "n": 3, "k": 1})),
 }
 
 

@@ -1,9 +1,19 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar, scalars
+from complaff.algebra import (
+    ExtensionField,
+    PrimeField,
+    Quaternions,
+    Scalar,
+    ScalarDomain,
+    scalars,
+)
 from complaff.chart import ComplementCoord, symmetric_chart
 from complaff.errors import DomainMismatchError
 from complaff.linalg import (
@@ -303,3 +313,42 @@ def test_quaternion_solve_left_coefficients():
         found = solve(m, rhs)
         assert found is not None
         assert apply(found, m) == rhs
+
+
+# Quaternions._combine against the generic loop of ScalarDomain._combine:
+# 20-digit numerators and denominators, denominators that often agree (the
+# common-denominator case) and often differ, zero coefficients, zero rows,
+# empty coefficient lists and width 1.
+ORACLE = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+BIG = 10 ** 20
+numerators = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+denominators = st.one_of(st.sampled_from([1, 2, 3, 6]), st.integers(1, BIG))
+quaternions = st.one_of(
+    st.just(Q._zero),
+    st.builds(lambda nums, den: Q._canon((*nums, den)),
+              st.tuples(*[numerators] * 4), denominators))
+
+
+@st.composite
+def combinations(draw):
+    width = draw(st.integers(1, 4))
+    row = st.one_of(st.just([Q._zero] * width),
+                    st.lists(quaternions, min_size=width, max_size=width))
+    rows = draw(st.lists(row, max_size=5))
+    coeffs = draw(st.lists(quaternions, min_size=len(rows), max_size=len(rows)))
+    return coeffs, rows, width
+
+
+def is_canonical(x):
+    """den > 0 and gcd 1, which makes zero (0, 0, 0, 0, 1)."""
+    return all(type(v) is int for v in x) and x[4] > 0 and gcd(*x) == 1
+
+
+@ORACLE
+@given(combinations())
+def test_quaternion_combine_matches_the_generic_loop(case):
+    coeffs, rows, width = case
+    out = Q._combine(coeffs, rows, width)
+    assert out == ScalarDomain._combine(Q, coeffs, rows, width)
+    assert len(out) == width
+    assert all(len(x) == 5 and is_canonical(x) for x in out)
