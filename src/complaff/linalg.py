@@ -23,10 +23,11 @@ override to pay one gcd per output entry instead of two per term.
 ``reduce_rows`` stays generic on every domain: the same treatment of its
 row update (one hook call per updated row) measured no gain on
 quat-sampled and cost reguli-gf3 about 5% of its jobs per second, since
-the extra call per row lands on GF(3).  Ints and payloads enter through the domain's ``_canon``, never
-through a ``Scalar``, which is built only when a caller reads ``entries``
-or ``row`` (once per matrix) or a vector crosses the API boundary:
-``payload_row`` takes one in, ``boxed`` hands one out.
+the extra call per row lands on GF(3).  Ints and payloads enter through
+the domain's ``_canon``, never through a ``Scalar``, which is built only
+when a caller reads ``entries`` or ``row`` (once per matrix) or a vector
+crosses the API boundary: ``payload_row`` takes one in, ``boxed`` hands
+one out.
 """
 
 from __future__ import annotations

@@ -8,11 +8,15 @@ median and [Q1, Q3] of ``samples``, the job count of every run; the files
 in RECORDED_WITHOUT_SAMPLES predate it.  Files written since it began to
 record ``src_lines``, the line count of the checkout's src/complaff/*.py,
 hold that too; the files in RECORDED_WITHOUT_SRC_LINES predate it.
+A change's file BENCH_prN<suffix>.json comes with the file of its parent,
+BENCH_prN-parent<suffix>.json, recorded in the same alternating pairs: the
+same seeds, the same run length and the same workloads.
 """
 
 import glob
 import json
 import os
+import re
 import statistics
 
 import pytest
@@ -82,3 +86,25 @@ def test_bench_file_holds_every_metric_of_every_workload(path):
             assert samples["median"] == statistics.median(jobs)
             q1, q3 = samples["iqr"]
             assert min(jobs) <= q1 <= samples["median"] <= q3 <= max(jobs)
+
+
+CHANGE_FILES = [path for path in FILES
+                if re.fullmatch(r"BENCH_pr\d+(?!\d|-parent).*\.json", os.path.basename(path))]
+
+
+def test_change_files_are_found():
+    assert CHANGE_FILES
+
+
+@pytest.mark.parametrize("path", CHANGE_FILES, ids=os.path.basename)
+def test_change_file_has_a_parent_file_of_the_same_runs(path):
+    pr, suffix = re.fullmatch(r"BENCH_(pr\d+)(.*)\.json", os.path.basename(path)).groups()
+    parent_path = os.path.join(ROOT, f"BENCH_{pr}-parent{suffix}.json")
+    assert os.path.isfile(parent_path)
+    with open(path, encoding="utf-8") as fh:
+        change = json.load(fh)
+    with open(parent_path, encoding="utf-8") as fh:
+        parent = json.load(fh)
+    assert change["seeds"] == parent["seeds"]
+    assert change["seconds"] == parent["seconds"]
+    assert change["workloads"].keys() == parent["workloads"].keys()
