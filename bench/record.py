@@ -23,12 +23,14 @@ an RSS rise that comes from more jobs from one that comes from the
 program.  Its ``commit`` is what
 ``git describe`` says of the checkout (null outside a git checkout), and
 its ``src_lines`` the size of the checkout's library, the line count of
-``wc -l src/complaff/*.py``.
+``wc -l src/complaff/*.py``, and ``src_code_lines`` the lines of code in
+it: those that are not blank, not comments and not inside a docstring.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import json
 import os
@@ -75,6 +77,26 @@ def src_lines(root: str) -> int:
     for path in glob.glob(os.path.join(root, "src", "complaff", "*.py")):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
+    return total
+
+
+def src_code_lines(root: str) -> int:
+    """The lines of the checkout's src/complaff/*.py that are not blank, not
+    comments and not inside a docstring (of a module, class or function,
+    as ast finds them)."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "complaff", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, owners) and ast.get_docstring(node, clean=False) is not None:
+                doc = node.body[0]
+                docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+        total += sum(1 for i, line in enumerate(text.splitlines(), 1)
+                     if i not in docstrings and line.strip()
+                     and not line.lstrip().startswith("#"))
     return total
 
 
@@ -129,7 +151,8 @@ def main(argv=None) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     records = {label: {"label": label, "commit": git_commit(root), "seeds": args.seeds,
                        "seconds": seconds, "started": started,
-                       "src_lines": src_lines(root), "workloads": {}}
+                       "src_lines": src_lines(root),
+                       "src_code_lines": src_code_lines(root), "workloads": {}}
                for label, root in args.sides}
     for name in [w["name"] for w in benchmark["workloads"]]:
         runs = {label: [] for label, _ in args.sides}

@@ -34,14 +34,17 @@ Extension-field arithmetic is table lookup, the approach of the
 ``_inv`` read a dict keyed by the canonical payload tuple; ``_add`` and
 ``_mul`` read ``table[a][b]``, one dict per left operand, which is
 cheaper than hashing the pair.  A missing entry is computed once by the
-polynomial helpers (``_poly_mulmod``, ``_poly_invmod``) and stored.
+polynomial helpers (``_poly_mulmod``, and ``_poly_invmod`` as a^(p^k - 2)
+through ``_poly_powmod``, which Rabin's test shares) and stored.
 The tables belong to ``(p, mod)``, not to a domain object, so every
 ``ExtensionField`` built with the same parameters shares them.  A table
 holds only the operands that were used, never all q^2 pairs up front.
 
 Enumeration policy: ``elements()`` refuses on infinite domains (raises
 ``InfiniteDomainError``); deterministic sampling is opt-in through
-``sample()`` whose result is tagged with ``is_sample = True``.
+``sample(seed)`` whose result is tagged with ``is_sample = True``; on a
+finite domain it is ``elements()``, which library enumerations skip to
+walk ``_payloads()`` and build no ``Scalar``.
 """
 
 from __future__ import annotations
@@ -75,11 +78,9 @@ def is_sample(seq) -> bool:
 class ScalarDomain:
     """Base class; subclasses implement payload-level arithmetic."""
 
-    kind = "abstract"
     is_finite = False
     is_commutative = False
     characteristic = 0
-    center_description = ""
 
     # -- construction helpers ------------------------------------------------
 
@@ -110,7 +111,7 @@ class ScalarDomain:
     def elements(self) -> tuple:
         return tuple([Scalar(self, x) for x in self._payloads()])
 
-    def sample(self, seed: int = 0, extra: int = 40):
+    def sample(self, seed: int = 0):
         """Finite domains: the full element tuple.  Infinite: a Sampled tuple."""
         return self.elements()
 
@@ -197,10 +198,8 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField(ScalarDomain):
-    kind = "prime"
     is_finite = True
     is_commutative = True
-    center_description = "the whole field"
     _zero, _one = 0, 1
 
     def __init__(self, p: int):
@@ -290,22 +289,24 @@ def _poly_mulmod(a, b, mod, p):
     return rem + (0,) * (len(mod) - 1 - len(rem))
 
 
+def _poly_powmod(a, e, mod, p):
+    """a^e reduced modulo mod, padded to deg(mod) coefficients, by square
+    and multiply."""
+    power = (1,) + (0,) * (len(mod) - 2)
+    while e:
+        if e & 1:
+            power = _poly_mulmod(power, a, mod, p)
+        a = _poly_mulmod(a, a, mod, p)
+        e >>= 1
+    return power
+
+
 def _poly_invmod(a, mod, p):
-    """The inverse of a modulo an irreducible mod, by extended Euclid."""
+    """The inverse of a modulo an irreducible mod of degree k: a^(p^k - 2),
+    since the nonzero residues form a group of order p^k - 1."""
     if not any(a):
         raise ZeroDivisionError("inverse of zero")
-    r0, r1 = mod, _poly_trim(a)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs1 = _poly_mul(q, s1, p)
-        s = tuple((x - y) % p for x, y in itertools.zip_longest(s0, qs1, fillvalue=0))
-        s0, s1 = s1, _poly_trim(s)
-    # r0 is a nonzero constant gcd; scale s0 by its inverse
-    c_inv = pow(r0[0], p - 2, p)
-    res = _poly_trim(tuple((x * c_inv) % p for x in s0))
-    return res + (0,) * (len(mod) - 1 - len(res))
+    return _poly_powmod(a, p ** (len(mod) - 1) - 2, mod, p)
 
 
 def _poly_gcd(a, b, p):
@@ -322,13 +323,7 @@ def _poly_is_irreducible(mod, p):
     k = len(mod) - 1
     frobenius = [_poly_divmod((0, 1), mod, p)[1]]      # x^(p^j) mod f, j = 0..k
     for _ in range(k):
-        base, power, e = frobenius[-1], (1,), p
-        while e:
-            if e & 1:
-                power = _poly_mulmod(power, base, mod, p)
-            base = _poly_mulmod(base, base, mod, p)
-            e >>= 1
-        frobenius.append(_poly_trim(power))
+        frobenius.append(_poly_trim(_poly_powmod(frobenius[-1], p, mod, p)))
     x = frobenius[0]
     if frobenius[k] != x:
         return False
@@ -378,10 +373,8 @@ def _field_tables(p, mod):
 class ExtensionField(ScalarDomain):
     """GF(p^k) as residues modulo an explicit irreducible monic polynomial."""
 
-    kind = "extension"
     is_finite = True
     is_commutative = True
-    center_description = "the whole field"
 
     def __init__(self, p: int, modulus):
         if not _is_prime(p):
@@ -466,9 +459,7 @@ class ExtensionField(ScalarDomain):
 class Rationals(ScalarDomain):
     """Exact rational numbers.  Internal: the center of the quaternions."""
 
-    kind = "rational"
     is_commutative = True
-    center_description = "the whole field"
     _zero, _one = Fraction(0), Fraction(1)
 
     def __repr__(self):
@@ -523,9 +514,7 @@ def _lowest_terms(a, b, c, d, den):
 class Quaternions(ScalarDomain):
     """Hamilton quaternions over the exact rationals."""
 
-    kind = "quaternion"
     is_commutative = False
-    center_description = "the rational subfield"
     _zero, _one = _UNITS[0], _UNITS[1]
 
     def __repr__(self):
@@ -549,15 +538,13 @@ class Quaternions(ScalarDomain):
     def k(self) -> "Scalar":
         return Scalar(self, (0, 0, 0, 1, 1))
 
-    def sample(self, seed: int = 0, extra: int = 40) -> Sampled:
-        """The 3^4 grid over {0, 1, -1} followed by a seeded random batch."""
+    def sample(self, seed: int = 0) -> Sampled:
+        """The 3^4 grid over {0, 1, -1} followed by a seeded batch of 40."""
         grid = [Scalar(self, combo + (1,))
                 for combo in itertools.product((0, 1, -1), repeat=4)]
         rng = random.Random(seed)
-        batch = []
-        for _ in range(extra):
-            batch.append(Scalar(self, self._canon(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))))
+        batch = [Scalar(self, self._canon(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                          for _ in range(4))) for _ in range(40)]
         return Sampled(grid + batch)
 
     def norm(self, s: "Scalar") -> Fraction:
@@ -778,8 +765,6 @@ class Scalar:
 def scalars(domain: ScalarDomain, seed: int = 0):
     """All elements of a finite domain in canonical order, or a Sampled
     sequence (grid first, then a seeded batch) for an infinite one."""
-    if domain.is_finite:
-        return domain.elements()
     return domain.sample(seed)
 
 

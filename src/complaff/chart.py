@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import Sampled, Scalar, ScalarDomain, scalars
+from .algebra import Sampled, Scalar, ScalarDomain
 from .errors import ChartMismatchError, DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
@@ -187,7 +187,7 @@ class AffineChart:
         """Every complement coordinate, in lexicographic gamma order."""
         if not self.domain.is_finite:
             raise InfiniteDomainError("coordinate enumeration needs a finite field")
-        elems, k = scalars(self.domain), self.k
+        elems, k = self.domain._payloads(), self.k
         return tuple(self.coord([combo[i * k:(i + 1) * k] for i in range(self.m)])
                      for combo in itertools.product(elems, repeat=self.m * k))
 
@@ -270,10 +270,11 @@ class AffineLine:
         return ComplementCoord(self.chart, self.alpha.scale_left(k) + self.beta)
 
     def points(self, seed: int = 0):
+        """Every point, walked by payloads; a seeded Sampled if infinite."""
         dom = self.chart.domain
         if dom.is_finite:
-            return tuple(self.point_at(k) for k in scalars(dom))
-        return Sampled(self.point_at(k) for k in dom.sample(seed))
+            return tuple(map(self.point_at, dom._payloads()))
+        return Sampled(map(self.point_at, dom.sample(seed)))
 
     def parameter_of(self, c: ComplementCoord) -> Scalar | None:
         """The k with c = k*alpha + beta, or None when c is off the line."""

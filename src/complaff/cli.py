@@ -175,9 +175,11 @@ def cmd_regulus(args) -> int:
         reg = regulus_through(c1, c2)
     except ValueError as exc:
         return _fail(args, "regulus", chart, cfg, exc)
-    members = reg.members()
-    ts = transversals_of(reg).lines()
-    trace_ok = w_plus_transversals(reg) == w_plus_z(chart)
+    # both traces take the same seed: Sampled families compare in order
+    seed = int(cfg.get("seed", 0))
+    members = reg.members(seed)
+    ts = transversals_of(reg).lines(seed)
+    trace_ok = w_plus_transversals(reg, seed) == w_plus_z(chart, seed)
     report = _base_report("regulus", chart, cfg)
     report["result"] = "PASS"
     report["alpha"] = matrix_to_json(reg.alpha)

@@ -87,14 +87,18 @@ class SingularSet:
             raise ValueError("the hyperplane must not contain W")
         self.chart = chart
         self.hyperplane = x
-        self.h = x & chart.w
+        dom, k = chart.domain, chart.k
         # the W-coordinate rows of some (c_i) with all c_i + b_i inside X:
         # c_i = y*W for a solution (y, z) of y*W - z*X = -b_i
-        ech = rref(stack(chart.domain, [chart.w_matrix, -x.basis], cols=chart.ambient))
+        ech = rref(stack(dom, [chart.w_matrix, -x.basis], cols=chart.ambient))
         sols = [ech.coordinates(b) for b in (-chart.b_matrix).payload]
         if None in sols:
             raise ValueError("hyperplane admits no complement of W")
-        self._base = from_payloads(chart.domain, [y[:chart.k] for y in sols], chart.k)
+        self._base = from_payloads(dom, [y[:k] for y in sols], k)
+        # the null rows (y, z) of the transform have y*W = z*X, so their y
+        # are the W-coordinates of a basis of H = X intersect W
+        self._h = from_payloads(dom, [row[:k] for row in ech.transform.payload[ech.rank:]], k)
+        self.h = Subspace.spanned(dom, chart.ambient, (self._h * chart.w_matrix).payload)
 
     def coords(self) -> tuple:
         """All members, via the coset family (c_i) + H^I, in W-coordinates."""
@@ -102,9 +106,8 @@ class SingularSet:
         if not ch.domain.is_finite:
             raise InfiniteDomainError("singular-set enumeration needs a finite field")
         dom, k = ch.domain, ch.k
-        h_rows = [ch._split(row)[:k] for row in self.h.basis.payload]
-        hs = [combine(dom, coeffs, h_rows, k)
-              for coeffs in itertools.product(dom._payloads(), repeat=self.h.dim)]
+        hs = [combine(dom, coeffs, self._h.payload, k)
+              for coeffs in itertools.product(dom._payloads(), repeat=self._h.rows)]
         return tuple(ComplementCoord(ch, self._base + from_payloads(dom, combo, k))
                      for combo in itertools.product(hs, repeat=ch.m))
 

@@ -27,7 +27,9 @@ the extra call per row lands on GF(3).  Ints and payloads enter through
 the domain's ``_canon``, never through a ``Scalar``, which is built only
 when a caller reads ``entries`` or ``row`` (once per matrix) or a vector
 crosses the API boundary: ``payload_row`` takes one in, ``boxed`` hands
-one out.
+one out.  One check, ``_echelon_check``, gives a row's coefficients over
+reduced echelon rows (its entries at the pivots, if they rebuild it) for
+``Echelon.coordinates``, subspace membership and the standard complement.
 """
 
 from __future__ import annotations
@@ -107,6 +109,21 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
 def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
     """The payload row sum_i coeffs[i] * rows[i] (left multiples)."""
     return domain._combine(coeffs, rows, width)
+
+
+def _echelon_check(domain: ScalarDomain, rows, pivots=None) -> tuple:
+    """The pivot columns of reduced echelon payload rows (scanned unless
+    given) and the function taking a payload row to its payload coefficients
+    over them, or None outside their span.  The only possible coefficients
+    are the row's entries at the pivots, so one rebuild decides membership."""
+    if pivots is None:
+        pivots = [next(j for j, x in enumerate(row) if not domain._is_zero(x)) for row in rows]
+
+    def coefficients(v) -> list | None:
+        coeffs = [v[p] for p in pivots]
+        return coeffs if combine(domain, coeffs, rows, len(v)) == list(v) else None
+
+    return pivots, coefficients
 
 
 def _augmented(m: "MatrixK") -> list:
@@ -290,10 +307,9 @@ class Echelon:
         reduced = self.matrix
         if len(row) != reduced.cols:
             raise ValueError("vector has the wrong length")
-        coeffs = [row[p] for p in self.pivots]
-        if combine(reduced.domain, coeffs, reduced.payload, reduced.cols) != list(row):
-            return None
-        return combine(reduced.domain, coeffs, self.transform.payload, self.transform.cols)
+        coeffs = _echelon_check(reduced.domain, reduced.payload, self.pivots)[1](row)
+        return None if coeffs is None else combine(
+            reduced.domain, coeffs, self.transform.payload, self.transform.cols)
 
 
 def rref(m: MatrixK) -> Echelon:

@@ -20,9 +20,9 @@ from .errors import DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
     Vector,
+    _echelon_check,
     apply,
     boxed,
-    combine,
     from_payloads,
     kernel,
     payload_row,
@@ -77,19 +77,8 @@ class Subspace:
 
     def _coefficients(self, vectors):
         """Per payload row: its payload coefficients w.r.t. the echelon
-        basis, or None when it lies outside.
-
-        In echelon form the only possible coefficients are the vector's
-        entries at the pivot columns, so one reconstruction decides
-        membership.
-        """
-        domain, is_zero = self.domain, self.domain._is_zero
-        rows = self.basis.payload
-        pivots = [next(j for j, x in enumerate(row) if not is_zero(x)) for row in rows]
-        for v in vectors:
-            coeffs = [v[p] for p in pivots]
-            inside = combine(domain, coeffs, rows, self.ambient) == list(v)
-            yield coeffs if inside else None
+        basis, or None when it lies outside."""
+        return map(_echelon_check(self.domain, self.basis.payload)[1], vectors)
 
     def coefficients_of(self, v) -> Vector | None:
         """Coefficients of v w.r.t. the echelon basis, or None when outside."""
@@ -150,9 +139,7 @@ def is_complement(w: Subspace, s: Subspace) -> bool:
 def standard_complement_rows(w: Subspace) -> tuple:
     """The unit payload rows at the non-pivot columns of W's echelon basis,
     in column order: an echelon basis themselves."""
-    is_zero = w.domain._is_zero
-    pivots = {next(i for i, x in enumerate(row) if not is_zero(x))
-              for row in w.basis.payload}
+    pivots = set(_echelon_check(w.domain, w.basis.payload)[0])
     units = MatrixK.identity(w.domain, w.ambient).payload
     return tuple(units[j] for j in range(w.ambient) if j not in pivots)
 

@@ -242,32 +242,22 @@ def reconstruct_from_transversals(lines) -> tuple:
 # perspectivities
 # ---------------------------------------------------------------------------
 
-class Perspectivity:
-    """P |-> (P (+) center) intersect target, between two regulus members."""
-
-    def __init__(self, regulus: Regulus, source: Subspace, target: Subspace,
-                 center: Subspace):
-        trio = (source, target, center)
-        if len({source, target, center}) != 3:
-            raise ValueError("the three members must be pairwise distinct")
-        if not all(regulus.contains(x) for x in trio):
-            raise ValueError("all three subspaces must belong to the regulus")
-        self.source = source
-        self.target = target
-        self.center = center
-
-    def __call__(self, p: Subspace) -> Subspace:
-        if p.dim != 1 or not self.source.contains(p):
-            raise ValueError("expected a point of the source member")
-        image = (p + self.center) & self.target
-        if image.dim != 1:
-            raise RuntimeError("perspectivity image is not a point")
-        return image
-
-
 def perspectivity(regulus: Regulus, source: Subspace, target: Subspace,
-                  center: Subspace) -> Perspectivity:
-    return Perspectivity(regulus, source, target, center)
+                  center: Subspace):
+    """P |-> (P (+) center) intersect target for three distinct regulus
+    members.  The image is a point, as members are pairwise complementary:
+    dim((P + C) intersect T) = (1 + m) + m - 2m = 1."""
+    if len({source, target, center}) != 3:
+        raise ValueError("the three members must be pairwise distinct")
+    if not all(regulus.contains(x) for x in (source, target, center)):
+        raise ValueError("all three subspaces must belong to the regulus")
+
+    def image(p: Subspace) -> Subspace:
+        if p.dim != 1 or not source.contains(p):
+            raise ValueError("expected a point of the source member")
+        return (p + center) & target
+
+    return image
 
 
 # ---------------------------------------------------------------------------

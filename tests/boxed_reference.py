@@ -23,6 +23,9 @@ bases as MatrixK.  ``ref_reconstruct_from_transversals`` is the former
 reconstruction on the Subspace lattice: every member built by joins and
 meets, then every trace, span, collinear triple and pair re-checked.
 
+``ref_singular_set`` is the former singular-set route: H = X & W by the
+lattice meet, its rows split in the chart.
+
 The dual-spread references are the former library checks: DS1 as a rank
 test of every difference gamma_i - gamma_j in ``combinations`` order, and
 DS2 as the scan that builds every hyperplane without W as the kernel of
@@ -370,6 +373,27 @@ def _ref_verify_regulus(members, lines):
     for xa, xb in itertools.combinations(members, 2):
         if (xa & xb).dim != 0 or xa.dim + xb.dim != (xa + xb).dim:
             raise ReconstructionError("members are not pairwise complementary")
+
+
+def ref_singular_set(chart, x) -> tuple:
+    """(H, members) of the singular set of the hyperplane X by the lattice
+    route: H = X & W by the meet, each row of H split in the chart, and
+    the members as the coset family (c_i) + H^I around the W-parts c_i of
+    points c_i + b_i of X, solved and summed one Scalar at a time."""
+    h, k, zero = x & chart.w, chart.k, chart.domain.zero()
+    h_rows = [chart.coords_split(row)[0] for row in h.rows()]
+    stacked = MatrixK(chart.domain, chart.w_basis + tuple(
+        tuple(-c for c in row) for row in x.rows()), cols=chart.ambient)
+    base = [ref_solve(stacked, tuple(-c for c in b))[:k] for b in chart.b]
+    hs = set()
+    for coeffs in itertools.product(chart.domain.elements(), repeat=h.dim):
+        acc = (zero,) * k
+        for c, row in zip(coeffs, h_rows):
+            acc = _vec_add(acc, tuple(c * y for y in row))
+        hs.add(acc)
+    members = {chart.coord([_vec_add(c, d) for c, d in zip(base, combo)])
+               for combo in itertools.product(hs, repeat=chart.m)}
+    return h, members
 
 
 def ref_check_pairwise_regular(b) -> Violation | None:

@@ -7,13 +7,17 @@ Files written since bench/record.py began to record it also hold the
 median and [Q1, Q3] of ``samples``, the job count of every run; the files
 in RECORDED_WITHOUT_SAMPLES predate it.  Files written since it began to
 record ``src_lines``, the line count of the checkout's src/complaff/*.py,
-hold that too; the files in RECORDED_WITHOUT_SRC_LINES predate it.
+hold that too; the files in RECORDED_WITHOUT_SRC_LINES predate it.  Files
+written since it began to record ``src_code_lines``, the lines of that
+library that are not blank, comments or docstrings, hold that as well, at
+most ``src_lines``; the files in RECORDED_WITHOUT_SRC_CODE_LINES predate it.
 A change's file BENCH_prN<suffix>.json comes with the file of its parent,
 BENCH_prN-parent<suffix>.json, recorded in the same alternating pairs: the
 same seeds, the same run length and the same workloads.
 """
 
 import glob
+import importlib.util
 import json
 import os
 import re
@@ -52,6 +56,28 @@ RECORDED_WITHOUT_SRC_LINES = RECORDED_WITHOUT_SAMPLES | {
     "BENCH_pr11.json",
 }
 
+RECORDED_WITHOUT_SRC_CODE_LINES = RECORDED_WITHOUT_SRC_LINES | {
+    "BENCH_pr12-parent.json",
+    "BENCH_pr12.json",
+    "BENCH_pr13-parent.json",
+    "BENCH_pr13.json",
+}
+
+
+def test_src_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", os.path.join(ROOT, "bench", "record.py"))
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    package = tmp_path / "src" / "complaff"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nX = """not a\ndocstring"""\n\n\n'
+        'class C:\n    """Class docstring."""\n\n    def f(self):\n'
+        '        """Function\n        docstring."""\n        return 1  # comment\n')
+    assert record.src_lines(str(tmp_path)) == 15
+    assert record.src_code_lines(str(tmp_path)) == 5    # X = ... (2), class, def, return
+
 
 def test_bench_files_are_committed():
     assert FILES
@@ -64,6 +90,9 @@ def test_bench_file_holds_every_metric_of_every_workload(path):
     assert os.path.basename(path) == f"BENCH_{record['label']}.json"
     if os.path.basename(path) not in RECORDED_WITHOUT_SRC_LINES:
         assert type(record["src_lines"]) is int and record["src_lines"] > 0
+    if os.path.basename(path) not in RECORDED_WITHOUT_SRC_CODE_LINES:
+        code_lines = record["src_code_lines"]
+        assert type(code_lines) is int and 0 < code_lines <= record["src_lines"]
     for workload in BENCHMARK["workloads"]:
         entry = record["workloads"][workload["name"]]
         runs = entry["runs"]

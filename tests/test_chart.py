@@ -332,6 +332,35 @@ def test_translations_simply_transitive():
         assert len(etas) == 1
 
 
+def _block_action(ch, a, h, r, v):
+    """(x, y) |-> (x*A + y*H, y*R) on the split coordinates of v, one
+    Scalar at a time."""
+    x, y = ch.coords_split(v)
+
+    def times(u, m):
+        return tuple(sum((u[i] * m.entries[i][j] for i in range(m.rows)), ch.domain.zero())
+                     for j in range(m.cols))
+
+    return ch.from_split(vec_add(times(x, a), times(y, h)), times(y, r))
+
+
+@pytest.mark.parametrize("domain, blocks", [
+    (GF3, ([[1, 1], [0, 2]], [[2, 0], [1, 1]], [[0, 1], [1, 1]])),
+    (Q, ([[Q.i, 1], [0, Q.j]], [[Q.one() / 2, Q.k], [Q.j, -1]], [[1, Q.k], [0, Q.i]])),
+], ids=repr)
+def test_collineation_on_vector_is_the_block_action(domain, blocks):
+    """on_vector against the split coordinates moved by hand, in a chart
+    whose bases are not the standard ones."""
+    w = Subspace.from_rows(domain, 4, [[1, 0, 1, 0], [0, 1, 0, 0]])
+    u = Subspace.from_rows(domain, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    ch = AffineChart(domain, 4, w, u, b=[[0, 0, 1, 1], [0, 0, 0, 1]],
+                     w_basis=[[1, 1, 1, 0], [0, 1, 0, 0]])
+    a, h, r = (MatrixK(domain, m) for m in blocks)
+    phi = Collineation(ch, a, h, r)
+    for v in itertools.product(scalars(domain)[-3:], repeat=4):
+        assert phi.on_vector(v) == _block_action(ch, a, h, r, v)
+
+
 def test_collineation_requires_invertible_blocks():
     ch = std_chart(GF2)
     with pytest.raises(ValueError):

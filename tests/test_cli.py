@@ -11,7 +11,10 @@ import pytest
 from complaff import cli
 from complaff.algebra import ExtensionField, PrimeField
 from complaff.chart import symmetric_chart
+from complaff.config import chart_from_config, load_config
+from complaff.jsonio import regulus_to_json, transversals_to_json
 from complaff.projective import Subspace
+from complaff.reguli import regulus_through, transversals_of
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -120,6 +123,32 @@ def test_regulus_through_files(cfg3, tmp_path):
     assert report["transversals"]["kind"] == "transversals"
     assert len(report["transversals"]["subspaces"]) == 4
     assert report["w_trace_matches_z"] is True
+
+
+def test_seed_reaches_the_sampled_regulus_enumerations():
+    """Over Quat(Q) --seed picks the sampled members and transversals that
+    regulus lists, not only the seed echoed in the report."""
+    inputs = os.path.join(REPO, "tests", "golden", "inputs")
+    config = os.path.join(inputs, "quat.json")
+
+    def run(seed):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["regulus", "--through", os.path.join(inputs, "gamma_zero.json"),
+                             os.path.join(inputs, "gamma_id.json"), "--config", config,
+                             "--seed", str(seed), "--json"])
+        assert code == 0
+        return json.loads(out.getvalue())
+
+    chart = chart_from_config(load_config(config))
+    reg = regulus_through(chart.coord([[0, 0], [0, 0]]), chart.coord([[1, 0], [0, 1]]))
+    expected = {"transversals": transversals_to_json(transversals_of(reg).lines(3)),
+                "regulus": regulus_to_json(reg.members(3))}
+    seeded, default = run(3), run(0)
+    for key, doc in expected.items():
+        assert seeded[key] == json.loads(json.dumps(doc))
+        assert seeded[key] != default[key]
+    assert seeded["w_trace_matches_z"] is True
 
 
 def test_regulus_rejects_non_complementary(cfg3, tmp_path):

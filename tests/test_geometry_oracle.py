@@ -6,7 +6,8 @@ references in boxed_reference.py are the former boxed versions: one
 Scalar vector at a time, through coordinates and back, the quaternion
 Z-system solved over Rationals.  Reconstruction from transversals is
 compared with the former construction, which builds every member by
-joins and meets and re-checks every incidence.  Hypothesis draws charts whose U-basis
+joins and meets and re-checks every incidence, and singular sets with the
+former route through the meet X & W.  Hypothesis draws charts whose U-basis
 is a random base change of the standard one, so the coordinates are not
 the ambient entries.  Examples are derandomized.
 """
@@ -23,12 +24,14 @@ from boxed_reference import (
     ref_maximal_central_subspace,
     ref_rank,
     ref_reconstruct_from_transversals,
+    ref_singular_set,
     ref_transversal_contains,
 )
 from complaff.algebra import ExtensionField, PrimeField, Quaternions
 from complaff.chart import AffineChart, AffineLine, symmetric_chart
+from complaff.dualspread import singular_subspace
 from complaff.errors import ReconstructionError
-from complaff.linalg import MatrixK
+from complaff.linalg import MatrixK, kernel
 from complaff.projective import Subspace
 from complaff.reguli import (
     cone_decompose,
@@ -312,3 +315,46 @@ def test_reconstruct_matches_join_and_meet_construction(domain, m, kind, data):
     assert got == _outcome(ref_reconstruct_from_transversals, lines)
     if kind == "full":
         assert set(got) == set(reg.members())
+
+
+# ---------------------------------------------------------------------------
+# singular sets against the lattice route
+# ---------------------------------------------------------------------------
+
+@st.composite
+def wide_charts(draw):
+    """GF(2)^5 with dim W = 2 off the coordinate axes and dim U = 3, the
+    U-basis changed by a random invertible matrix."""
+    w = Subspace.from_rows(GF2, 5, [[1, 0, 0, 1, 0], [0, 1, 0, 0, 1]])
+    u = AffineChart(GF2, 5, w).u
+    rows = [ref_apply(row, u.basis) for row in draw(invertible(GF2, 3)).entries]
+    return AffineChart(GF2, 5, w, u, b=rows)
+
+
+SINGULAR_CHARTS = {
+    "GF2": lambda: charts(GF2, 2),
+    "GF3": lambda: charts(GF3, 2),
+    "GF4": lambda: charts(GF4, 2),
+    "GF3-subchart": lambda: charts(GF3, 3).map(lambda ch: ch.subchart((0, 2)).chart),
+    "GF2-k2-m3": wide_charts,
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR_CHARTS)
+@settings(ORACLE, max_examples=25, suppress_health_check=[
+    HealthCheck.too_slow, HealthCheck.filter_too_much])   # invertible GF(2) 3x3
+@given(data=st.data())
+def test_singular_set_matches_lattice_route(case, data):
+    """H and the members of S(X) for X the kernel of a form c on the
+    chart's space, in chart coordinates, with c nonzero on W."""
+    ch = data.draw(SINGULAR_CHARTS[case]())
+    dom, n = ch.domain, ch.ambient
+    form = data.draw(st.lists(elements(dom), min_size=ch.v_dim, max_size=ch.v_dim))
+    form[data.draw(st.integers(0, ch.k - 1))] = dom.one()
+    ker = kernel(MatrixK(dom, [[c] for c in form], cols=1))
+    x = Subspace.spanned(dom, n, (ker * MatrixK(dom, ch.w_basis + ch.b, cols=n)).payload)
+    sing = singular_subspace(ch, x)
+    h, members = ref_singular_set(ch, x)
+    assert sing.h == h
+    assert set(sing.coords()) == members
+    assert len(members) == dom.order ** (h.dim * ch.m)

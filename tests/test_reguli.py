@@ -7,6 +7,7 @@ from complaff.algebra import (
     ExtensionField,
     PrimeField,
     Quaternions,
+    Scalar,
     _projective_reps,
     scalars,
 )
@@ -19,7 +20,7 @@ from complaff.chart import (
 )
 from complaff.errors import ReconstructionError
 from complaff.linalg import MatrixK, is_invertible
-from complaff.projective import Subspace, is_complement
+from complaff.projective import Subspace, all_complements, is_complement
 from complaff.reguli import (
     Regulus,
     cone_decompose,
@@ -55,6 +56,31 @@ def random_regulus(chart, rng):
     beta = MatrixK(chart.domain,
                    [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
     return Regulus(chart, alpha, beta)
+
+
+@pytest.mark.parametrize("domain", [GF3, GF4], ids=repr)
+def test_enumerations_walk_payloads_and_build_no_scalar(domain, monkeypatch):
+    """Regulus members, chart coordinates and complements are listed from
+    the domain's payloads: no Scalar is built on the way."""
+    chart = symmetric_chart(domain, 2)
+    reg = random_regulus(chart, random.Random(1))
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(self, domain, raw):
+        built.append(raw)
+        init(self, domain, raw)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    members = reg.members()
+    coords = chart.all_coords()
+    complements = all_complements(chart.w)
+    monkeypatch.undo()
+    assert built == []
+    q = domain.order
+    assert len(set(members)) == q + 1
+    assert len(coords) == len(set(complements)) == q ** 4
+    assert [c.subspace() for c in coords] == list(complements)
 
 
 # ---------------------------------------------------------------------------
