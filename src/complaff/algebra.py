@@ -23,7 +23,8 @@ Three domains are available to users, one more internally:
   field-spec grammar.
 
 All payloads are kept in canonical reduced form, so scalar equality is
-payload equality.  Scalars are immutable and hashable.  A ``Scalar``
+payload equality, and a payload is zero exactly when it equals the
+domain's ``_zero``.  Scalars are immutable and hashable.  A ``Scalar``
 holds the working payload in ``raw``; ``payload`` is the public view,
 ``domain._public(raw)``, which differs from ``raw`` only on the
 quaternions.  ``_canon`` is the one way in (an int, the public view or
@@ -42,9 +43,10 @@ holds only the operands that were used, never all q^2 pairs up front.
 
 Enumeration policy: ``elements()`` refuses on infinite domains (raises
 ``InfiniteDomainError``); deterministic sampling is opt-in through
-``sample(seed)`` whose result is tagged with ``is_sample = True``; on a
-finite domain it is ``elements()``, which library enumerations skip to
-walk ``_payloads()`` and build no ``Scalar``.
+``sample(seed)``, the boxed payloads of ``_sample(seed)``: all of a
+finite domain, a seeded sample of an infinite one.  Library enumerations
+walk ``_sample`` and build no ``Scalar``; ``_listing`` returns them as a
+tuple over a finite domain, else as a ``Sampled`` (``is_sample = True``).
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ class Sampled(tuple):
 
 def is_sample(seq) -> bool:
     return bool(getattr(seq, "is_sample", False))
+
+
+def _listing(domain: "ScalarDomain", items):
+    """items as a tuple over a finite domain, else as a Sampled."""
+    return tuple(items) if domain.is_finite else Sampled(items)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +120,7 @@ class ScalarDomain:
 
     def sample(self, seed: int = 0):
         """Finite domains: the full element tuple.  Infinite: a Sampled tuple."""
-        return self.elements()
+        return _listing(self, [Scalar(self, x) for x in self._sample(seed)])
 
     # -- payload hooks ---------------------------------------------------------
 
@@ -121,6 +128,10 @@ class ScalarDomain:
         """The payloads of all elements in their canonical order (finite
         domains only)."""
         raise InfiniteDomainError(f"cannot enumerate the elements of {self}")
+
+    def _sample(self, seed: int):
+        """The payloads `sample` lists: all of them on a finite domain."""
+        return self._payloads()
 
     def _canon(self, payload):
         raise NotImplementedError
@@ -141,16 +152,13 @@ class ScalarDomain:
     def _inv(self, a):
         raise NotImplementedError
 
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
     def _combine(self, coeffs, rows, width: int) -> list:
         """The payload row sum_i coeffs[i] * rows[i] (left multiples) on
         the first `width` columns."""
-        add, mul, is_zero = self._add, self._mul, self._is_zero
-        acc = [self._zero] * width
+        add, mul, zero = self._add, self._mul, self._zero
+        acc = [zero] * width
         for c, row in zip(coeffs, rows):
-            if not is_zero(c):
+            if c != zero:
                 acc = [add(a, mul(c, x)) for a, x in zip(acc, row)]
         return acc
 
@@ -240,9 +248,6 @@ class PrimeField(ScalarDomain):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def _is_zero(self, a):
-        return a == 0
 
     def _int_of(self, a):
         return a
@@ -435,14 +440,11 @@ class ExtensionField(ScalarDomain):
     def _inv(self, a):
         return self._inv_t[a]
 
-    def _is_zero(self, a):
-        return not any(a)
-
     def _int_of(self, a):
         return None if any(a[1:]) else a[0]
 
     def _str(self, a):
-        if self._is_zero(a):
+        if a == self._zero:
             return "0"
         parts = []
         for i, c in enumerate(a):
@@ -487,9 +489,6 @@ class Rationals(ScalarDomain):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
 
     def _int_of(self, a):
         return a.numerator if a.denominator == 1 else None
@@ -538,14 +537,13 @@ class Quaternions(ScalarDomain):
     def k(self) -> "Scalar":
         return Scalar(self, (0, 0, 0, 1, 1))
 
-    def sample(self, seed: int = 0) -> Sampled:
+    def _sample(self, seed: int) -> list:
         """The 3^4 grid over {0, 1, -1} followed by a seeded batch of 40."""
-        grid = [Scalar(self, combo + (1,))
-                for combo in itertools.product((0, 1, -1), repeat=4)]
+        grid = [combo + (1,) for combo in itertools.product((0, 1, -1), repeat=4)]
         rng = random.Random(seed)
-        batch = [Scalar(self, self._canon(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                                          for _ in range(4))) for _ in range(40)]
-        return Sampled(grid + batch)
+        batch = [self._canon(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                             for _ in range(4)) for _ in range(40)]
+        return grid + batch
 
     def norm(self, s: "Scalar") -> Fraction:
         a, b, c, d, den = s.raw
@@ -598,9 +596,6 @@ class Quaternions(ScalarDomain):
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
         return _lowest_terms(a * e, -b * e, -c * e, -d * e, n)
-
-    def _is_zero(self, a):
-        return not (a[0] or a[1] or a[2] or a[3])
 
     def _combine(self, coeffs, rows, width):
         """The left combination with one gcd per output entry: each entry
@@ -740,7 +735,7 @@ class Scalar:
         return Scalar(self.domain, self.domain._inv(self.raw))
 
     def is_zero(self) -> bool:
-        return self.domain._is_zero(self.raw)
+        return self.raw == self.domain._zero
 
     def is_central(self) -> bool:
         """True iff the element commutes with the whole domain."""

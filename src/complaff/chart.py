@@ -19,9 +19,10 @@ coincide, which `charts_equal` decides through the coset criterion of
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .algebra import Sampled, Scalar, ScalarDomain
+from .algebra import Scalar, ScalarDomain, _listing
 from .errors import ChartMismatchError, DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
@@ -29,7 +30,6 @@ from .linalg import (
     Vector,
     apply,
     boxed,
-    combine,
     from_payloads,
     is_invertible,
     payload_row,
@@ -77,10 +77,14 @@ class AffineChart:
         if (echelon.rank != self.k + self.m
                 or echelon.matrix.payload[:echelon.rank] != self.space.basis.payload):
             raise ValueError("V = W (+) U fails for the given data")
-        self.z = ZStructure(domain, self.b_matrix)
         # payload row -> its payload coordinates [x | y] over the rows of
         # [W-basis; b], or None outside the space
         self._split = echelon.coordinates
+
+    @functools.cached_property
+    def z(self) -> ZStructure:
+        """The Z-structure of b, built on first use (b is independent)."""
+        return ZStructure(self.domain, self.b_matrix)
 
     @property
     def w_basis(self) -> tuple:
@@ -119,7 +123,7 @@ class AffineChart:
         full = self._split(v)
         if full is None:
             raise ValueError("vector outside the chart's space")
-        return combine(self.domain, full, image.payload, image.cols)
+        return self.domain._combine(full, image.payload, image.cols)
 
     def coords_split(self, v) -> tuple[Vector, Vector] | None:
         """(W-part, U-part) of v in the chart bases; None outside the space."""
@@ -149,7 +153,7 @@ class AffineChart:
             raise ValueError(f"gamma must be {self.m}x{self.k}")
         domain, n, add = self.domain, self.ambient, self.domain._add
         w = self.w_matrix.payload
-        rows = [[add(x, y) for x, y in zip(combine(domain, coeffs, w, n), b)]
+        rows = [[add(x, y) for x, y in zip(domain._combine(coeffs, w, n), b)]
                 for coeffs, b in zip(g.payload, self.b_matrix.payload)]
         reduce_rows(domain, rows, n)         # independent rows: none drops out
         return Subspace(domain, n, from_payloads(domain, rows, n))
@@ -272,9 +276,7 @@ class AffineLine:
     def points(self, seed: int = 0):
         """Every point, walked by payloads; a seeded Sampled if infinite."""
         dom = self.chart.domain
-        if dom.is_finite:
-            return tuple(map(self.point_at, dom._payloads()))
-        return Sampled(map(self.point_at, dom.sample(seed)))
+        return _listing(dom, map(self.point_at, dom._sample(seed)))
 
     def parameter_of(self, c: ComplementCoord) -> Scalar | None:
         """The k with c = k*alpha + beta, or None when c is off the line."""
@@ -283,7 +285,7 @@ class AffineLine:
         dom = self.chart.domain
         diff = c.gamma - self.beta
         x, y = next((x, y) for ra, rd in zip(self.alpha.payload, diff.payload)
-                    for x, y in zip(ra, rd) if not dom._is_zero(x))
+                    for x, y in zip(ra, rd) if x != dom._zero)
         k = Scalar(dom, dom._mul(y, dom._inv(x)))
         return k if self.alpha.scale_left(k) == diff else None
 
@@ -382,7 +384,7 @@ def split_scalar_central(nu: MatrixK) -> tuple[Scalar, MatrixK] | None:
     if not is_invertible(nu):
         raise ValueError("the matrix must be invertible")
     dom = nu.domain
-    lead = next(x for row in nu.payload for x in row if not dom._is_zero(x))
+    lead = next(x for row in nu.payload for x in row if x != dom._zero)
     zeta = nu.scale_left(Scalar(dom, dom._inv(lead)))
     if all(dom._is_central(x) for row in zeta.payload for x in row):
         return Scalar(dom, lead), zeta

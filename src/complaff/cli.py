@@ -252,6 +252,8 @@ def cmd_build_dual_spread(args) -> int:
 
 def cmd_extract_family(args) -> int:
     chart, cfg = _chart(args)
+    if not chart.is_symmetric:
+        raise ConfigError("transversal families live in symmetric charts")
     if not 0 <= args.index < chart.m:
         raise ConfigError(f"--index must lie in 0..{chart.m - 1}, not {args.index}")
     cand = dual_spread_from_json(chart, _read_json(args.file))

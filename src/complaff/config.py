@@ -21,6 +21,7 @@ _GF_EXT = re.compile(
     r"gf\(\s*(\d+)\s*\^\s*(\d+)\s*;\s*modulus\s*=\s*\[([0-9,\s-]*)\]\s*\)\Z")
 _QUAT = re.compile(r"quat\(\s*q\s*\)\Z")   # matched against lowercased input
 _MAX_N = 64                                 # the largest ambient dimension n
+_MAX_DEGREE = 16                            # the largest extension degree k
 
 
 def parse_field(spec: str) -> ScalarDomain:
@@ -33,11 +34,14 @@ def parse_field(spec: str) -> ScalarDomain:
             raise ConfigError(f"bad field spec {spec!r}: {exc}") from exc
     m = _GF_EXT.match(text)
     if m:
-        p, k = int(m.group(1)), int(m.group(2))
-        coeffs = [int(c) for c in m.group(3).split(",") if c.strip()]
-        if len(coeffs) != k + 1:
-            raise ConfigError(f"modulus needs {k + 1} coefficients c_0..c_k")
         try:
+            p, k = int(m.group(1)), int(m.group(2))
+            coeffs = [int(c) for c in m.group(3).split(",") if c.strip()]
+            # Rabin's test costs about k^3 log p: refuse a large k before it
+            if k > _MAX_DEGREE:
+                raise ValueError(f"degree k = {k} exceeds the limit of {_MAX_DEGREE}")
+            if len(coeffs) != k + 1:
+                raise ValueError(f"modulus needs {k + 1} coefficients c_0..c_k")
             return ExtensionField(p, coeffs)
         except ValueError as exc:
             raise ConfigError(f"bad field spec {spec!r}: {exc}") from exc

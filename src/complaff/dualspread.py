@@ -32,15 +32,13 @@ from .errors import ChartMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
     boxed,
-    combine,
     from_payloads,
     is_invertible,
-    kernel,
     payload_row,
     rref,
     stack,
 )
-from .projective import Subspace
+from .projective import Subspace, _hyperplane
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +54,7 @@ def family_to_coord(chart: AffineChart, w_vectors) -> ComplementCoord:
     for w in ws:
         # a vector of W has the chart coordinates [W-coordinates | 0]
         full = chart._split(w)
-        if full is None or not all(map(chart.domain._is_zero, full[chart.k:])):
+        if full is None or any(x != chart.domain._zero for x in full[chart.k:]):
             raise ValueError("family entries must lie in W")
         rows.append(full[:chart.k])
     return ComplementCoord(chart, from_payloads(chart.domain, rows, chart.k))
@@ -89,11 +87,11 @@ class SingularSet:
         self.hyperplane = x
         dom, k = chart.domain, chart.k
         # the W-coordinate rows of some (c_i) with all c_i + b_i inside X:
-        # c_i = y*W for a solution (y, z) of y*W - z*X = -b_i
+        # c_i = y*W for a solution (y, z) of y*W - z*X = -b_i.  One always
+        # exists: X is a hyperplane of the chart's space without W, so
+        # W + X is that space and holds every -b_i.
         ech = rref(stack(dom, [chart.w_matrix, -x.basis], cols=chart.ambient))
         sols = [ech.coordinates(b) for b in (-chart.b_matrix).payload]
-        if None in sols:
-            raise ValueError("hyperplane admits no complement of W")
         self._base = from_payloads(dom, [y[:k] for y in sols], k)
         # the null rows (y, z) of the transform have y*W = z*X, so their y
         # are the W-coordinates of a basis of H = X intersect W
@@ -106,7 +104,7 @@ class SingularSet:
         if not ch.domain.is_finite:
             raise InfiniteDomainError("singular-set enumeration needs a finite field")
         dom, k = ch.domain, ch.k
-        hs = [combine(dom, coeffs, self._h.payload, k)
+        hs = [dom._combine(coeffs, self._h.payload, k)
               for coeffs in itertools.product(dom._payloads(), repeat=self._h.rows)]
         return tuple(ComplementCoord(ch, self._base + from_payloads(dom, combo, k))
                      for combo in itertools.product(hs, repeat=ch.m))
@@ -200,7 +198,7 @@ def _least_singular_pair(domain, m: int, k: int, gammas) -> tuple | None:
     for u in _projective_reps(domain, m):
         first = {}
         for j, gamma in enumerate(gammas):
-            i = first.setdefault(tuple(combine(domain, u, gamma, k)), j)
+            i = first.setdefault(tuple(domain._combine(u, gamma, k)), j)
             if i != j and (best is None or (i, j) < best):
                 best = (i, j)
         if best == (0, 1):
@@ -255,8 +253,7 @@ def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
     if len(b.members) == ch.domain.order ** ch.m:
         return None
     domain, n = ch.domain, ch.ambient
-    mul, add, neg, is_zero = domain._mul, domain._add, domain._neg, domain._is_zero
-    zero = domain._zero
+    mul, add, neg, zero = domain._mul, domain._add, domain._neg, domain._zero
 
     def dot(row, col):
         """sum_l row[l] * col[l], the entries of row on the left."""
@@ -270,13 +267,13 @@ def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
     gammas = [c.gamma.payload for c in b.members]
     for c in _projective_reps(domain, n):
         c_w = [dot(row, c) for row in w]
-        if all(map(is_zero, c_w)):
+        if all(x == zero for x in c_w):
             continue                         # ker c contains W
         # the member of gamma lies in ker c iff gamma*c_W = -c_U
         target = [neg(dot(row, c)) for row in u]
         if not any(all(dot(row, c_w) == t for row, t in zip(gamma, target))
                    for gamma in gammas):
-            return Subspace(domain, n, kernel(from_payloads(domain, [[x] for x in c], 1)))
+            return _hyperplane(domain, c)
     return None
 
 

@@ -17,18 +17,20 @@ rows.  (Over the quaternions the working payload is the integer 5-tuple,
 not the ``Fraction`` view that ``Scalar.payload`` shows.)
 The arithmetic runs on them: one routine, ``reduce_rows``, reduces lists
 of payload rows in place with the domain's payload operations bound once
-per call, and ``combine`` forms left linear combinations of payload
-rows through the domain's ``_combine`` hook, which the quaternions
+per call, and every left linear combination of payload rows is the
+domain's ``_combine`` hook, called directly, which the quaternions
 override to pay one gcd per output entry instead of two per term.
 ``reduce_rows`` stays generic on every domain: the same treatment of its
 row update (one hook call per updated row) measured no gain on
 quat-sampled and cost reguli-gf3 about 5% of its jobs per second, since
-the extra call per row lands on GF(3).  Ints and payloads enter through
-the domain's ``_canon``, never through a ``Scalar``, which is built only
-when a caller reads ``entries`` or ``row`` (once per matrix) or a vector
-crosses the API boundary: ``payload_row`` takes one in, ``boxed`` hands
-one out.  One check, ``_echelon_check``, gives a row's coefficients over
-reduced echelon rows (its entries at the pivots, if they rebuild it) for
+the extra call per row lands on GF(3).  A payload is zero exactly when
+it equals the domain's ``_zero``, as every payload is canonical.  Ints
+and payloads enter through the domain's ``_canon``, never through a
+``Scalar``, which is built only when a caller reads ``entries`` or
+``row`` (once per matrix) or a vector crosses the API boundary:
+``payload_row`` takes one in, ``boxed`` hands one out.  One check,
+``_echelon_check``, gives a row's coefficients over reduced echelon rows
+(its entries at the pivots, if they rebuild it) for
 ``Echelon.coordinates``, subspace membership and the standard complement.
 """
 
@@ -70,8 +72,8 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
     later row is zero on the first `ncols` columns.  Returns the pivot
     columns, one per echelon row.
     """
-    add, mul, neg, inv, is_zero = (domain._add, domain._mul, domain._neg,
-                                   domain._inv, domain._is_zero)
+    add, mul, neg, inv, zero = (domain._add, domain._mul, domain._neg,
+                                domain._inv, domain._zero)
     nrows = len(rows)
     pivots = []
     lead = 0
@@ -79,7 +81,7 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
         if lead == nrows:
             break
         for piv in range(lead, nrows):
-            if not is_zero(rows[piv][col]):
+            if rows[piv][col] != zero:
                 break
         else:
             continue
@@ -92,12 +94,12 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
         nonzero = []
         for j in range(col, len(row)):
             y = row[j]
-            if not is_zero(y):
+            if y != zero:
                 row[j] = y = mul(k, y)
                 nonzero.append((j, y))
         for i in range(nrows):
             other = rows[i]
-            if i != lead and not is_zero(other[col]):
+            if i != lead and other[col] != zero:
                 f = neg(other[col])
                 for j, y in nonzero:
                     other[j] = add(other[j], mul(f, y))
@@ -106,22 +108,18 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
     return pivots
 
 
-def combine(domain: ScalarDomain, coeffs, rows, width: int) -> list:
-    """The payload row sum_i coeffs[i] * rows[i] (left multiples)."""
-    return domain._combine(coeffs, rows, width)
-
-
 def _echelon_check(domain: ScalarDomain, rows, pivots=None) -> tuple:
     """The pivot columns of reduced echelon payload rows (scanned unless
     given) and the function taking a payload row to its payload coefficients
     over them, or None outside their span.  The only possible coefficients
     are the row's entries at the pivots, so one rebuild decides membership."""
     if pivots is None:
-        pivots = [next(j for j, x in enumerate(row) if not domain._is_zero(x)) for row in rows]
+        zero = domain._zero
+        pivots = [next(j for j, x in enumerate(row) if x != zero) for row in rows]
 
     def coefficients(v) -> list | None:
         coeffs = [v[p] for p in pivots]
-        return coeffs if combine(domain, coeffs, rows, len(v)) == list(v) else None
+        return coeffs if domain._combine(coeffs, rows, len(v)) == list(v) else None
 
     return pivots, coefficients
 
@@ -166,7 +164,7 @@ def apply(v: Vector, m: "MatrixK") -> Vector:
     if len(v) != m.rows:
         raise ValueError(f"vector of length {len(v)} times {m.rows}x{m.cols} matrix")
     domain = m.domain
-    return boxed(domain, combine(domain, payload_row(domain, v), m.payload, m.cols))
+    return boxed(domain, domain._combine(payload_row(domain, v), m.payload, m.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +251,7 @@ class MatrixK:
                              f"{other.rows}x{other.cols}")
         domain, right = self.domain, other.payload
         return from_payloads(domain,
-                             [combine(domain, row, right, other.cols)
+                             [domain._combine(row, right, other.cols)
                               for row in self.payload],
                              other.cols)
 
@@ -265,8 +263,8 @@ class MatrixK:
                              self.cols)
 
     def is_zero(self) -> bool:
-        is_zero = self.domain._is_zero
-        return all(is_zero(x) for row in self.payload for x in row)
+        zero = self.domain._zero
+        return all(x == zero for row in self.payload for x in row)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -308,8 +306,8 @@ class Echelon:
         if len(row) != reduced.cols:
             raise ValueError("vector has the wrong length")
         coeffs = _echelon_check(reduced.domain, reduced.payload, self.pivots)[1](row)
-        return None if coeffs is None else combine(
-            reduced.domain, coeffs, self.transform.payload, self.transform.cols)
+        return None if coeffs is None else reduced.domain._combine(
+            coeffs, self.transform.payload, self.transform.cols)
 
 
 def rref(m: MatrixK) -> Echelon:

@@ -153,8 +153,6 @@ def all_complements(w: Subspace) -> tuple:
     """
     from .chart import AffineChart     # chart is built on this module
 
-    if not w.domain.is_finite:
-        raise InfiniteDomainError("complement enumeration needs a finite field")
     if w.dim == 0 or w.dim == w.ambient:
         raise ValueError("W = 0 and W = V are excluded (single trivial complement)")
     chart = AffineChart(w.domain, w.ambient, w)
@@ -172,18 +170,18 @@ def hyperplane_forms(domain: ScalarDomain, n: int) -> tuple:
     hyperplane, so the canonical representative has its first nonzero
     coefficient equal to 1.
     """
-    if not domain.is_finite:
-        raise InfiniteDomainError("hyperplane enumeration needs a finite field")
     return tuple(boxed(domain, c) for c in _projective_reps(domain, n))
+
+
+def _hyperplane(domain: ScalarDomain, form) -> Subspace:
+    """ker c, the hyperplane {v : sum v_i * c_i = 0}, for a payload form c."""
+    col = from_payloads(domain, [[c] for c in form], 1)
+    return Subspace(domain, len(form), kernel(col))
 
 
 def hyperplanes(domain: ScalarDomain, n: int) -> tuple:
     """All hyperplanes of K^n as kernels of the canonical forms."""
-    out = []
-    for form in hyperplane_forms(domain, n):
-        col = MatrixK(domain, [[c] for c in form], cols=1)
-        out.append(Subspace(domain, n, kernel(col)))
-    return tuple(out)
+    return tuple(_hyperplane(domain, c) for c in _projective_reps(domain, n))
 
 
 def hyperplanes_not_containing(w: Subspace) -> tuple:
@@ -234,7 +232,7 @@ class ZStructure:
     def _is_z_point(self, coords) -> bool:
         """Do the payload coordinates lie in one left coset c*Z, c != 0?"""
         d = self.domain
-        lead = next((c for c in coords if not d._is_zero(c)), None)
+        lead = next((c for c in coords if c != d._zero), None)
         if lead is None:
             return False
         inv = d._inv(lead)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Sampled
+from .algebra import Sampled, _listing
 from .chart import (
     AffineChart,
     AffineLine,
@@ -35,7 +35,7 @@ from .chart import (
     line_through,
 )
 from .errors import InfiniteDomainError, ReconstructionError
-from .linalg import MatrixK, combine, from_payloads, kernel, rref, stack
+from .linalg import MatrixK, from_payloads, kernel, rref, stack
 from .projective import Subspace
 
 
@@ -60,12 +60,11 @@ class Regulus:
 
     def members(self, seed: int = 0):
         """W first, then the affine members in parameter order."""
-        rest = self.affine_members(seed)
-        return type(rest)((self.chart.w, *rest))
+        return _listing(self.chart.domain, (self.chart.w, *self.affine_members(seed)))
 
     def affine_members(self, seed: int = 0):
         pts = self.line.points(seed)
-        return type(pts)(p.subspace() for p in pts)      # a tuple or a Sampled
+        return _listing(self.chart.domain, (p.subspace() for p in pts))
 
     def contains(self, s: Subspace) -> bool:
         if s == self.chart.w:
@@ -103,8 +102,8 @@ class TransversalSet:
         """The transversal through the payload coordinate row z."""
         ch = self.chart
         return Subspace.spanned(ch.domain, ch.ambient, [
-            combine(ch.domain, z, self._alpha_w.payload, ch.ambient),
-            combine(ch.domain, z, self._beta_w_b.payload, ch.ambient)])
+            ch.domain._combine(z, self._alpha_w.payload, ch.ambient),
+            ch.domain._combine(z, self._beta_w_b.payload, ch.ambient)])
 
     def lines(self, seed: int = 0):
         return _over_z_points(self.chart, seed, self._line_for)
@@ -123,7 +122,7 @@ class TransversalSet:
         if None in coords:                   # T leaves the chart's space
             return False
         z = next((y for y in (c[ch.k:] for c in coords)
-                  if not all(map(ch.domain._is_zero, y))), None)
+                  if any(x != ch.domain._zero for x in y)), None)
         return z is not None and ch.z._is_z_point(z) and self._line_for(z) == t
 
     def __iter__(self):
@@ -145,15 +144,14 @@ def w_plus_z(chart: AffineChart, seed: int = 0):
     """The family {W + Kz : z a Z-point of U}."""
     dom, n, w = chart.domain, chart.ambient, chart.w.basis.payload
     made = _over_z_points(chart, seed, lambda z: Subspace.spanned(
-        dom, n, w + (combine(dom, z, chart.b_matrix.payload, n),)))
+        dom, n, w + (dom._combine(z, chart.b_matrix.payload, n),)))
     return made if isinstance(made, Sampled) else frozenset(made)
 
 
 def _over_z_points(chart: AffineChart, seed: int, f):
     """f at the payload coordinate row of every Z-point of U: a tuple over a
     finite field, else at a seeded sample of them, as a Sampled."""
-    made = (f(z) for z in chart.z._z_coords(seed))
-    return tuple(made) if chart.domain.is_finite else Sampled(made)
+    return _listing(chart.domain, (f(z) for z in chart.z._z_coords(seed)))
 
 
 def regular_line_regulus(line: AffineLine) -> Regulus:
@@ -216,7 +214,7 @@ def reconstruct_from_transversals(lines) -> tuple:
             coords = rref(stack(domain, [tj.basis, t.basis], cols=ambient)).coordinates
             parts = [coords(row) for row in t1]
             if None not in parts:
-                hits.append([combine(domain, c[:2], tj.basis.payload, ambient)
+                hits.append([domain._combine(c[:2], tj.basis.payload, ambient)
                              for c in parts])
                 break
         else:
@@ -225,7 +223,7 @@ def reconstruct_from_transversals(lines) -> tuple:
     # X1, X2, X3 through T1's rows[1], rows[0] and rows[0] + rows[1]
     zero, one = domain._zero, domain._one
     x1, x2, x3 = (Subspace.spanned(domain, ambient, [
-        combine(domain, e, rows, ambient) for rows in (t1, *hits)])
+        domain._combine(e, rows, ambient) for rows in (t1, *hits)])
         for e in ((zero, one), (one, zero), (one, one)))
     try:
         chart = AffineChart(domain, ambient, x1, x2, space=x1 + x2)
@@ -278,9 +276,9 @@ def line_transversal_image(line: AffineLine, seed: int = 0):
     alpha_w = line.alpha * ch.w_matrix
 
     def image(z):
-        image_w = combine(dom, z, alpha_w.payload, n)
-        point = combine(dom, z, ch.b_matrix.payload, n)
-        if all(map(dom._is_zero, image_w)):
+        image_w = dom._combine(z, alpha_w.payload, n)
+        point = dom._combine(z, ch.b_matrix.payload, n)
+        if all(x == dom._zero for x in image_w):
             return ("point", Subspace.spanned(dom, n, [point]))
         return ("line", Subspace.spanned(dom, n, [image_w, point]))
 

@@ -13,7 +13,7 @@ from complaff.algebra import ExtensionField, PrimeField
 from complaff.chart import symmetric_chart
 from complaff.config import chart_from_config, load_config
 from complaff.jsonio import regulus_to_json, transversals_to_json
-from complaff.projective import Subspace
+from complaff.projective import Subspace, ZStructure
 from complaff.reguli import regulus_through, transversals_of
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -394,6 +394,16 @@ MALFORMED = {
     "quaternion-boolean-component": gamma_pair("quat(Q)", ["1", True, "0", "0"]),
     # iterating an empty JSON object as components would give zero
     "gf4-object-scalar": gamma_pair("gf(2^2; modulus=[1,1,1])", {}),
+    # int() refuses a string of more than 4300 digits
+    "huge-modulus-coefficient": ("enumerate", "--config",
+                                 ("cfg.json", {"field": "gf(2^2; modulus=[1,1,1" + "0" * 5000
+                                               + "])", "n": 4, "k": 2})),
+    "huge-degree": ("enumerate", "--config",
+                    ("cfg.json", {"field": "gf(2^" + "1" * 5000 + "; modulus=[1,1,1])",
+                                  "n": 4, "k": 2})),
+    "extract-family-non-symmetric-chart": (
+        "extract-family", ("spread.json", {"kind": "dual-spread", "gammas": []}),
+        "--config", ("cfg.json", {"field": "gf(2)", "n": 5, "k": 2})),
     "transversals-outside-the-chart": (
         "reconstruct", "--transversals",
         ("t.json", {"kind": "transversals", "subspaces": [
@@ -445,6 +455,12 @@ OVERSIZED = {
     # the default chart alone reduces a 2000 x 4000 matrix
     "check-dual-spread-gf2-n2000": ("check-dual-spread", {"field": "gf(2)", "n": 2000,
                                                           "k": 1000}),
+    # Rabin's test of a dense degree-32 modulus over the largest accepted
+    # prime would take seconds
+    "enumerate-degree-32": ("enumerate", {
+        "field": "gf(3317044064679887385961813^32; modulus=["
+                 + ",".join(str(c) for c in range(2, 34)) + ",1])",
+        "n": 4, "k": 2}),
 }
 
 
@@ -467,3 +483,21 @@ def test_oversized_work_is_refused_before_it_starts(name, tmp_path):
     assert out.getvalue() == ""
     assert len(err.getvalue().splitlines()) == 1
     assert err.getvalue().startswith("config error: ") and "limit" in err.getvalue()
+
+
+def test_check_dual_spread_builds_no_z_structure(cfg2, spread_file, monkeypatch):
+    """A chart builds its Z-structure on first use, and the DS1/DS2 check
+    never reads it."""
+    built = []
+    init = ZStructure.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ZStructure, "__init__", counting_init)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["check-dual-spread", spread_file, "--config", cfg2])
+    monkeypatch.undo()
+    assert code == 0 and out.getvalue().startswith("PASS")
+    assert built == []

@@ -263,7 +263,7 @@ def test_quaternion_payloads_match_fraction_arithmetic(x, y, k):
         assert_canonical(w)
         assert q._public(w) == want
         central = want[1] == want[2] == want[3] == 0
-        assert q._is_zero(w) == (not any(want))
+        assert (w == q._zero) == (not any(want))
         assert q._is_central(w) == central
         as_int = want[0].numerator if central and want[0].denominator == 1 else None
         assert q._int_of(w) == as_int

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from boxed_reference import ref_complement
-from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar, scalars
 from complaff.chart import AffineChart
 from complaff.errors import InfiniteDomainError
 from complaff.linalg import MatrixK
@@ -11,6 +11,7 @@ from complaff.projective import (
     Subspace,
     ZStructure,
     all_complements,
+    hyperplane_forms,
     hyperplanes,
     hyperplanes_not_containing,
     is_complement,
@@ -154,6 +155,35 @@ def test_hyperplane_count_formula():
 def test_hyperplanes_n1():
     hs = hyperplanes(GF2, 1)
     assert len(hs) == 1 and hs[0].dim == 0
+
+
+def test_hyperplanes_are_built_from_payload_forms(monkeypatch):
+    """Every hyperplane is the kernel of its canonical payload form: no
+    Scalar is built on the way, and the forms are the boxed ones that
+    hyperplane_forms lists."""
+    gf4 = ExtensionField(2, (1, 1, 1))
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(self, domain, raw):
+        built.append(raw)
+        init(self, domain, raw)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    hs = hyperplanes(gf4, 4)
+    monkeypatch.undo()
+    assert built == []
+    forms = hyperplane_forms(gf4, 4)
+    assert len(hs) == len(set(hs)) == len(forms) == 85
+    for h, form in zip(hs, forms):
+        col = MatrixK(gf4, [[c] for c in form], cols=1)
+        assert h.dim == 3 and (h.basis * col).is_zero()
+
+
+def test_hyperplane_enumeration_refuses_an_infinite_domain():
+    for enumerate_ in (hyperplanes, hyperplane_forms):
+        with pytest.raises(InfiniteDomainError):
+            enumerate_(Q, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,26 @@ def test_enumerations_walk_payloads_and_build_no_scalar(domain, monkeypatch):
     assert [c.subspace() for c in coords] == list(complements)
 
 
+def test_quaternion_members_walk_the_payload_sample(monkeypatch):
+    """Over Quat(Q) the members are listed from the payload sample: no
+    Scalar is built, and the parameters are the elements of sample(seed)."""
+    reg = standard_regulus(symmetric_chart(Q, 2))
+    built = []
+    init = Scalar.__init__
+
+    def counting_init(self, domain, raw):
+        built.append(raw)
+        init(self, domain, raw)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    members = reg.members(3)
+    monkeypatch.undo()
+    assert built == []
+    assert members.is_sample and members[0] == reg.chart.w
+    assert list(members[1:]) == [reg.line.point_at(k).subspace() for k in Q.sample(3)]
+    assert len(members) == 1 + 81 + 40
+
+
 # ---------------------------------------------------------------------------
 # the standard regulus and its transversals
 # ---------------------------------------------------------------------------
