@@ -37,9 +37,16 @@ Extension-field arithmetic is table lookup, the approach of the
 cheaper than hashing the pair.  A missing entry is computed once by the
 polynomial helpers (``_poly_mulmod``, and ``_poly_invmod`` as a^(p^k - 2)
 through ``_poly_powmod``, which Rabin's test shares) and stored.
-The tables belong to ``(p, mod)``, not to a domain object, so every
-``ExtensionField`` built with the same parameters shares them.  A table
-holds only the operands that were used, never all q^2 pairs up front.
+``_canon`` reads a fifth dict, of canonical payloads, each its own key:
+a tuple found there is returned as it is, and anything else is reduced
+by the polynomial path and its result stored, so the dict never holds
+more than the q canonical payloads.  ``_combine`` reads the tables
+directly, one product row per nonzero coefficient and one sum lookup
+per entry.  The tables belong to ``(p, mod)``, not to a domain object,
+so every ``ExtensionField`` built with the same parameters shares them.
+A table holds only the operands that were used, never all q^2 pairs up
+front.  Over GF(p), ``_combine`` sums the products as plain ints and
+reduces each entry once.
 
 Enumeration policy: ``elements()`` refuses on infinite domains (raises
 ``InfiniteDomainError``); deterministic sampling is opt-in through
@@ -249,6 +256,15 @@ class PrimeField(ScalarDomain):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
+    def _combine(self, coeffs, rows, width):
+        """The combination summed as plain ints, one ``% p`` per entry."""
+        acc = [0] * width
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, row)]
+        p = self.p
+        return [a % p for a in acc]
+
     def _int_of(self, a):
         return a
 
@@ -356,8 +372,9 @@ class _Table(dict):
 
 
 # (p, modulus) -> the add, neg, mul and inv tables of GF(p)[x]/(modulus),
-# add and mul as tables of rows; an entry exists only once the modulus
-# has passed the irreducibility test
+# add and mul as tables of rows, and the canonical payloads seen so far,
+# each its own key; an entry exists only once the modulus has passed the
+# irreducibility test
 _FIELD_TABLES: dict = {}
 
 
@@ -371,6 +388,7 @@ def _field_tables(p, mod):
             _Table(lambda a: tuple((-x) % p for x in a)),
             _Table(lambda a: _Table(lambda b: _poly_mulmod(a, b, mod, p))),
             _Table(lambda a: _poly_invmod(a, mod, p)),
+            {},
         )
     return tables
 
@@ -389,7 +407,8 @@ class ExtensionField(ScalarDomain):
             raise ValueError("modulus must have degree >= 1")
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
-        self._add_t, self._neg_t, self._mul_t, self._inv_t = _field_tables(p, mod)
+        (self._add_t, self._neg_t, self._mul_t, self._inv_t,
+         self._canon_t) = _field_tables(p, mod)
         self.p = p
         self.modulus = mod
         self.k = len(mod) - 1
@@ -420,13 +439,21 @@ class ExtensionField(ScalarDomain):
         return [digits[::-1] for digits in itertools.product(range(self.p), repeat=self.k)]
 
     def _canon(self, payload):
-        if isinstance(payload, int):
+        """A canonical tuple is its own entry of the table of canonical
+        payloads.  A tuple of numbers that equal those ints (True, 1.0)
+        hits the same entry, which is their ``int(x) % p`` too."""
+        if type(payload) is tuple:
+            hit = self._canon_t.get(payload)
+            if hit is not None:
+                return hit
+        elif isinstance(payload, int):
             payload = (payload,)
         c = tuple(int(x) % self.p for x in payload)
         if len(c) >= len(self.modulus):
             _, c = _poly_divmod(c, self.modulus, self.p)
         c = _poly_trim(c)
-        return c + (0,) * (self.k - len(c))
+        c += (0,) * (self.k - len(c))
+        return self._canon_t.setdefault(c, c)
 
     def _add(self, a, b):
         return self._add_t[a][b]
@@ -439,6 +466,21 @@ class ExtensionField(ScalarDomain):
 
     def _inv(self, a):
         return self._inv_t[a]
+
+    def _combine(self, coeffs, rows, width):
+        """The combination read off the tables: one row of the product
+        table per nonzero coefficient, and no method call per entry.  The
+        first nonzero term starts the sum, so no entry adds a zero."""
+        add_t, mul_t, zero = self._add_t, self._mul_t, self._zero
+        acc = None
+        for c, row in zip(coeffs, rows):
+            if c != zero:
+                times_c = mul_t[c]
+                if acc is None:
+                    acc = [times_c[x] for x in row[:width]]
+                else:
+                    acc = [add_t[a][times_c[x]] for a, x in zip(acc, row)]
+        return [zero] * width if acc is None else acc
 
     def _int_of(self, a):
         return None if any(a[1:]) else a[0]

@@ -32,6 +32,7 @@ from .linalg import (
     boxed,
     from_payloads,
     is_invertible,
+    payload_of,
     payload_row,
     reduce_rows,
     rref,
@@ -271,12 +272,21 @@ class AffineLine:
         self.beta = beta
 
     def point_at(self, k) -> ComplementCoord:
-        return ComplementCoord(self.chart, self.alpha.scale_left(k) + self.beta)
+        return self._point(payload_of(self.chart.domain, k))
+
+    def _point(self, k) -> ComplementCoord:
+        """The point at the canonical payload k, taken on trust."""
+        dom, width = self.chart.domain, self.chart.k
+        terms = (k, dom._one)
+        return ComplementCoord(self.chart, from_payloads(
+            dom, [dom._combine(terms, pair, width)
+                  for pair in zip(self.alpha.payload, self.beta.payload)], width))
 
     def points(self, seed: int = 0):
-        """Every point, walked by payloads; a seeded Sampled if infinite."""
+        """Every point, walked by the canonical payloads of ``_sample``; a
+        seeded Sampled if infinite."""
         dom = self.chart.domain
-        return _listing(dom, map(self.point_at, dom._sample(seed)))
+        return _listing(dom, map(self._point, dom._sample(seed)))
 
     def parameter_of(self, c: ComplementCoord) -> Scalar | None:
         """The k with c = k*alpha + beta, or None when c is off the line."""

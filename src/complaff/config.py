@@ -22,21 +22,42 @@ _GF_EXT = re.compile(
 _QUAT = re.compile(r"quat\(\s*q\s*\)\Z")   # matched against lowercased input
 _MAX_N = 64                                 # the largest ambient dimension n
 _MAX_DEGREE = 16                            # the largest extension degree k
+_ECHO = 80                                  # the characters of a text an error echoes
+
+
+def _clip(text: str, limit: int = _ECHO) -> str:
+    """text cut to its first `limit` characters, marked with … when cut."""
+    return text if len(text) <= limit else text[:limit] + "…"
+
+
+def _spec_int(text: str) -> int:
+    """int(text), or a ValueError that echoes at most 20 of its characters
+    (int() refuses a string of more than 4300 digits at full length)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"cannot read {_clip(text.strip(), 20)!r} as an integer") from None
+
+
+def _bad_spec(spec: str, exc: ValueError) -> ConfigError:
+    return ConfigError(f"bad field spec {_clip(spec)!r}: {_clip(str(exc))}")
 
 
 def parse_field(spec: str) -> ScalarDomain:
+    """The domain a field spec names.  A ConfigError echoes at most _ECHO
+    characters of the spec and of the reason, so its line stays short."""
     text = spec.strip().lower()
     m = _GF_PRIME.match(text)
     if m:
         try:
-            return PrimeField(int(m.group(1)))
+            return PrimeField(_spec_int(m.group(1)))
         except ValueError as exc:
-            raise ConfigError(f"bad field spec {spec!r}: {exc}") from exc
+            raise _bad_spec(spec, exc) from exc
     m = _GF_EXT.match(text)
     if m:
         try:
-            p, k = int(m.group(1)), int(m.group(2))
-            coeffs = [int(c) for c in m.group(3).split(",") if c.strip()]
+            p, k = _spec_int(m.group(1)), _spec_int(m.group(2))
+            coeffs = [_spec_int(c) for c in m.group(3).split(",") if c.strip()]
             # Rabin's test costs about k^3 log p: refuse a large k before it
             if k > _MAX_DEGREE:
                 raise ValueError(f"degree k = {k} exceeds the limit of {_MAX_DEGREE}")
@@ -44,10 +65,10 @@ def parse_field(spec: str) -> ScalarDomain:
                 raise ValueError(f"modulus needs {k + 1} coefficients c_0..c_k")
             return ExtensionField(p, coeffs)
         except ValueError as exc:
-            raise ConfigError(f"bad field spec {spec!r}: {exc}") from exc
+            raise _bad_spec(spec, exc) from exc
     if _QUAT.match(text):
         return Quaternions()
-    raise ConfigError(f"cannot parse field spec {spec!r}; expected gf(p), "
+    raise ConfigError(f"cannot parse field spec {_clip(spec)!r}; expected gf(p), "
                       f"gf(p^k; modulus=[...]) or quat(Q)")
 
 

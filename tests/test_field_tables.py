@@ -88,12 +88,14 @@ def test_tables_are_shared_and_filled_lazily():
     f1, f2 = ExtensionField(11, mod), ExtensionField(11, mod)
     tables = algebra._FIELD_TABLES[11, mod]
     assert all(len(t) == 0 for t in tables)
+    assert len(tables) == 5
     for f in (f1, f2):
         assert all(mine is shared for mine, shared in zip(
-            (f._add_t, f._neg_t, f._mul_t, f._inv_t), tables))
+            (f._add_t, f._neg_t, f._mul_t, f._inv_t, f._canon_t), tables))
     x = f1.generator()
     assert x * x == f2.from_int(10)
-    assert [len(t) for t in tables] == [0, 0, 1, 0]
+    # one product row, and the canonical payloads of x and of 10
+    assert [len(t) for t in tables] == [0, 0, 1, 0, 2]
 
 
 def trial_division_irreducible(mod, p):
