@@ -440,8 +440,8 @@ class ExtensionField(ScalarDomain):
 
     def _canon(self, payload):
         """A canonical tuple is its own entry of the table of canonical
-        payloads.  A tuple of numbers that equal those ints (True, 1.0)
-        hits the same entry, which is their ``int(x) % p`` too."""
+        payloads.  A tuple of real numbers equal to those ints (True,
+        1.0) hits the same entry, which is their ``int(x) % p`` too."""
         if type(payload) is tuple:
             hit = self._canon_t.get(payload)
             if hit is not None:

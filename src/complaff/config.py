@@ -31,8 +31,8 @@ def _clip(text: str, limit: int = _ECHO) -> str:
 
 
 def _spec_int(text: str) -> int:
-    """int(text), or a ValueError that echoes at most 20 of its characters
-    (int() refuses a string of more than 4300 digits at full length)."""
+    """int(text), or a ValueError that echoes at most 20 characters of
+    text, however long the digit string that int() refused."""
     try:
         return int(text)
     except ValueError:

@@ -137,3 +137,48 @@ def test_change_file_has_a_parent_file_of_the_same_runs(path):
     assert change["seeds"] == parent["seeds"]
     assert change["seconds"] == parent["seconds"]
     assert change["workloads"].keys() == parent["workloads"].keys()
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", os.path.join(ROOT, "bench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _compared(parent, change):
+    compare = _bench_module("compare")
+    rows = compare.compare(compare.load(os.path.join(ROOT, parent)),
+                           compare.load(os.path.join(ROOT, change)), BENCHMARK)
+    return {(row["workload"], row["metric"]): row for row in rows}
+
+
+@pytest.mark.parametrize("pr, workload, won", [("pr13", "quat-sampled", 10),
+                                               ("pr14", "quat-sampled", 1),
+                                               ("pr15", "reguli-gf3", 10)])
+def test_comparator_counts_the_pairs_won(pr, workload, won):
+    rows = _compared(f"BENCH_{pr}-parent.json", f"BENCH_{pr}.json")
+    row = rows[workload, "jobs_per_s"]
+    assert (row["won"], row["pairs"]) == (won, 10)
+    assert row["ratio"] == row["change"][0] / row["parent"][0]
+    assert all(r["verdict"] == "ok" for r in rows.values())
+
+
+def test_comparator_reports_a_median_past_its_bound():
+    """reguli-gf3 job_tail_ms of the two-seed PR 6 runs: 5.72 -> 7.96 ms."""
+    rows = _compared("BENCH_pr6-parent-seeds11-12.json", "BENCH_pr6-seeds11-12.json")
+    row = rows["reguli-gf3", "job_tail_ms"]
+    assert row["verdict"] == "worse" and row["bound"] == 0.2
+    assert 1.38 < row["ratio"] < 1.40 and (row["won"], row["pairs"]) == (0, 2)
+    assert [key for key, r in rows.items() if r["verdict"] == "worse"] == [
+        ("reguli-gf3", "job_tail_ms")]
+
+
+def test_comparator_compares_unpaired_files_by_median_only():
+    compare = _bench_module("compare")
+    rows = _compared("BENCH_pr9.json", "BENCH_pr15.json")
+    assert all(r["won"] is None and r["pairs"] is None for r in rows.values())
+    text = compare.report(os.path.join(ROOT, "BENCH_pr9.json"),
+                          os.path.join(ROOT, "BENCH_pr15.json"), BENCHMARK)
+    assert "unpaired" in text and "won" not in text

@@ -11,7 +11,8 @@ import pytest
 from complaff import cli
 from complaff.algebra import ExtensionField, PrimeField
 from complaff.chart import symmetric_chart
-from complaff.config import chart_from_config, load_config
+from complaff.config import chart_from_config, load_config, parse_field
+from complaff.errors import ConfigError
 from complaff.jsonio import regulus_to_json, transversals_to_json
 from complaff.projective import Subspace, ZStructure
 from complaff.reguli import regulus_through, transversals_of
@@ -401,6 +402,12 @@ MALFORMED = {
     "huge-degree": ("enumerate", "--config",
                     ("cfg.json", {"field": "gf(2^" + "1" * 5000 + "; modulus=[1,1,1])",
                                   "n": 4, "k": 2})),
+    "5000-digit-modulus-coefficient": ("enumerate", "--config",
+                                       ("cfg.json", {"field": "gf(2^2; modulus=[1,1,"
+                                                     + "7" * 5000 + "])", "n": 4, "k": 2})),
+    # int() reads 4000 digits, and the primality test refuses the number
+    "4000-digit-prime": ("enumerate", "--config",
+                         ("cfg.json", {"field": "gf(" + "9" * 4000 + ")", "n": 4, "k": 2})),
     "extract-family-non-symmetric-chart": (
         "extract-family", ("spread.json", {"kind": "dual-spread", "gammas": []}),
         "--config", ("cfg.json", {"field": "gf(2)", "n": 5, "k": 2})),
@@ -431,6 +438,28 @@ def test_malformed_input_exits_2_with_one_line(name, cfg2, tmp_path):
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("config error: ")
     assert out.stdout == ""
+
+
+@pytest.mark.parametrize("name", ["5000-digit-modulus-coefficient", "4000-digit-prime",
+                                  "huge-modulus-coefficient", "huge-degree"])
+def test_a_long_field_spec_is_echoed_clipped(name, tmp_path):
+    """The error echoes at most 80 characters of the spec and of the reason."""
+    command, _, (filename, cfg) = MALFORMED[name]
+    path = tmp_path / filename
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main([command, "--config", str(path)]) == 2
+    line = err.getvalue()
+    assert len(line.splitlines()) == 1 and len(line.encode()) <= 200
+    assert line.startswith("config error: bad field spec '" + cfg["field"][:80] + "…': ")
+
+
+def test_an_unparsable_long_field_spec_is_echoed_clipped():
+    with pytest.raises(ConfigError) as info:
+        parse_field("nonsense" * 100)
+    assert str(info.value) == ("cannot parse field spec '" + "nonsense" * 10 + "…'; "
+                               "expected gf(p), gf(p^k; modulus=[...]) or quat(Q)")
 
 
 @pytest.mark.parametrize("which", ["config", "input"])

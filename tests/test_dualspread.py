@@ -560,3 +560,32 @@ def test_checks_keep_no_memory_across_calls():
     finally:
         tracemalloc.stop()
     assert grown < 32 * 1024, f"{grown} bytes retained over 200 calls"
+
+
+# Which path DS1 takes.  Two complements of W are complementary only if
+# 2m = n = m + k, so with m != k every pair fails, the first at (0, 1);
+# only m = k over a finite field may bucket.  Over GF(2) with n = 5 and
+# k = 3 (m = 2) the difference [[1,0,0],[0,1,0]] of the two members below
+# is injective on K^2: bucketing the rows u*gamma_i would find no common
+# row and pass the pair.
+def test_ds1_fails_every_pair_when_dim_u_differs_from_dim_w():
+    ch = AffineChart(GF2, 5, Subspace.from_rows(GF2, 5, [e(GF2, 5, i) for i in range(3)]))
+    assert (ch.m, ch.k) == (2, 3)
+    gammas = [MatrixK.zero(GF2, 2, 3), MatrixK(GF2, [[1, 0, 0], [0, 1, 0]])]
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+    assert check_pairwise_regular(cand).pair == (0, 1)
+    assert is_dual_spread(cand).violation.pair == (0, 1)
+
+
+def test_ds1_over_the_quaternions_fails_at_the_first_repeated_member():
+    # gamma_0 - gamma_1 is regular, and so are the sums gamma_i + gamma_j:
+    # only the difference gamma_0 - gamma_2 = 0 names the pair
+    i, j = Q.i, Q.j
+    ch = symmetric_chart(Q, 2)
+    gammas = [MatrixK.identity(Q, 2), MatrixK(Q, [[i, 0], [0, j]]),
+              MatrixK.identity(Q, 2)]
+    assert is_invertible(gammas[0] - gammas[1])
+    assert all(is_invertible(a + b) for a, b in itertools.combinations(gammas, 2))
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+    bad = check_pairwise_regular(cand)
+    assert (bad.kind, bad.pair) == ("DS1", (0, 2))

@@ -122,3 +122,64 @@ def test_rabin_on_large_modulus():
     # a quintic with no root, the product of two irreducible factors
     with pytest.raises(ValueError, match="reducible"):
         ExtensionField(23, _poly_mul((1, 0, 1), cubic, 23))
+
+
+def poly_canon(payload, p, mod):
+    """The polynomial path of _canon: each component as int(x) % p, the
+    remainder modulo mod, padded to deg(mod) coefficients."""
+    c = tuple(int(x) % p for x in ((payload,) if isinstance(payload, int) else payload))
+    rem = _poly_divmod(c, mod, p)[1]
+    return rem + (0,) * (len(mod) - 1 - len(rem))
+
+
+def non_canonical_forms(x, p):
+    """Inputs equal to the payload x in GF(p^k) that are not x itself."""
+    yield list(x)
+    yield tuple(c - p for c in x)                      # negatives
+    yield tuple(c + 3 * p for c in x)                  # values >= p
+    yield x + (0,)                                     # over-long tuples
+    yield x + (0, p)
+    yield tuple(True if c == 1 else c for c in x)      # equal as dict keys
+    yield tuple(float(c) for c in x)
+
+
+@pytest.mark.parametrize("p, mod", SMALL[:3], ids=["GF4", "GF8", "GF9"])
+def test_canonical_table_matches_the_polynomial_path(p, mod):
+    field = ExtensionField(p, mod)
+    k = len(mod) - 1
+    inputs = [v for x in field._payloads() for v in (x, *non_canonical_forms(x, p))]
+    inputs += list(range(-2 * p, 3 * p))                              # ints
+    inputs += [x + (1,) for x in field._payloads()]                   # reduced by mod
+    for value in inputs:
+        want = poly_canon(value, p, mod)
+        for _ in range(2):                         # a miss (maybe), then a hit
+            got = field._canon(value)
+            assert got == want and type(got) is tuple, value
+            assert all(type(c) is int for c in got), value
+    table = algebra._FIELD_TABLES[p, mod][4]
+    assert sorted(table) == sorted(field._payloads()) and len(table) == p ** k
+    assert all(table[x] is x for x in table)
+
+
+# x^3 + 2x + 1 over GF(3), used by no other test, so only the fuzz fills
+# its table of canonical payloads
+GF27 = (3, (1, 2, 0, 1))
+component = st.one_of(st.integers(-10 ** 30, 10 ** 30), st.booleans(),
+                      st.integers(-9, 9).map(float),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+fuzz_input = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                       st.lists(component, max_size=7).map(tuple),
+                       st.lists(component, max_size=7))
+
+
+@ORACLE
+@given(value=fuzz_input)
+def test_canonical_table_holds_only_canonical_payloads(value):
+    p, mod = GF27
+    field = ExtensionField(p, mod)
+    assert field._canon(value) == poly_canon(value, p, mod)
+    table = algebra._FIELD_TABLES[p, mod][4]
+    assert 0 < len(table) <= p ** 3
+    for key, entry in table.items():
+        assert key is entry and len(key) == 3
+        assert all(type(c) is int and 0 <= c < p for c in key)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
+from complaff import cli
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
 from complaff.chart import symmetric_chart
 from complaff.config import chart_from_config
@@ -148,3 +151,23 @@ def test_json_and_family_paths_build_no_scalar(field, monkeypatch):
     assert built == []
     assert docs[2]["gammas"] == [m["images"] for m in docs[1]["entries"]]
     assert len(spread.members) == len(extracted.entries) > 1
+
+
+@pytest.mark.parametrize("component", [True, 1.0], ids=["true", "1.0"])
+def test_gf4_entries_equal_to_a_canonical_payload_are_still_refused(component, tmp_path):
+    """A dict finds the canonical (1, 0) under (True, 0) or (1.0, 0), so
+    the JSON types must be checked before _canon reads its table."""
+    assert GF4._canon((1, 0)) == (1, 0)                 # (1, 0) is in the table
+    with pytest.raises(ConfigError, match="integer"):
+        scalar_from_json(GF4, [component, 0])
+    doc = _golden("gf4_spread.json")
+    doc["gammas"][1][1][0] = [component, 0]
+    spread = tmp_path / "spread.json"
+    spread.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = cli.main(["check-dual-spread", str(spread), "--config",
+                         os.path.join(GOLDEN_INPUTS, "gf4.json")])
+    assert code == 2 and out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("config error: ")

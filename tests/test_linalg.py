@@ -352,3 +352,56 @@ def test_quaternion_combine_matches_the_generic_loop(case):
     assert out == ScalarDomain._combine(Q, coeffs, rows, width)
     assert len(out) == width
     assert all(len(x) == 5 and is_canonical(x) for x in out)
+
+
+# PrimeField._combine and ExtensionField._combine against the same generic
+# loop: zero coefficients, zero rows, empty coefficient lists, and rows
+# wider than `width`, whose extra columns the result leaves out.
+FINITE = {"GF2": GF2, "GF3": GF3, "GF(2^61-1)": PrimeField(2 ** 61 - 1), "GF4": GF4,
+          "GF8": ExtensionField(2, (1, 1, 0, 1)), "GF9": ExtensionField(3, (1, 0, 1))}
+
+
+def finite_payloads(domain):
+    if isinstance(domain, PrimeField):
+        return st.one_of(st.sampled_from([0, 1, domain.p - 1]), st.integers(0, domain.p - 1))
+    return st.sampled_from(domain._payloads())
+
+
+@st.composite
+def finite_combinations(draw, domain):
+    width = draw(st.integers(1, 4))
+    length = width + draw(st.integers(0, 2))
+    row = st.one_of(st.just([domain._zero] * length),
+                    st.lists(finite_payloads(domain), min_size=length, max_size=length))
+    rows = draw(st.lists(row, max_size=5))
+    coeffs = draw(st.lists(st.one_of(st.just(domain._zero), finite_payloads(domain)),
+                           min_size=len(rows), max_size=len(rows)))
+    return coeffs, rows, width
+
+
+def is_canonical_finite(domain, x):
+    if isinstance(domain, PrimeField):
+        return type(x) is int and 0 <= x < domain.p
+    return (type(x) is tuple and len(x) == domain.k
+            and all(type(c) is int and 0 <= c < domain.p for c in x))
+
+
+@pytest.mark.parametrize("name", list(FINITE))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_finite_field_combine_matches_the_generic_loop(name, data):
+    domain = FINITE[name]
+    coeffs, rows, width = data.draw(finite_combinations(domain))
+    out = domain._combine(coeffs, rows, width)
+    assert out == ScalarDomain._combine(domain, coeffs, rows, width)
+    assert len(out) == width
+    assert all(is_canonical_finite(domain, x) for x in out)
+
+
+@pytest.mark.parametrize("name", list(FINITE))
+def test_finite_field_combine_of_no_term_is_zero(name):
+    domain = FINITE[name]
+    zero, one = domain._zero, domain._one
+    assert domain._combine([], [], 3) == [zero] * 3
+    assert domain._combine([zero, zero], [[one] * 4, [one] * 4], 3) == [zero] * 3
+    assert domain._combine([one], [[one] * 4], 2) == [one, one]

@@ -103,6 +103,24 @@ def test_quaternion_members_walk_the_payload_sample(monkeypatch):
     assert len(members) == 1 + 81 + 40
 
 
+def test_quaternion_members_canonicalize_only_the_seeded_batch(monkeypatch):
+    """The payloads of _sample are canonical and reach the line's
+    arithmetic on trust: the only _canon calls are the 40 that build the
+    seeded batch, none for the 121 parameters."""
+    calls = []
+    canon = Quaternions._canon
+
+    def counting_canon(self, payload):
+        calls.append(payload)
+        return canon(self, payload)
+
+    monkeypatch.setattr(Quaternions, "_canon", counting_canon)
+    members = standard_regulus(symmetric_chart(Quaternions(), 2)).members(0)
+    monkeypatch.undo()
+    assert len(members) == 1 + 81 + 40
+    assert len(calls) == 40
+
+
 # ---------------------------------------------------------------------------
 # the standard regulus and its transversals
 # ---------------------------------------------------------------------------
