@@ -15,7 +15,11 @@ better in the metric's direction; ties count for neither side.  The
 ``fail_ratio`` line has no bound: its verdict is ``worse`` when the
 change's median exceeds the parent's.  ``beyond IQR`` says whether the
 medians differ, in the change's favour, by more than the parent's
-[Q1, Q3] spread.
+[Q1, Q3] spread.  Each workload also gets a ``samples`` row, the median
+[Q1, Q3] of the jobs run on each side, with no verdict: a faster program
+runs more jobs in the same time.  The header gives each checkout's
+``src_lines``/``src_code_lines``; files recorded before those counts
+existed show ``-`` there and no ``samples`` row.
 
 Two files are paired when bench/record.py wrote them in one alternating
 run: the same ``started`` time, seeds and run length.  Unpaired files,
@@ -84,6 +88,19 @@ def compare(parent: dict, change: dict, benchmark: dict) -> list:
     return rows
 
 
+def samples(parent: dict, change: dict, workload: str):
+    """(median, Q1, Q3) of the job counts on each side, or None when either
+    file predates them."""
+    sides = [record["workloads"][workload]["summary"].get("samples")
+             for record in (parent, change)]
+    return None if None in sides else tuple((s["median"], *s["iqr"]) for s in sides)
+
+
+def src_sizes(record: dict) -> str:
+    """src_lines/src_code_lines of the recorded checkout, '-' where absent."""
+    return "/".join(str(record.get(key, "-")) for key in ("src_lines", "src_code_lines"))
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
@@ -92,7 +109,8 @@ def report(parent_path: str, change_path: str, benchmark: dict) -> str:
     parent, change = load(parent_path), load(change_path)
     rows = compare(parent, change, benchmark)
     lines = [f"parent {os.path.basename(parent_path)} ({parent.get('commit')})  "
-             f"change {os.path.basename(change_path)} ({change.get('commit')})"]
+             f"change {os.path.basename(change_path)} ({change.get('commit')})",
+             f"src lines/code lines {src_sizes(parent)} -> {src_sizes(change)}"]
     if not paired(parent, change):
         lines.append("unpaired files (not one alternating run): medians only, no pairs")
     workload = None
@@ -100,6 +118,10 @@ def report(parent_path: str, change_path: str, benchmark: dict) -> str:
         if row["workload"] != workload:
             workload = row["workload"]
             lines.append(f"\n{workload}")
+            jobs = samples(parent, change, workload)
+            if jobs is not None:
+                p_jobs, c_jobs = ("{:.10g} [{:.10g}, {:.10g}]".format(*side) for side in jobs)
+                lines.append(f"  {'samples':<15} {p_jobs} -> {c_jobs} jobs")
         p_med, p_q1, p_q3 = row["parent"]
         c_med, c_q1, c_q3 = row["change"]
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}x"

@@ -18,9 +18,9 @@ Three domains are available to users, one more internally:
   common denominator and pays one ``gcd`` per entry, not two per term.
   The public payload (``Scalar.payload``) is the four ``Fraction``
   components (a/den, b/den, c/den, d/den).
-* ``Rationals()``            -- plain ``Fraction`` arithmetic.  Internal
-  helper domain (it is the center of the quaternions); not part of the
-  field-spec grammar.
+* ``Rationals()``            -- plain ``Fraction`` arithmetic.  No library
+  path's domain and not part of the field-spec grammar: the tests'
+  ``Fraction`` reference, and a name the benchmark reads.
 
 All payloads are kept in canonical reduced form, so scalar equality is
 payload equality, and a payload is zero exactly when it equals the
@@ -501,7 +501,7 @@ class ExtensionField(ScalarDomain):
 
 
 class Rationals(ScalarDomain):
-    """Exact rational numbers.  Internal: the center of the quaternions."""
+    """Exact rational numbers: the tests' ``Fraction`` reference."""
 
     is_commutative = True
     _zero, _one = Fraction(0), Fraction(1)
@@ -557,6 +557,8 @@ class Quaternions(ScalarDomain):
 
     is_commutative = False
     _zero, _one = _UNITS[0], _UNITS[1]
+    # the payloads of 1, i, j and k: a basis of K over its center Q
+    _center_basis = (_one, (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
 
     def __repr__(self):
         return "Quat(Q)"
@@ -674,7 +676,7 @@ class Quaternions(ScalarDomain):
         return out
 
     def _imag_parts(self, a):
-        """The i, j and k components of a, each as a real quaternion."""
+        """a's coordinates over ``_center_basis`` after 1, as central payloads."""
         return [_lowest_terms(x, 0, 0, 0, a[4]) for x in a[1:4]]
 
     def _is_central(self, a):

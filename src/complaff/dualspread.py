@@ -160,8 +160,10 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
     differences invertible.  Runs over any domain; duplicates fail.
 
     The reported pair is the first failing (i, j) in the order of
-    `itertools.combinations`.  Over an infinite domain, or when
-    dim U != dim W, each pair in that order gets a rank test.  Over a
+    `itertools.combinations`.  With dim U != dim W no two members are
+    complementary (two m-dimensional complements need 2m = n), and
+    `is_invertible` refuses the non-square difference at (0, 1) with no
+    reduction; over an infinite domain each pair gets a rank test.  Over a
     finite field with m = dim U = dim W, gamma_i - gamma_j is singular
     exactly when u*(gamma_i - gamma_j) = 0 for some projective point u of
     K^m (a canonical representative kills it whenever any nonzero u

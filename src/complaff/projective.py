@@ -13,9 +13,10 @@ two ingredients of the cone description of non-regular lines.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
-from .algebra import Quaternions, Sampled, ScalarDomain, _projective_reps
+from .algebra import Sampled, ScalarDomain, _projective_reps
 from .errors import DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
@@ -192,19 +193,15 @@ def hyperplanes_not_containing(w: Subspace) -> tuple:
 # Z-structure: central subspaces w.r.t. a reference basis
 # ---------------------------------------------------------------------------
 
-# 1, i, j, k as working payloads of the quaternions
-_Z_BASIS = ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
-
-
 class ZStructure:
     """An ordered reference basis (b_i) plus the center Z of the domain.
 
     The Z-span is the set of Z-linear combinations of the b_i; a
     subspace A <= span(b_i) is *central* when it has a basis inside the
     Z-span.  For commutative domains Z = K and every subspace is
-    central; all the work happens over the quaternions, where Z = Q.
-    The public helpers take and return Scalar tuples, the ``_`` ones
-    payload rows.
+    central.  Over a skew field the domain describes K over Z: its
+    ``_center_basis``, ``_imag_parts`` and ``_is_central``.  The public
+    helpers take and return Scalar tuples, the ``_`` ones payload rows.
     """
 
     def __init__(self, domain: ScalarDomain, basis_vectors):
@@ -261,19 +258,16 @@ class ZStructure:
 
     def _z_coords(self, seed: int = 0) -> list:
         """Payload coordinate rows of the projective Z-points: every one over
-        a finite field, else the deterministic sample of the quaternions.
+        a finite field, else a seeded sample of those with rational coordinates.
 
         The sample is the rational coordinate grid over {0, 1, -1} plus a
         seeded batch, canonicalised to first nonzero coordinate 1 and
-        de-duplicated.
+        de-duplicated; each rational c/d enters the domain as c * d^-1.
         """
-        import random as _random
-
-        if self.domain.is_finite:
-            return list(_projective_reps(self.domain, self.dim))
-        if not isinstance(self.domain, Quaternions):
-            raise InfiniteDomainError("Z-point sampling is defined for the quaternions")
-        rng = _random.Random(seed)
+        d = self.domain
+        if d.is_finite:
+            return list(_projective_reps(d, self.dim))
+        rng = random.Random(seed)
         batch = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5))
                        for _ in range(self.dim)) for _ in range(20)]
         reps = {}                            # insertion-ordered set
@@ -282,7 +276,8 @@ class ZStructure:
             lead = next((c for c in coords if c != 0), None)
             if lead is not None:
                 reps.setdefault(tuple(Fraction(c) / lead for c in coords))
-        return [[self.domain._canon((c, 0, 0, 0)) for c in canon] for canon in reps]
+        return [[d._mul(d._canon(c.numerator), d._inv(d._canon(c.denominator)))
+                 for c in canon] for canon in reps]
 
     def z_point_reps(self) -> tuple:
         """Canonical representatives of the projective Z-points (finite)."""
@@ -305,29 +300,29 @@ class ZStructure:
     def maximal_central_subspace(self, a: Subspace) -> Subspace:
         """The unique largest central subspace inside A.
 
-        K-span of (A intersect Z-span), computed by expanding K over Z
-        and solving the resulting Z-linear system exactly.  The system
-        is held as real quaternions, a copy of Q inside the domain, so
-        it is solved on the integer payloads.
+        K-span of (A intersect Z-span), computed by expanding K over Z in
+        the domain's ``_center_basis`` and solving the resulting Z-linear
+        system exactly.  Its entries are central payloads, so it is solved
+        in the domain itself.
         """
         self._require_inside(a)
         if self.domain.is_commutative or a.dim == 0:
             return a
         d = self.domain
-        mul, imag = d._mul, d._imag_parts
-        # unknowns y_{i,t} in Q with y_i = sum_t y_{i,t} unit_t; constraints:
-        # the i, j, k parts of every column of y*G vanish, where the rows
-        # of G are the coordinates of A's basis w.r.t. (b_i)
+        mul, imag, units = d._mul, d._imag_parts, d._center_basis
+        # unknowns y_{i,t} in Z with y_i = sum_t y_{i,t} unit_t; constraints:
+        # the parts of every column of y*G off the first unit vanish, where
+        # the rows of G are the coordinates of A's basis w.r.t. (b_i)
         system = []
         for v in a.basis.payload:
             g = self._coords(v)
-            for unit in _Z_BASIS:
+            for unit in units:
                 system.append([p for x in g for p in imag(mul(unit, x))])
         zero, r = d._zero, a.dim
         expand = from_payloads(d, [[unit if j == i else zero for j in range(r)]
-                                   for i in range(r) for unit in _Z_BASIS], r)
+                                   for i in range(r) for unit in units], r)
         # y*G*B = y * A's basis, with y = solution * expand
-        null = kernel(from_payloads(d, system, 3 * self.dim))
+        null = kernel(from_payloads(d, system, (len(units) - 1) * self.dim))
         return Subspace(d, self.ambient, row_space(null * expand * a.basis))
 
     def is_central_subspace(self, a: Subspace) -> bool:

@@ -10,9 +10,12 @@ the join as the row space of the stacked bases, membership by
 reconstruction from the pivot entries.  The chart coordinate of a
 subspace follows the lattice route as well.
 
-The ``ref_q*`` functions are rational quaternion arithmetic on four
-``Fraction`` components (a, b, c, d) = a + bi + cj + dk, independent of
-the integer payloads that complaff.algebra.Quaternions works on.
+``QuaternionAlgebra(a, b)`` is the quaternion algebra (a, b)_Q on four
+``Fraction`` components (x0, x1, x2, x3) = x0 + x1*i + x2*j + x3*k, with
+only the payload hooks the geometry reads.  It is independent of the
+integer payloads that complaff.algebra.Quaternions works on: (-1, -1) is
+the ``Fraction`` reference for their arithmetic, and (-1, -3) is a second
+skew field for the geometry.
 
 The geometry references at the end (maximal central subspace, central
 complement, transversal membership, cone decomposition) are the boxed
@@ -35,36 +38,90 @@ the library's verdicts and messages.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
-from complaff.algebra import Rationals
+from complaff.algebra import Rationals, ScalarDomain
 from complaff.dualspread import Report, Violation, family_to_dual_spread
 from complaff.errors import InfiniteDomainError, ReconstructionError
 from complaff.linalg import Echelon, MatrixK, is_invertible
 from complaff.projective import Subspace, hyperplanes_not_containing
 
 
-def ref_qadd(x, y) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
+class QuaternionAlgebra(ScalarDomain):
+    """The quaternion algebra (a, b)_Q: x0 + x1*i + x2*j + x3*k with
+    i^2 = a, j^2 = b and ij = k = -ji, held as four ``Fraction``s.
 
+    For a, b < 0 the norm x0^2 - a*x1^2 - b*x2^2 + ab*x3^2 is positive
+    definite, so every nonzero element is invertible: (-1, -1) is
+    Hamilton's quaternions, and (-1, -3) is a division ring that is not
+    isomorphic to it (it ramifies at 3, not at 2; Voight, *Quaternion
+    Algebras*, ch. 5 and 14).  The center is Q, with basis 1, i, j, k
+    over it.
+    """
 
-def ref_qneg(x) -> tuple:
-    return tuple(-a for a in x)
+    is_commutative = False
 
+    def __init__(self, a: int, b: int):
+        if a >= 0 or b >= 0:
+            raise ValueError("(a, b)_Q is taken definite here: a, b < 0")
+        self.a, self.b = a, b
+        self._zero, self._one = self._canon(0), self._canon(1)
+        self._center_basis = tuple(self._canon([int(s == t) for s in range(4)])
+                                   for t in range(4))
 
-def ref_qmul(x, y) -> tuple:
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    def __repr__(self):
+        return f"({self.a}, {self.b})_Q"
 
+    def __eq__(self, other):
+        return isinstance(other, QuaternionAlgebra) and (other.a, other.b) == (self.a, self.b)
 
-def ref_qinv(x) -> tuple:
-    n = x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
-    if n == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return (x[0] / n, -x[1] / n, -x[2] / n, -x[3] / n)
+    def __hash__(self):
+        return hash(("quaternion algebra", self.a, self.b))
+
+    def _canon(self, payload):
+        t = (payload, 0, 0, 0) if isinstance(payload, int) else tuple(payload)
+        if len(t) != 4:
+            raise ValueError("a quaternion payload has 4 components")
+        return tuple(map(Fraction, t))
+
+    def _sample(self, seed: int) -> list:
+        """The 3^4 grid over {0, 1, -1} followed by a seeded batch of 20."""
+        rng = random.Random(seed)
+        return ([self._canon(c) for c in itertools.product((0, 1, -1), repeat=4)]
+                + [self._canon(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                               for _ in range(4)) for _ in range(20)])
+
+    def _add(self, x, y):
+        return tuple(s + t for s, t in zip(x, y))
+
+    def _neg(self, x):
+        return tuple(-s for s in x)
+
+    def _mul(self, x, y):
+        a, b = self.a, self.b
+        x0, x1, x2, x3 = x
+        y0, y1, y2, y3 = y
+        # ij = k, jk = -b*i, ki = -a*j and their negatives reversed; k^2 = -ab
+        return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+                x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+                x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+    def _inv(self, x):
+        a, b = self.a, self.b
+        n = x[0] ** 2 - a * x[1] ** 2 - b * x[2] ** 2 + a * b * x[3] ** 2
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return (x[0] / n, -x[1] / n, -x[2] / n, -x[3] / n)
+
+    def _is_central(self, x) -> bool:
+        return not (x[1] or x[2] or x[3])
+
+    def _imag_parts(self, x):
+        """The coordinates of x over ``_center_basis`` after the first, each
+        a central payload."""
+        return [self._canon([c, 0, 0, 0]) for c in x[1:]]
 
 
 def ref_identity(domain, n):

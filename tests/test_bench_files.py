@@ -182,3 +182,23 @@ def test_comparator_compares_unpaired_files_by_median_only():
     text = compare.report(os.path.join(ROOT, "BENCH_pr9.json"),
                           os.path.join(ROOT, "BENCH_pr15.json"), BENCHMARK)
     assert "unpaired" in text and "won" not in text
+
+
+def test_comparator_reports_samples_and_src_sizes():
+    """The pr16 pair: spreads-cli-gf4 ran 15003 -> 17298 jobs (medians),
+    and src/ went from 3417 lines (2141 of code) to 3493 (2183)."""
+    compare = _bench_module("compare")
+    parent, change = (os.path.join(ROOT, f"BENCH_{label}.json")
+                      for label in ("pr16-parent", "pr16"))
+    jobs = compare.samples(compare.load(parent), compare.load(change), "spreads-cli-gf4")
+    assert jobs == ((15003, 13707, 16132.5), (17298, 16614, 18027))
+    text = compare.report(parent, change, BENCHMARK)
+    assert "src lines/code lines 3417/2141 -> 3493/2183" in text.splitlines()
+    rows = [line.split() for line in text.splitlines() if line.startswith("  samples ")]
+    assert len(rows) == len(BENCHMARK["workloads"])
+    assert rows[1] == ["samples", "15003", "[13707,", "16132.5]", "->",
+                       "17298", "[16614,", "18027]", "jobs"]
+    # files recorded before the job counts and line counts have neither
+    old = compare.load(os.path.join(ROOT, "BENCH_pr9.json"))
+    assert compare.samples(old, compare.load(change), "quat-sampled") is None
+    assert compare.src_sizes(old) == "-/-"

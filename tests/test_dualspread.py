@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complaff import linalg
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
 from complaff.chart import AffineChart, ComplementCoord, are_complementary, symmetric_chart
 from complaff.dualspread import (
@@ -568,12 +569,20 @@ def test_checks_keep_no_memory_across_calls():
 # k = 3 (m = 2) the difference [[1,0,0],[0,1,0]] of the two members below
 # is injective on K^2: bucketing the rows u*gamma_i would find no common
 # row and pass the pair.
-def test_ds1_fails_every_pair_when_dim_u_differs_from_dim_w():
+def test_ds1_fails_every_pair_when_dim_u_differs_from_dim_w(monkeypatch):
+    # two 2-dimensional complements of W in GF(2)^5 are never complementary:
+    # the non-square difference fails at (0, 1) with no reduction
     ch = AffineChart(GF2, 5, Subspace.from_rows(GF2, 5, [e(GF2, 5, i) for i in range(3)]))
     assert (ch.m, ch.k) == (2, 3)
     gammas = [MatrixK.zero(GF2, 2, 3), MatrixK(GF2, [[1, 0, 0], [0, 1, 0]])]
     cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+    reductions = []
+    reduce_rows = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows",
+                        lambda *args: reductions.append(args) or reduce_rows(*args))
     assert check_pairwise_regular(cand).pair == (0, 1)
+    monkeypatch.undo()
+    assert reductions == []
     assert is_dual_spread(cand).violation.pair == (0, 1)
 
 

@@ -94,3 +94,30 @@ def test_every_private_name_is_used():
             with open(os.path.join(SRC, module), encoding="utf-8") as fh:
                 sources[module] = fh.read()
     assert dead_private_names(sources) == []
+
+
+# The geometry reads a domain through its payload hooks only; the boundary
+# modules (cli, config, jsonio) name the concrete domains.
+GEOMETRY = ("linalg.py", "projective.py", "chart.py", "reguli.py", "dualspread.py")
+DOMAIN_CLASSES = frozenset({"PrimeField", "ExtensionField", "Rationals", "Quaternions"})
+
+
+def domain_classes_imported(source: str) -> list:
+    """The concrete domain classes a module imports from the algebra module."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").rpartition(".")[2] == "algebra"
+                  for alias in node.names if alias.name in DOMAIN_CLASSES)
+
+
+def test_domain_class_imports_are_found():
+    assert domain_classes_imported(
+        "from .algebra import Quaternions, Sampled\n"
+        "def f():\n    from complaff.algebra import PrimeField\n"
+        "from .linalg import Rationals\n") == ["PrimeField", "Quaternions"]
+
+
+@pytest.mark.parametrize("module", GEOMETRY)
+def test_geometry_imports_no_concrete_domain(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert domain_classes_imported(fh.read()) == []
