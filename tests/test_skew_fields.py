@@ -22,7 +22,6 @@ from complaff.chart import AffineChart, AffineLine, ComplementCoord, charts_equa
 from complaff.linalg import MatrixK
 from complaff.projective import Subspace
 from complaff.reguli import cone_decompose, regulus_through, standard_regulus, transversals_of
-from vectors import unit_vector
 
 ALGEBRAS = [QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3)]
 IDS = ["(-1,-1)", "(-1,-3)"]
@@ -133,15 +132,12 @@ def test_transversal_set_accepts_its_lines_and_rejects_twisted_planes(d):
             assert not ts.contains(ts._line_for(z))
 
 
-def chart_with_basis(d, rows):
-    w = Subspace.from_rows(d, 4, [unit_vector(d, 4, 0), unit_vector(d, 4, 1)])
-    u = Subspace.from_rows(d, 4, [unit_vector(d, 4, 2), unit_vector(d, 4, 3)])
-    return AffineChart(d, 4, w, u, b=rows)
-
-
 def based(d, n: MatrixK):
-    """The chart whose U-basis is N * (e_3, e_4)."""
-    return chart_with_basis(d, [(d.zero(), d.zero(), *row) for row in n.entries])
+    """The chart of K^4 with W = span(e_1, e_2), U = span(e_3, e_4) and the
+    U-basis N * (e_3, e_4)."""
+    e = MatrixK.identity(d, 4).entries
+    return AffineChart(d, 4, Subspace.from_rows(d, 4, e[:2]), Subspace.from_rows(d, 4, e[2:]),
+                       b=[(d.zero(), d.zero(), *row) for row in n.entries])
 
 
 @pytest.mark.parametrize("d", ALGEBRAS, ids=IDS)
