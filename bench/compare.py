@@ -18,8 +18,9 @@ medians differ, in the change's favour, by more than the parent's
 [Q1, Q3] spread.  Each workload also gets a ``samples`` row, the median
 [Q1, Q3] of the jobs run on each side, with no verdict: a faster program
 runs more jobs in the same time.  The header gives each checkout's
-``src_lines``/``src_code_lines``; files recorded before those counts
-existed show ``-`` there and no ``samples`` row.
+``src_lines``/``src_code_lines`` and, on the next line, its
+``src_public_names``; files recorded before those counts existed show
+``-`` there and no ``samples`` row.
 
 Two files are paired when bench/record.py wrote them in one alternating
 run: the same ``started`` time, seeds and run length.  Unpaired files,
@@ -110,7 +111,9 @@ def report(parent_path: str, change_path: str, benchmark: dict) -> str:
     rows = compare(parent, change, benchmark)
     lines = [f"parent {os.path.basename(parent_path)} ({parent.get('commit')})  "
              f"change {os.path.basename(change_path)} ({change.get('commit')})",
-             f"src lines/code lines {src_sizes(parent)} -> {src_sizes(change)}"]
+             f"src lines/code lines {src_sizes(parent)} -> {src_sizes(change)}",
+             f"src public names {parent.get('src_public_names', '-')} -> "
+             f"{change.get('src_public_names', '-')}"]
     if not paired(parent, change):
         lines.append("unpaired files (not one alternating run): medians only, no pairs")
     workload = None
@@ -140,7 +143,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="the parent's BENCH_<label>.json")
     parser.add_argument("change", help="the change's BENCH_<label>.json")
     args = parser.parse_args(argv)
-    print(report(args.parent, args.change, load(os.path.join(REPO, "BENCHMARK.json"))))
+    text = report(args.parent, args.change, load(os.path.join(REPO, "BENCHMARK.json")))
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so that the
+        # flush at exit fails no more (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

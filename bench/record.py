@@ -23,8 +23,10 @@ an RSS rise that comes from more jobs from one that comes from the
 program.  Its ``commit`` is what
 ``git describe`` says of the checkout (null outside a git checkout), and
 its ``src_lines`` the size of the checkout's library, the line count of
-``wc -l src/complaff/*.py``, and ``src_code_lines`` the lines of code in
-it: those that are not blank, not comments and not inside a docstring.
+``wc -l src/complaff/*.py``, ``src_code_lines`` the lines of code in
+it: those that are not blank, not comments and not inside a docstring,
+and ``src_public_names`` the number of public names the library defines
+outside ``__init__.py`` (see ``src_public_names``).
 """
 
 from __future__ import annotations
@@ -100,6 +102,29 @@ def src_code_lines(root: str) -> int:
     return total
 
 
+def src_public_names(root: str) -> int:
+    """The names of the checkout's src/complaff/*.py, ``__init__.py`` left
+    out, that do not start with ``_``: the top-level functions, classes and
+    assigned names, and the methods and properties of those classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = []
+    for path in glob.glob(os.path.join(root, "src", "complaff", "*.py")):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.append(node.target.id)
+            elif isinstance(node, (*defs, ast.ClassDef)):
+                names.append(node.name)
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                    names += [d.name for d in node.body if isinstance(d, defs)]
+    return sum(not name.startswith("_") for name in names)
+
+
 def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run; its metadata and result lines, and the exit code."""
     cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
@@ -152,7 +177,8 @@ def main(argv=None) -> int:
     records = {label: {"label": label, "commit": git_commit(root), "seeds": args.seeds,
                        "seconds": seconds, "started": started,
                        "src_lines": src_lines(root),
-                       "src_code_lines": src_code_lines(root), "workloads": {}}
+                       "src_code_lines": src_code_lines(root),
+                       "src_public_names": src_public_names(root), "workloads": {}}
                for label, root in args.sides}
     for name in [w["name"] for w in benchmark["workloads"]]:
         runs = {label: [] for label, _ in args.sides}

@@ -11,7 +11,6 @@ from .algebra import (
     Sampled,
     Scalar,
     ScalarDomain,
-    scalars,
 )
 from .chart import (
     AffineChart,
@@ -28,13 +27,13 @@ from .chart import (
 )
 from .dualspread import (
     DualSpreadCandidate,
+    SingularSet,
     TransversalFamily,
     family_from_dual_spread,
     family_to_coord,
     family_to_dual_spread,
     coord_to_family,
     is_dual_spread,
-    singular_subspace,
     verify_family,
 )
 from .errors import (

@@ -28,7 +28,8 @@ domain's ``_zero``.  Scalars are immutable and hashable.  A ``Scalar``
 holds the working payload in ``raw``; ``payload`` is the public view,
 ``domain._public(raw)``, which differs from ``raw`` only on the
 quaternions.  ``_canon`` is the one way in (an int, the public view or
-the working payload, on every domain), ``_public`` the one way out.
+the working payload, on every domain), ``_public`` the one way out;
+``domain.scalar(value)`` is the one public constructor, for ints too.
 
 Extension-field arithmetic is table lookup, the approach of the
 ``galois`` library (https://github.com/mhostetter/galois).  ``_neg`` and
@@ -53,7 +54,9 @@ Enumeration policy: ``elements()`` refuses on infinite domains (raises
 ``sample(seed)``, the boxed payloads of ``_sample(seed)``: all of a
 finite domain, a seeded sample of an infinite one.  Library enumerations
 walk ``_sample`` and build no ``Scalar``; ``_listing`` returns them as a
-tuple over a finite domain, else as a ``Sampled`` (``is_sample = True``).
+tuple over a finite domain, else as a ``Sampled``.  A ``Sampled`` carries
+the attribute ``is_sample = True`` and a complete listing has none, so
+``isinstance(x, Sampled)`` tells the two apart.
 """
 
 from __future__ import annotations
@@ -74,10 +77,6 @@ class Sampled(tuple):
     """
 
     is_sample = True
-
-
-def is_sample(seq) -> bool:
-    return bool(getattr(seq, "is_sample", False))
 
 
 def _listing(domain: "ScalarDomain", items):
@@ -112,9 +111,6 @@ class ScalarDomain:
 
     def one(self) -> "Scalar":
         return Scalar(self, self._one)
-
-    def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, self._canon(n))
 
     # -- enumeration ----------------------------------------------------------
 
@@ -729,7 +725,7 @@ class Scalar:
                 return other
             raise DomainMismatchError(f"{self.domain} vs {other.domain}")
         if isinstance(other, int):
-            return self.domain.from_int(other)
+            return Scalar(self.domain, self.domain._canon(other))
         return NotImplemented
 
     def __add__(self, other):
@@ -799,12 +795,6 @@ class Scalar:
 
     def __repr__(self):
         return self.domain._str(self.raw)
-
-
-def scalars(domain: ScalarDomain, seed: int = 0):
-    """All elements of a finite domain in canonical order, or a Sampled
-    sequence (grid first, then a seeded batch) for an infinite one."""
-    return domain.sample(seed)
 
 
 def _projective_reps(domain: ScalarDomain, n: int):

@@ -96,10 +96,6 @@ class AffineChart:
         return self.b_matrix.entries
 
     @property
-    def v_dim(self) -> int:
-        return self.space.dim
-
-    @property
     def is_symmetric(self) -> bool:
         return self.k == self.m
 
@@ -114,7 +110,7 @@ class AffineChart:
         return hash((self.ambient, self.w, self.u, self.w_matrix, self.b_matrix))
 
     def __repr__(self):
-        return (f"AffineChart({self.domain!r}, V^{self.v_dim} in K^{self.ambient}, "
+        return (f"AffineChart({self.domain!r}, V^{self.space.dim} in K^{self.ambient}, "
                 f"dim W = {self.k}, dim U = {self.m})")
 
     # -- coordinates ----------------------------------------------------------
@@ -195,9 +191,6 @@ class AffineChart:
         elems, k = self.domain._payloads(), self.k
         return tuple(self.coord([combo[i * k:(i + 1) * k] for i in range(self.m)])
                      for combo in itertools.product(elems, repeat=self.m * k))
-
-    def subchart(self, indices) -> "Subchart":
-        return Subchart(self, tuple(indices))
 
 
 def symmetric_chart(domain: ScalarDomain, m: int) -> AffineChart:
@@ -476,7 +469,8 @@ class Subchart:
     extend is exactly {S : C <= S} for C = span of the left-out b_i.
     """
 
-    def __init__(self, chart: AffineChart, indices: tuple):
+    def __init__(self, chart: AffineChart, indices):
+        indices = tuple(indices)
         if not indices or sorted(set(indices)) != list(indices):
             raise ValueError("indices must be strictly increasing and nonempty")
         if indices[-1] >= chart.m:

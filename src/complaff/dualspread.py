@@ -18,7 +18,12 @@ every dual spread containing W arises that way.
 Both conditions are decided on chart coordinates: DS1 by bucketing the
 rows u*gamma_i over the projective points u of U (`check_pairwise_regular`),
 DS2 by reading the singular set S(ker c) of each form c off c_W = W*c and
-c_U = B*c (`_uncovered_hyperplane`).
+c_U = B*c (`_uncovered_hyperplane`).  `is_dual_spread` and
+`verify_family` run one sequence (`_ds1_then_ds2`): DS1 on any domain,
+then DS2, which walks hyperplanes and so needs a finite field.  Over an
+infinite domain a DS1 failure is reported, and a candidate that passes
+DS1 is refused with `InfiniteDomainError`.  `verify_family` only renames
+the violation: DS1 becomes T1* (the pair as domain points), DS2 T2*.
 """
 
 from __future__ import annotations
@@ -115,10 +120,6 @@ class SingularSet:
         return self.hyperplane.contains(c.subspace())
 
 
-def singular_subspace(chart: AffineChart, x: Subspace) -> SingularSet:
-    return SingularSet(chart, x)
-
-
 # ---------------------------------------------------------------------------
 # dual spreads
 # ---------------------------------------------------------------------------
@@ -203,20 +204,24 @@ def _least_singular_pair(domain, m: int, k: int, gammas) -> tuple | None:
             i = first.setdefault(tuple(domain._combine(u, gamma, k)), j)
             if i != j and (best is None or (i, j) < best):
                 best = (i, j)
-        if best == (0, 1):
-            break                            # nothing comes before (0, 1)
     return best
 
 
 def is_dual_spread(b: DualSpreadCandidate) -> Report:
     """DS1 plus DS2 over all hyperplanes X with W not inside X."""
-    if not b.chart.domain.is_finite:
-        raise InfiniteDomainError(
-            "DS2 is checked by hyperplane enumeration; use check_pairwise_regular "
-            "for the DS1 part over an infinite domain")
+    return _ds1_then_ds2(b)
+
+
+def _ds1_then_ds2(b: DualSpreadCandidate) -> Report:
+    """DS1 on any domain; then DS2, which needs a finite field.  A DS1
+    failure over an infinite domain is reported; a candidate that passes
+    DS1 there is refused (InfiniteDomainError)."""
     bad = check_pairwise_regular(b)
     if bad is not None:
         return Report(False, bad)
+    if not b.chart.domain.is_finite:
+        raise InfiniteDomainError("DS2 is checked by hyperplane enumeration, "
+                                  "which needs a finite field")
     x = _uncovered_hyperplane(b)
     if x is not None:
         return Report(False, Violation(
@@ -330,21 +335,18 @@ def family_to_dual_spread(f: TransversalFamily) -> DualSpreadCandidate:
 def verify_family(f: TransversalFamily) -> Report:
     """(T1*) basis differences for every pair; (T2*) via the hyperplane
     correspondence: every singular set meets the psi image."""
-    spread = family_to_dual_spread(f)
-    bad = check_pairwise_regular(spread)
-    if bad is not None:
+    report = _ds1_then_ds2(family_to_dual_spread(f))
+    bad = report.violation
+    if bad is None:
+        return report
+    if bad.kind == "DS1":
         return Report(False, Violation(
             "T1*", "image differences of two domain points do not form "
             "a basis of U", pair=tuple(boxed(f.chart.domain, f._points[i])
                                        for i in bad.pair)))
-    if not f.chart.domain.is_finite:
-        raise InfiniteDomainError("(T2*) is checked by hyperplane enumeration")
-    x = _uncovered_hyperplane(spread)
-    if x is not None:
-        return Report(False, Violation(
-            "T2*", "no domain point lands in the coset family of this "
-            "hyperplane", hyperplane=x))
-    return Report(True)
+    return Report(False, Violation(
+        "T2*", "no domain point lands in the coset family of this "
+        "hyperplane", hyperplane=bad.hyperplane))
 
 
 def family_from_dual_spread(b: DualSpreadCandidate, index: int) -> TransversalFamily:

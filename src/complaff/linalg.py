@@ -29,8 +29,8 @@ quat-sampled and cost reguli-gf3 about 5% of its jobs per second, since
 the extra call per row lands on GF(3).  A payload is zero exactly when
 it equals the domain's ``_zero``, as every payload is canonical.  Ints
 and payloads enter through the domain's ``_canon``, never through a
-``Scalar``, which is built only when a caller reads ``entries`` or
-``row`` (once per matrix) or a vector crosses the API boundary:
+``Scalar``, which is built only when a caller reads ``entries`` (once
+per matrix) or a vector crosses the API boundary:
 ``payload_row`` takes one in, ``boxed`` hands one out.  One check,
 ``_echelon_check``, gives a row's coefficients over reduced echelon rows
 (its entries at the pivots, if they rebuild it) for
@@ -214,9 +214,6 @@ class MatrixK:
     @classmethod
     def zero(cls, domain: ScalarDomain, rows: int, cols: int) -> "MatrixK":
         return from_payloads(domain, [[domain._zero] * cols] * rows, cols)
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def _check(self, other):
         if not isinstance(other, MatrixK):

@@ -16,7 +16,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import Sampled, ScalarDomain, _projective_reps
+from .algebra import ScalarDomain, _listing, _projective_reps
 from .errors import DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
@@ -283,13 +283,13 @@ class ZStructure:
         """Canonical representatives of the projective Z-points (finite)."""
         if not self.domain.is_finite:
             raise InfiniteDomainError("use z_point_samples on an infinite domain")
-        return tuple(self.z_point_samples())
+        return self.z_point_samples()
 
-    def z_point_samples(self, seed: int = 0) -> Sampled:
-        """Deterministic sample of projective Z-points (all of them over a
-        finite field); see `_z_coords`."""
+    def z_point_samples(self, seed: int = 0):
+        """The projective Z-points: all of them over a finite field, as a
+        tuple, else a deterministic Sampled; see `_z_coords`."""
         coords = from_payloads(self.domain, self._z_coords(seed), self.dim)
-        return Sampled((coords * self.matrix).entries)
+        return _listing(self.domain, (coords * self.matrix).entries)
 
     # -- central subspaces --------------------------------------------------
 
@@ -306,7 +306,7 @@ class ZStructure:
         in the domain itself.
         """
         self._require_inside(a)
-        if self.domain.is_commutative or a.dim == 0:
+        if self.domain.is_commutative:
             return a
         d = self.domain
         mul, imag, units = d._mul, d._imag_parts, d._center_basis

@@ -12,9 +12,10 @@ point.  For the regulus {W} union l(alpha, beta) the transversals are
 with z running over the nonzero Z-points of U.  Reconstruction from
 these lines builds three members by the unique-line argument (the member
 through a point P1 of T1 meets T2 in the T2-part of P1 in T2 (+) T3 when
-T1 <= T2 (+) T3) and reads the others off the chart in which the three
-are W, U and U^(I, 1), where the regulus is the standard one.  Incidence
-is decided on chart coordinates, not by meets of subspaces.
+T1 <= T2 (+) T3) and reads the others off the chart in which the first
+two are W and U and the third is U^(gamma3, 1): the regulus is the line
+{k*gamma3} extended by W.  Incidence is decided on chart coordinates,
+not by meets of subspaces.
 
 Non-regular lines decompose as cones: vertex = the maximal central
 subspace of ker(alpha), base = a regulus in im(alpha) (+) U' for a
@@ -179,19 +180,21 @@ def reconstruct_from_transversals(lines) -> tuple:
     P, read off one `rref([T_j; T])`; the member X(P) is spanned by P and
     its hits.  Only X1, X2, X3 are built, through T1's rows[1], rows[0]
     and rows[0] + rows[1].  The lines are accepted exactly when X1 (+) X2
-    is a chart in which X3 is the graph of an invertible gamma3, so that
-    X3 = U^(I, 1) for the W-basis gamma3*W.  This is the full incidence
-    check.  If it holds, each line holds points (x, 0), (0, y), (z, z) of
-    X1, X2, X3, so it is span{(z, 0), (0, z)}, a transversal of the
-    standard regulus {W} u {U^(kI, 1)}; the points (kz, z) on T1, T_j and
-    its companion are collinear, so X(P) is the member through P.
-    Conversely, if the X(P) are pairwise complementary, meet every line
-    once and are spanned by these points, any two span the sum of the
-    lines, so X3 is a complement of X1 and of X2.  Order: rows[1] = (x, 0),
-    rows[0] = (0, y), and rows[0] + rows[1] in X3 = graph(I) force x = y,
-    so rows[0] + c*rows[1] = (cy, y) lies on U^(cI, 1).  The standard
-    regulus lists W (through rows[1]) and then these, c in element order.
-    Failures raise ReconstructionError.
+    is a chart in which X3 is the graph of an invertible gamma3.  This is
+    the full incidence check.  Over the W-basis gamma3*W, X3 = U^(I, 1):
+    each line holds points (x, 0), (0, y), (z, z) of X1, X2, X3, so it is
+    span{(z, 0), (0, z)}, a transversal of the standard regulus
+    {W} u {U^(kI, 1)}; the points (kz, z) on T1, T_j and its companion
+    are collinear, so X(P) is the member through P.  Conversely, if the
+    X(P) are pairwise complementary, meet every line once and are spanned
+    by these points, any two span the sum of the lines, so X3 is a
+    complement of X1 and of X2.  Order: rows[1] = (x, 0), rows[0] =
+    (0, y), and rows[0] + rows[1] in X3 = graph(I) force x = y, so
+    rows[0] + c*rows[1] = (cy, y) lies on U^(cI, 1).  That member is
+    spanned by the rows b_i + (c*gamma3*W)_i, so it is U^(c*gamma3, 1) of
+    the chart itself, and no second chart is built: the regulus is
+    {W} u l(gamma3, 0), listed as W (through rows[1]) and then these, c
+    in element order.  Failures raise ReconstructionError.
     """
     lines = tuple(lines)
     if len(lines) < 3:
@@ -228,12 +231,11 @@ def reconstruct_from_transversals(lines) -> tuple:
     try:
         chart = AffineChart(domain, ambient, x1, x2, space=x1 + x2)
         gamma3 = chart.coordinate_of(x3).gamma
-        chart = AffineChart(domain, ambient, x1, x2, space=chart.space,
-                            w_basis=gamma3 * chart.w_matrix)
+        regulus = Regulus(chart, gamma3, MatrixK.zero(domain, chart.m, chart.k))
     except ValueError as exc:
         raise ReconstructionError(
             f"the lines are not the transversals of one regulus: {exc}") from exc
-    return standard_regulus(chart).members()
+    return regulus.members()
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +296,7 @@ class ConeDecomposition:
     vertex: Subspace          # maximal central subspace of ker(alpha)
     kernel: Subspace          # ker(alpha) itself, inside U
     u_prime: Subspace         # central complement of the kernel
-    base: Regulus             # regulus in im(alpha) (+) U'
-    base_chart: AffineChart
+    base: Regulus             # regulus in im(alpha) (+) U', in its own chart
     exact: bool               # vertex == kernel
 
 
@@ -325,5 +326,4 @@ def cone_decompose(line: AffineLine) -> ConeDecomposition:
     alpha_prime = from_payloads(dom, im_amb._coefficients(
         [alpha_w.payload[j] for j in chosen]), r)
     base = Regulus(base_chart, alpha_prime, MatrixK.zero(dom, r, r))
-    return ConeDecomposition(vertex, ker_amb, u_prime, base, base_chart,
-                             vertex == ker_amb)
+    return ConeDecomposition(vertex, ker_amb, u_prime, base, vertex == ker_amb)

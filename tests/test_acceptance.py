@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from complaff.algebra import PrimeField, Quaternions, scalars
+from complaff.algebra import PrimeField, Quaternions
 from complaff.chart import (
     AffineChart,
     AffineLine,
@@ -23,12 +23,12 @@ from complaff.chart import (
 )
 from complaff.dualspread import (
     DualSpreadCandidate,
+    SingularSet,
     family_from_dual_spread,
     family_to_coord,
     family_to_dual_spread,
     coord_to_family,
     is_dual_spread,
-    singular_subspace,
     verify_family,
 )
 from complaff.linalg import MatrixK, is_invertible
@@ -81,7 +81,7 @@ def test_criterion_1_vector_space_axioms(domain):
     assert size == domain.order ** 4
 
     add = [[index[pts[i] + pts[j]] for j in range(size)] for i in range(size)]
-    elems = scalars(domain)
+    elems = domain.sample()
     act = {k: [index[k * pts[i]] for i in range(size)] for k in elems}
 
     zero = index[ch.zero_coord()]
@@ -153,7 +153,7 @@ def test_criterion_3_reguli(domain, q):
     assert set(reconstruct_from_transversals(lines0)) == set(members0)
     import random
     rng = random.Random(2024)
-    elems = scalars(domain)
+    elems = domain.sample()
     images = 0
     while images < 10:
         alpha = MatrixK(domain, [[rng.choice(elems) for _ in range(2)]
@@ -198,7 +198,7 @@ def test_criterion_3_reguli(domain, q):
 def test_criterion_4_cones():
     budget = Budget("4 (cones over GF(3))", 60.0)
     ch = symmetric_chart(GF3, 2)
-    elems = scalars(GF3)
+    elems = GF3.sample()
     zero = MatrixK.zero(GF3, 2, 2)
     rank_one = 0
     for combo in itertools.product(elems, repeat=4):
@@ -225,7 +225,7 @@ def test_criterion_4_cones():
 
 def test_criterion_5_quaternion_witnesses():
     budget = Budget("5 (quaternion witnesses)", 30.0)
-    grid = scalars(Q)[:81]
+    grid = Q.sample()[:81]
     assert len(grid) == 81
 
     # (i) K(i b1 + b2) contains no nonzero central vector
@@ -299,7 +299,7 @@ def test_criterion_6_dual_spreads():
     assert len(valid) == 12
     subs = {c: c.subspace() for c in coords}
     for x in valid:
-        members = singular_subspace(ch, x).coords()
+        members = SingularSet(ch, x).coords()
         assert len(members) == 4
         assert set(members) == {c for c in coords if x.contains(subs[c])}
 

@@ -11,6 +11,9 @@ hold that too; the files in RECORDED_WITHOUT_SRC_LINES predate it.  Files
 written since it began to record ``src_code_lines``, the lines of that
 library that are not blank, comments or docstrings, hold that as well, at
 most ``src_lines``; the files in RECORDED_WITHOUT_SRC_CODE_LINES predate it.
+Files written since it began to record ``src_public_names``, the public
+names that library defines outside ``__init__.py``, hold that too; the
+files in RECORDED_WITHOUT_SRC_PUBLIC_NAMES predate it.
 A change's file BENCH_prN<suffix>.json comes with the file of its parent,
 BENCH_prN-parent<suffix>.json, recorded in the same alternating pairs: the
 same seeds, the same run length and the same workloads.
@@ -21,7 +24,10 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import statistics
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +69,19 @@ RECORDED_WITHOUT_SRC_CODE_LINES = RECORDED_WITHOUT_SRC_LINES | {
     "BENCH_pr13.json",
 }
 
+RECORDED_WITHOUT_SRC_PUBLIC_NAMES = RECORDED_WITHOUT_SRC_CODE_LINES | {
+    "BENCH_pr14-parent.json",
+    "BENCH_pr14.json",
+    "BENCH_pr15-parent.json",
+    "BENCH_pr15.json",
+    "BENCH_pr16-parent-seeds11-12.json",
+    "BENCH_pr16-parent.json",
+    "BENCH_pr16-seeds11-12.json",
+    "BENCH_pr16.json",
+    "BENCH_pr17-parent.json",
+    "BENCH_pr17.json",
+}
+
 
 def test_src_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     spec = importlib.util.spec_from_file_location(
@@ -79,6 +98,25 @@ def test_src_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
     assert record.src_code_lines(str(tmp_path)) == 5    # X = ... (2), class, def, return
 
 
+def test_src_public_names_counts_top_level_names_and_public_methods(tmp_path):
+    record = _bench_module("record")
+    package = tmp_path / "src" / "complaff"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .a import f\nPUBLIC = 1\n")
+    (package / "a.py").write_text(
+        "X = 1\n_Y = 2\nZ: int = 3\n\n"
+        "def f():\n    def inner():\n        pass\n\n"
+        "def _g():\n    pass\n\n"
+        "class C:\n    attr = 1\n\n    def m(self):\n        pass\n\n"
+        "    @property\n    def p(self):\n        return 1\n\n"
+        "    def _private(self):\n        pass\n\n"
+        "    def __eq__(self, other):\n        return True\n\n"
+        "class _Hidden:\n    def m(self):\n        pass\n")
+    # X, Z, f, C, C.m, C.p; not _Y, inner, _g, C.attr, C._private,
+    # C.__eq__, _Hidden, _Hidden.m or anything in __init__.py
+    assert record.src_public_names(str(tmp_path)) == 6
+
+
 def test_bench_files_are_committed():
     assert FILES
 
@@ -93,6 +131,8 @@ def test_bench_file_holds_every_metric_of_every_workload(path):
     if os.path.basename(path) not in RECORDED_WITHOUT_SRC_CODE_LINES:
         code_lines = record["src_code_lines"]
         assert type(code_lines) is int and 0 < code_lines <= record["src_lines"]
+    if os.path.basename(path) not in RECORDED_WITHOUT_SRC_PUBLIC_NAMES:
+        assert type(record["src_public_names"]) is int and record["src_public_names"] > 0
     for workload in BENCHMARK["workloads"]:
         entry = record["workloads"][workload["name"]]
         runs = entry["runs"]
@@ -202,3 +242,24 @@ def test_comparator_reports_samples_and_src_sizes():
     old = compare.load(os.path.join(ROOT, "BENCH_pr9.json"))
     assert compare.samples(old, compare.load(change), "quat-sampled") is None
     assert compare.src_sizes(old) == "-/-"
+    assert "src public names - -> -" in text.splitlines()
+
+
+def _compare_command():
+    return [sys.executable, os.path.join(ROOT, "bench", "compare.py"),
+            os.path.join(ROOT, "BENCH_pr16-parent.json"),
+            os.path.join(ROOT, "BENCH_pr16.json")]
+
+
+def test_comparator_ends_quietly_when_its_reader_closes_the_pipe():
+    head = subprocess.run(shlex.join(_compare_command()) + " | head -1", shell=True,
+                          capture_output=True, text=True)
+    assert head.stdout.startswith("parent BENCH_pr16-parent.json")
+    assert "Traceback" not in head.stderr
+    # the reader gone before the first write: the write itself fails
+    proc = subprocess.Popen(_compare_command(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1 and err == ""

@@ -247,6 +247,24 @@ def test_check_dual_spread_repeated_member_fails(cfg2, tmp_path):
     assert report["violation"]["kind"] == "DS1"
 
 
+def test_check_dual_spread_over_the_quaternions_reports_ds1_and_refuses_ds2(
+        cfgq, tmp_path):
+    i = ["0", "1", "0", "0"]
+    j = ["0", "0", "1", "0"]
+    zero, skew = [[0, 0], [0, 0]], [[i, 0], [0, j]]
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps({"kind": "dual-spread", "gammas": [zero, skew, zero]}))
+    out = run_cli("check-dual-spread", str(repeated), "--config", cfgq, "--json")
+    assert out.returncode == 1 and out.stderr == ""
+    violation = json.loads(out.stdout)["violation"]
+    assert (violation["kind"], violation["pair"]) == ("DS1", [0, 2])
+    regular = tmp_path / "regular.json"
+    regular.write_text(json.dumps({"kind": "dual-spread", "gammas": [zero, skew]}))
+    out = run_cli("check-dual-spread", str(regular), "--config", cfgq)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("refused: ") and len(out.stderr.splitlines()) == 1
+
+
 def test_check_dual_spread_missing_member_fails_ds2(cfg2, tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"kind": "dual-spread",

@@ -8,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complaff import linalg
-from complaff.algebra import ExtensionField, PrimeField, Quaternions, scalars
-from complaff.chart import AffineChart, ComplementCoord, are_complementary, symmetric_chart
+from complaff.algebra import ExtensionField, PrimeField, Quaternions
+from complaff.chart import (
+    AffineChart,
+    ComplementCoord,
+    Subchart,
+    are_complementary,
+    symmetric_chart,
+)
 from complaff.dualspread import (
     DualSpreadCandidate,
+    SingularSet,
     TransversalFamily,
     _uncovered_hyperplane,
     check_pairwise_regular,
@@ -21,7 +28,6 @@ from complaff.dualspread import (
     family_to_dual_spread,
     is_dual_spread,
     normalized_family,
-    singular_subspace,
     verify_family,
 )
 from complaff.errors import InfiniteDomainError
@@ -88,7 +94,7 @@ def test_psi_is_linear_and_bijective_gf2():
                        for a, b in zip(families[c1], families[c2]))
         assert family_to_coord(ch, summed) == c1 + c2
     # homogeneity
-    for k in scalars(GF2):
+    for k in GF2.sample():
         for c in coords:
             scaled = tuple(tuple(k * x for x in w) for w in families[c])
             assert family_to_coord(ch, scaled) == k * c
@@ -112,7 +118,7 @@ def test_singular_sets_gf2():
     assert len(valid) == 12
     member_sets = []
     for x in valid:
-        sing = singular_subspace(ch, x)
+        sing = SingularSet(ch, x)
         members = sing.coords()
         assert len(members) == 4                    # |H|^2 with |H| = 2
         oracle = {c for c in all_coords if x.contains(subspaces[c])}
@@ -126,7 +132,7 @@ def test_singular_sets_gf2():
 def test_singular_sets_have_no_regular_line():
     ch = symmetric_chart(GF2, 2)
     for x in hyperplanes_not_containing(ch.w):
-        members = singular_subspace(ch, x).coords()
+        members = SingularSet(ch, x).coords()
         for c1, c2 in itertools.combinations(members, 2):
             assert not are_complementary(c1, c2)
 
@@ -138,7 +144,7 @@ def _affine_span_coords(ch, coords):
     flat = [tuple(x for row in d.gamma.entries for x in row) for d in diffs]
     span = Subspace.from_rows(ch.domain, ch.m * ch.k, flat)
     out = []
-    elems = scalars(ch.domain)
+    elems = ch.domain.sample()
     for combo in itertools.product(elems, repeat=span.dim):
         acc = base
         for coeff, row in zip(combo, span.basis.entries):
@@ -152,7 +158,7 @@ def _affine_span_coords(ch, coords):
 def test_singular_sets_are_maximal():
     ch = symmetric_chart(GF2, 2)
     for x in hyperplanes_not_containing(ch.w)[:4]:
-        members = singular_subspace(ch, x).coords()
+        members = SingularSet(ch, x).coords()
         outside = [c for c in ch.all_coords() if c not in set(members)]
         for extra in outside:
             enlarged = _affine_span_coords(ch, list(members) + [extra])
@@ -164,7 +170,7 @@ def test_singular_set_rejects_hyperplane_through_w():
     ch = symmetric_chart(GF2, 2)
     through_w = next(x for x in hyperplanes(GF2, 4) if x.contains(ch.w))
     with pytest.raises(ValueError):
-        singular_subspace(ch, through_w)
+        SingularSet(ch, through_w)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +185,12 @@ def gf4_spread_subspaces():
 
     Identification (a, b) = (x1 + w*x2, x3 + w*x4) <-> (x1, x2, x3, x4).
     """
-    directions = [(GF4.one(), c) for c in scalars(GF4)]
+    directions = [(GF4.one(), c) for c in GF4.sample()]
     directions.append((GF4.zero(), GF4.one()))
     members = []
     for d in directions:
         rows = []
-        for s in scalars(GF4):
+        for s in GF4.sample():
             if s.is_zero():
                 continue
             a, b = s * d[0], s * d[1]
@@ -208,7 +214,7 @@ def test_gf4_spread_shape():
     covered = set()
     for s in members:
         assert s.dim == 2
-        for v in itertools.product(scalars(GF2), repeat=2):
+        for v in itertools.product(GF2.sample(), repeat=2):
             pt = vec_add(tuple(v[0] * x for x in s.basis.entries[0]),
                          tuple(v[1] * x for x in s.basis.entries[1]))
             covered.add(pt)
@@ -258,6 +264,17 @@ def test_dual_spread_refuses_infinite_domain():
     assert check_pairwise_regular(clash).kind == "DS1"
 
 
+def test_dual_spread_reports_ds1_over_the_quaternions():
+    # DS1 runs on any domain: only a candidate that passes it is refused
+    ch = symmetric_chart(Q, 2)
+    c0, c1 = ch.zero_coord(), ch.coord([[Q.i, 0], [0, Q.j]])
+    report = is_dual_spread(DualSpreadCandidate(ch, [c0, c1, c0]))
+    assert not report.ok
+    assert (report.violation.kind, report.violation.pair) == ("DS1", (0, 2))
+    with pytest.raises(InfiniteDomainError):
+        is_dual_spread(DualSpreadCandidate(ch, [c0, c1]))
+
+
 # ---------------------------------------------------------------------------
 # transversal families and both theorem directions
 # ---------------------------------------------------------------------------
@@ -267,7 +284,7 @@ def raw_coset_condition(f):
     H of U directly, in b-coordinates."""
     ch = f.chart
     m = ch.m
-    u_vectors = list(itertools.product(scalars(ch.domain), repeat=m))
+    u_vectors = list(itertools.product(ch.domain.sample(), repeat=m))
     for h in hyperplanes(ch.domain, m):
         for cs in itertools.product(u_vectors, repeat=m):
             hit = False
@@ -394,7 +411,7 @@ def _subchart_gf3():
     # K^5 = W (+) U with dim W = 2, dim U = 3; the subchart on (b_0, b_2)
     # lives in the proper subspace W (+) <b_0, b_2> of dimension 4
     w = Subspace.from_rows(GF3, 5, [e(GF3, 5, 0), e(GF3, 5, 1)])
-    return AffineChart(GF3, 5, w).subchart((0, 2)).chart
+    return Subchart(AffineChart(GF3, 5, w), (0, 2)).chart
 
 
 COUNT_CHARTS = {"GF2": lambda: symmetric_chart(GF2, 2),

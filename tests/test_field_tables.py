@@ -93,7 +93,7 @@ def test_tables_are_shared_and_filled_lazily():
         assert all(mine is shared for mine, shared in zip(
             (f._add_t, f._neg_t, f._mul_t, f._inv_t, f._canon_t), tables))
     x = f1.generator()
-    assert x * x == f2.from_int(10)
+    assert x * x == f2.scalar(10)
     # one product row, and the canonical payloads of x and of 10
     assert [len(t) for t in tables] == [0, 0, 1, 0, 2]
 

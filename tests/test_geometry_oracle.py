@@ -28,8 +28,8 @@ from boxed_reference import (
     ref_transversal_contains,
 )
 from complaff.algebra import ExtensionField, PrimeField, Quaternions
-from complaff.chart import AffineChart, AffineLine, symmetric_chart
-from complaff.dualspread import singular_subspace
+from complaff.chart import AffineChart, AffineLine, Subchart, symmetric_chart
+from complaff.dualspread import SingularSet
 from complaff.errors import ReconstructionError
 from complaff.linalg import MatrixK, kernel
 from complaff.projective import Subspace
@@ -252,7 +252,7 @@ def test_cone_decompose_matches_boxed(domain, m, data):
     assert cone.vertex.basis == want["vertex"]
     assert cone.kernel.basis == want["kernel"]
     assert cone.u_prime.basis == want["u_prime"]
-    assert cone.base_chart.b == want["u_prime_basis"]
+    assert cone.base.chart.b == want["u_prime_basis"]
     assert cone.base.alpha == want["alpha_prime"]
     assert cone.exact == want["exact"]
 
@@ -335,7 +335,7 @@ SINGULAR_CHARTS = {
     "GF2": lambda: charts(GF2, 2),
     "GF3": lambda: charts(GF3, 2),
     "GF4": lambda: charts(GF4, 2),
-    "GF3-subchart": lambda: charts(GF3, 3).map(lambda ch: ch.subchart((0, 2)).chart),
+    "GF3-subchart": lambda: charts(GF3, 3).map(lambda ch: Subchart(ch, (0, 2)).chart),
     "GF2-k2-m3": wide_charts,
 }
 
@@ -349,11 +349,11 @@ def test_singular_set_matches_lattice_route(case, data):
     chart's space, in chart coordinates, with c nonzero on W."""
     ch = data.draw(SINGULAR_CHARTS[case]())
     dom, n = ch.domain, ch.ambient
-    form = data.draw(st.lists(elements(dom), min_size=ch.v_dim, max_size=ch.v_dim))
+    form = data.draw(st.lists(elements(dom), min_size=ch.space.dim, max_size=ch.space.dim))
     form[data.draw(st.integers(0, ch.k - 1))] = dom.one()
     ker = kernel(MatrixK(dom, [[c] for c in form], cols=1))
     x = Subspace.spanned(dom, n, (ker * MatrixK(dom, ch.w_basis + ch.b, cols=n)).payload)
-    sing = singular_subspace(ch, x)
+    sing = SingularSet(ch, x)
     h, members = ref_singular_set(ch, x)
     assert sing.h == h
     assert set(sing.coords()) == members

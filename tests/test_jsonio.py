@@ -43,7 +43,7 @@ def test_scalar_round_trips_all_domains():
     from fractions import Fraction
 
     cases = [
-        (GF3, GF3.from_int(2)),
+        (GF3, GF3.scalar(2)),
         (GF4, GF4.generator() + GF4.one()),
         (Q, Q.scalar((Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 5)))),
     ]

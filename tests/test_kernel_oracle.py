@@ -37,7 +37,7 @@ from boxed_reference import (
     ref_solve,
 )
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
-from complaff.chart import AffineChart, symmetric_chart
+from complaff.chart import AffineChart, Subchart, symmetric_chart
 from complaff.linalg import (
     MatrixK,
     apply,
@@ -178,7 +178,7 @@ def oracle_charts(domain):
     one, zero = domain.one(), domain.zero()
     w5 = Subspace.from_rows(domain, 5, [[one, zero, one, zero, zero],
                                         [zero, one, zero, zero, one]])
-    return [sym, sym.subchart([1]).chart, AffineChart(domain, 5, w5)]
+    return [sym, Subchart(sym, [1]).chart, AffineChart(domain, 5, w5)]
 
 
 @st.composite

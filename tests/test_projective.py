@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from boxed_reference import ref_complement
-from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar, scalars
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
 from complaff.chart import AffineChart
 from complaff.errors import InfiniteDomainError
 from complaff.linalg import MatrixK
@@ -38,7 +38,7 @@ def e(domain, n, i):
 
 def brute_force_subspaces(domain, n, d):
     """All d-dim subspaces, from spans of all vector d-tuples (slow, independent)."""
-    elems = scalars(domain)
+    elems = domain.sample()
     vectors = [v for v in itertools.product(elems, repeat=n)]
     found = set()
     for combo in itertools.combinations(vectors, d):
@@ -211,6 +211,9 @@ def test_quaternion_maximal_central_trivial():
     m = z.maximal_central_subspace(a)
     assert m.dim == 0
     assert not z.is_central_subspace(a)
+    # the zero subspace: an empty Z-system, whose solution is 0 again
+    zero = Subspace.zero(Q, 2)
+    assert z.maximal_central_subspace(zero) == zero and z.is_central_subspace(zero)
 
 
 def test_quaternion_maximal_central_full_line():
@@ -279,3 +282,12 @@ def test_z_point_reps_finite_count():
         quaternion_zstructure().z_point_reps()
     samples = quaternion_zstructure().z_point_samples()
     assert samples.is_sample and len(samples) > 4
+
+
+def test_z_point_samples_list_every_point_over_a_finite_field():
+    # over GF(3) the listing is complete, so it is a plain tuple, no Sampled
+    z = ZStructure(GF3, [e(GF3, 2, 0), e(GF3, 2, 1)])
+    listing = z.z_point_samples()
+    assert type(listing) is tuple and not hasattr(listing, "is_sample")
+    assert listing == z.z_point_reps() and len(listing) == 4
+    assert quaternion_zstructure().z_point_samples().is_sample

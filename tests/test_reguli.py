@@ -9,7 +9,6 @@ from complaff.algebra import (
     Quaternions,
     Scalar,
     _projective_reps,
-    scalars,
 )
 from complaff.chart import (
     AffineChart,
@@ -47,7 +46,7 @@ def e(domain, n, i):
 
 
 def random_regulus(chart, rng):
-    elems = scalars(chart.domain)
+    elems = chart.domain.sample()
     while True:
         alpha = MatrixK(chart.domain,
                         [[rng.choice(elems) for _ in range(2)] for _ in range(2)])
@@ -216,6 +215,38 @@ def test_reconstruct_random_reguli():
         assert set(rebuilt) == set(reg.members())
 
 
+@pytest.mark.parametrize("domain", [GF2, GF3, GF4], ids=repr)
+def test_reconstruct_builds_one_chart_with_the_members_of_two(domain, monkeypatch):
+    """One chart, X1 (+) X2, per call.  Its members, in order, are those of
+    standard_regulus in a second chart of W-basis gamma3*W, gamma3 the
+    coordinate of X3 in the first."""
+    rng = random.Random(7)
+    ch = symmetric_chart(domain, 2)
+    init, coordinate_of = AffineChart.__init__, AffineChart.coordinate_of
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def recorded_coordinate_of(self, s):
+        c = coordinate_of(self, s)
+        gammas.append(c.gamma)
+        return c
+
+    for _ in range(4):
+        lines = transversals_of(random_regulus(ch, rng)).lines()
+        built, gammas = [], []
+        monkeypatch.setattr(AffineChart, "__init__", counted_init)
+        monkeypatch.setattr(AffineChart, "coordinate_of", recorded_coordinate_of)
+        members = reconstruct_from_transversals(lines)
+        monkeypatch.undo()
+        assert len(built) == 1 and len(gammas) == 1
+        first = built[0]
+        second = AffineChart(domain, 4, first.w, first.u, space=first.space,
+                             w_basis=gammas[0] * first.w_matrix)
+        assert members == standard_regulus(second).members()
+
+
 def test_reconstruct_rejects_corrupted_input():
     ch = symmetric_chart(GF2, 2)
     lines = list(transversals_of(standard_regulus(ch)).lines())
@@ -309,7 +340,7 @@ def test_cone_injective_alpha_nonsymmetric_chart():
     cone = cone_decompose(line)
     assert cone.vertex.dim == 0 and cone.exact
     assert cone.u_prime == ch.u
-    assert cone.base_chart.space.dim == 4            # im(alpha) (+) U
+    assert cone.base.chart.space.dim == 4            # im(alpha) (+) U
     assert {p.subspace() for p in line.points()} \
         == set(cone.base.affine_members())
 
@@ -425,7 +456,7 @@ def test_cone_points_are_the_line_points_for_every_alpha(domain, n, count):
 
 def test_cone_every_rank_one_alpha_gf3():
     ch = symmetric_chart(GF3, 2)
-    elems = scalars(GF3)
+    elems = GF3.sample()
     zero = MatrixK.zero(GF3, 2, 2)
     for combo in itertools.product(elems, repeat=4):
         alpha = MatrixK(GF3, [combo[:2], combo[2:]])
@@ -440,7 +471,7 @@ def test_cone_every_rank_one_alpha_gf3():
 
 def test_cone_vertex_inside_every_point_all_lines_gf3():
     ch = symmetric_chart(GF3, 2)
-    elems = scalars(GF3)
+    elems = GF3.sample()
     zero = MatrixK.zero(GF3, 2, 2)
     for combo in itertools.product(elems, repeat=4):
         alpha = MatrixK(GF3, [combo[:2], combo[2:]])
@@ -461,8 +492,8 @@ def test_cone_quaternion_noncentral_kernel():
     assert cone.u_prime == Subspace.from_rows(Q, 4, [e(Q, 4, 2)])
     # the intersection statement, checked per sampled parameter:
     # X_k intersect (im (+) U') is the k-th member of the base line
-    wall = cone.base_chart.space
-    for k in scalars(Q)[:12]:
+    wall = cone.base.chart.space
+    for k in Q.sample()[:12]:
         point = line.point_at(k).subspace()
         assert point & wall == cone.base.line.point_at(k).subspace()
 
@@ -521,7 +552,7 @@ def _points_of(member):
     domain = member.domain
     out = []
     seen = set()
-    for coeffs in itertools.product(scalars(domain), repeat=member.dim):
+    for coeffs in itertools.product(domain.sample(), repeat=member.dim):
         v = None
         for c, row in zip(coeffs, member.basis.entries):
             term = vec_scale(c, row)

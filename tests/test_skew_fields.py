@@ -44,7 +44,7 @@ def test_minus_one_minus_three_is_a_noncommutative_division_ring():
     d = QuaternionAlgebra(-1, -3)
     one, i, j, k = units(d)
     assert i * j != j * i and i * j == k == -(j * i)
-    assert i * i == -one and j * j == d.from_int(-3) and k * k == d.from_int(-3)
+    assert i * i == -one and j * j == d.scalar(-3) and k * k == d.scalar(-3)
     nonzero = [x for x in d.sample(0) if not x.is_zero()]
     assert len(nonzero) == 100
     for x in nonzero:
@@ -54,7 +54,7 @@ def test_minus_one_minus_three_is_a_noncommutative_division_ring():
         x, y, z = (random_element(rng, d) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
-    assert [x.is_central() for x in (one, i, j, k, d.from_int(7))] == [
+    assert [x.is_central() for x in (one, i, j, k, d.scalar(7))] == [
         True, False, False, False, True]
 
 
@@ -74,6 +74,7 @@ def test_maximal_central_subspace_of_a_point(d):
         assert z.point_in_projective_z((zero, zero, one, a)) == a.is_central()
         kinds.add(a.is_central())
     assert kinds == {True, False}
+    assert z.maximal_central_subspace(Subspace.zero(d, 4)) == Subspace.zero(d, 4)
 
 
 @pytest.mark.parametrize("d", ALGEBRAS, ids=IDS)
