@@ -20,7 +20,10 @@ medians differ, in the change's favour, by more than the parent's
 runs more jobs in the same time.  The header gives each checkout's
 ``src_lines``/``src_code_lines`` and, on the next line, its
 ``src_public_names``; files recorded before those counts existed show
-``-`` there and no ``samples`` row.
+``-`` there and no ``samples`` row.  Last, each workload lists the
+per-layer metrics of BENCHMARK.json from the two traced runs side by
+side, parent -> change, with no verdict: they have no bound, and each
+side is one run (``-`` where a file lacks the metric).
 
 Two files are paired when bench/record.py wrote them in one alternating
 run: the same ``started`` time, seeds and run length.  Unpaired files,
@@ -102,8 +105,22 @@ def src_sizes(record: dict) -> str:
     return "/".join(str(record.get(key, "-")) for key in ("src_lines", "src_code_lines"))
 
 
+def traced(parent: dict, change: dict, workload: str, benchmark: dict) -> list:
+    """(name, unit, parent value, change value) of every per-layer metric
+    in the two traced runs of the workload, None where a file lacks it."""
+    sides = [record["workloads"][workload].get("traced", {}).get("result", {})
+             .get("metrics", {}) for record in (parent, change)]
+    return [(m["name"], m["unit"], *(side.get(m["name"], {}).get("value") for side in sides))
+            for m in benchmark["per_layer"]]
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
+
+
+def _fmt_traced(x) -> str:
+    """A count in full, a time or ratio to 4 digits, '-' when absent."""
+    return "-" if x is None else str(x) if isinstance(x, int) else _fmt(x)
 
 
 def report(parent_path: str, change_path: str, benchmark: dict) -> str:
@@ -116,26 +133,30 @@ def report(parent_path: str, change_path: str, benchmark: dict) -> str:
              f"{change.get('src_public_names', '-')}"]
     if not paired(parent, change):
         lines.append("unpaired files (not one alternating run): medians only, no pairs")
-    workload = None
-    for row in rows:
-        if row["workload"] != workload:
-            workload = row["workload"]
-            lines.append(f"\n{workload}")
-            jobs = samples(parent, change, workload)
-            if jobs is not None:
-                p_jobs, c_jobs = ("{:.10g} [{:.10g}, {:.10g}]".format(*side) for side in jobs)
-                lines.append(f"  {'samples':<15} {p_jobs} -> {c_jobs} jobs")
-        p_med, p_q1, p_q3 = row["parent"]
-        c_med, c_q1, c_q3 = row["change"]
-        ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}x"
-        won = "" if row["won"] is None else f"  won {row['won']}/{row['pairs']}"
-        bound = "" if row["bound"] is None else f" (bound {row['bound']:.0%})"
-        lines.append(
-            f"  {row['metric']:<15} {_fmt(p_med)} [{_fmt(p_q1)}, {_fmt(p_q3)}] -> "
+    for workload in [w["name"] for w in benchmark["workloads"]]:
+        lines.append(f"\n{workload}")
+        jobs = samples(parent, change, workload)
+        if jobs is not None:
+            p_jobs, c_jobs = ("{:.10g} [{:.10g}, {:.10g}]".format(*side) for side in jobs)
+            lines.append(f"  {'samples':<15} {p_jobs} -> {c_jobs} jobs")
+        lines.extend(_metric_line(row) for row in rows if row["workload"] == workload)
+        lines.append("  traced run, per layer (one run each, no bound)")
+        lines.extend(f"    {name:<34} {_fmt_traced(p)} -> {_fmt_traced(c)} {unit}"
+                     for name, unit, p, c in traced(parent, change, workload, benchmark))
+    return "\n".join(lines)
+
+
+def _metric_line(row: dict) -> str:
+    """The report line of one end-to-end metric (or fail_ratio)."""
+    p_med, p_q1, p_q3 = row["parent"]
+    c_med, c_q1, c_q3 = row["change"]
+    ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}x"
+    won = "" if row["won"] is None else f"  won {row['won']}/{row['pairs']}"
+    bound = "" if row["bound"] is None else f" (bound {row['bound']:.0%})"
+    return (f"  {row['metric']:<15} {_fmt(p_med)} [{_fmt(p_q1)}, {_fmt(p_q3)}] -> "
             f"{_fmt(c_med)} [{_fmt(c_q1)}, {_fmt(c_q3)}] {row['unit']}  {ratio}{won}  "
             f"beyond IQR: {'yes' if row['beyond_iqr'] else 'no'}  "
             f"{row['verdict']}{bound}")
-    return "\n".join(lines)
 
 
 def main(argv=None) -> int:

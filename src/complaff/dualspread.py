@@ -168,20 +168,22 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
     finite field with m = dim U = dim W, gamma_i - gamma_j is singular
     exactly when u*(gamma_i - gamma_j) = 0 for some projective point u of
     K^m (a canonical representative kills it whenever any nonzero u
-    does).  So the members are bucketed by their rows u*gamma_i, one pass
-    per point, and every singular pair shares a bucket at some point.
-    The bucket of a singular pair (i, j) starts with two indices
-    (a, b) <= (i, j), themselves a singular pair; so the least of the
-    buckets' first two indices, over every point, is the first singular
-    pair in combinations order.  Every bucket counts: stopping at a
-    point's first collision can name (3, 5) where (0, 15) is first.
-    The cost is (q^m - 1)/(q - 1) * N row-by-matrix products, against
-    N(N - 1)/2 reductions.
+    does).  So the members, walked in order, are bucketed by their rows
+    u*gamma_i, one bucket dict per point, and every singular pair shares a
+    bucket at some point.  A bucket's first index a is the least member
+    with its key, so a singular pair (i, j) meets (a, j) <= (i, j), itself
+    singular: the least (first, j) over every collision is the first
+    singular pair in combinations order.  Every collision counts: stopping
+    at the first can name (3, 5) where (0, 15) is first.  A finite
+    division ring is commutative (Wedderburn 1905), so column l of the
+    table [u*gamma]_u over the points is sum_i gamma[i][l] * (column i of
+    the table of points): the cost is k row combinations per member, each
+    over all (q^m - 1)/(q - 1) points at once, against N(N - 1)/2
+    reductions.
     """
     ch = b.chart
     if ch.domain.is_finite and ch.m == ch.k:
-        pair = _least_singular_pair(ch.domain, ch.m, ch.k,
-                                    [c.gamma.payload for c in b.members])
+        pair = _least_singular_pair(ch.domain, ch.m, [c.gamma.payload for c in b.members])
     else:
         pair = next(((i, j) for i, j in itertools.combinations(range(len(b.members)), 2)
                      if not is_invertible(b.members[i].gamma - b.members[j].gamma)),
@@ -193,15 +195,18 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
                      f"regular line", pair=pair)
 
 
-def _least_singular_pair(domain, m: int, k: int, gammas) -> tuple | None:
+def _least_singular_pair(domain, m: int, gammas) -> tuple | None:
     """The least (i, j), i < j, with gammas[i] - gammas[j] singular: the m x k
     payload matrices bucketed by their rows u*gamma, per projective point u
-    of K^m."""
+    of K^m, each gamma's rows at every point read off its k columns."""
+    points = list(_projective_reps(domain, m))
+    columns = list(zip(*points))
+    buckets = [{} for _ in points]
     best = None
-    for u in _projective_reps(domain, m):
-        first = {}
-        for j, gamma in enumerate(gammas):
-            i = first.setdefault(tuple(domain._combine(u, gamma, k)), j)
+    for j, gamma in enumerate(gammas):
+        rows = zip(*[domain._combine(col, columns, len(points)) for col in zip(*gamma)])
+        for first, row in zip(buckets, rows):
+            i = first.setdefault(row, j)
             if i != j and (best is None or (i, j) < best):
                 best = (i, j)
     return best
@@ -294,10 +299,12 @@ class TransversalFamily:
     Built from pairs (u, (u^tau_0, ..., u^tau_{m-1})) of length-m
     coordinate tuples over the chart's U-basis, or (u, the m x m MatrixK
     of the images), kept as it is.  Holds each u as a payload row and its
-    images as that matrix, the gamma of u's member.
+    images as that matrix, the gamma of u's member.  The library's own
+    callers pass canonical payload rows as u (``_canonical``), which are
+    kept as they are too.
     """
 
-    def __init__(self, chart: AffineChart, entries):
+    def __init__(self, chart: AffineChart, entries, *, _canonical: bool = False):
         if not chart.is_symmetric:
             raise ValueError("transversal families live in symmetric charts")
         self.chart = chart
@@ -305,7 +312,8 @@ class TransversalFamily:
         shape = "entries must be length-m coordinate tuples"
         self._points, self._images = [], []
         for u, images in entries:
-            u = tuple(payload_row(dom, u))
+            if not _canonical:
+                u = tuple(payload_row(dom, u))
             if not isinstance(images, MatrixK):
                 rows = [payload_row(dom, img) for img in images]
                 if any(len(r) != m for r in rows):
@@ -364,7 +372,7 @@ def family_from_dual_spread(b: DualSpreadCandidate, index: int) -> TransversalFa
     if len(set(points)) != len(points):
         raise ValueError("two members agree in a coordinate; "
                          "the candidate is not a dual spread")
-    return TransversalFamily(ch, zip(points, gammas))
+    return TransversalFamily(ch, zip(points, gammas), _canonical=True)
 
 
 def normalized_family(f: TransversalFamily, index: int) -> TransversalFamily:
@@ -372,4 +380,4 @@ def normalized_family(f: TransversalFamily, index: int) -> TransversalFamily:
     if not 0 <= index < f.chart.m:
         raise IndexError("coordinate index out of range")
     return TransversalFamily(f.chart, [(gamma.payload[index], gamma)
-                                       for gamma in f._images])
+                                       for gamma in f._images], _canonical=True)

@@ -7,10 +7,12 @@ Scalar encoding depends on the domain:
 * quaternions      -- list of four exact fraction strings "a", "-1/2", ...
   (or ints); a plain int n reads as n in every domain
 
-JSON goes payload to payload.  `vector_from_json` checks JSON types only
-and returns ints and public payloads, no ``Scalar``; ``_canon`` reads each
-value once, where its row enters ``MatrixK``, ``Subspace.from_rows`` or
-``TransversalFamily``.  `vector_to_json` writes payload rows through
+JSON goes payload to payload.  `vector_from_json` checks the JSON types
+and returns a row of canonical working payloads, no ``Scalar``: it calls
+``_canon`` once per value, and nothing downstream reads the value again.
+The matrix, subspace and family decoders build on those rows as they are
+(``from_payloads``, ``Subspace.spanned``, a family's images as a
+``MatrixK``).  `vector_to_json` writes payload rows through
 ``domain._public``.
 
 Subspaces are ``{"ambient": n, "rows": [[scalar, ...], ...]}``.  Dual
@@ -29,7 +31,7 @@ from .algebra import ExtensionField, PrimeField, Quaternions, Scalar, ScalarDoma
 from .chart import AffineChart, ComplementCoord
 from .dualspread import DualSpreadCandidate, TransversalFamily
 from .errors import ConfigError
-from .linalg import MatrixK
+from .linalg import MatrixK, _width, from_payloads
 from .projective import Subspace
 
 
@@ -67,7 +69,7 @@ def scalar_to_json(s: Scalar):
 
 
 def scalar_from_json(domain: ScalarDomain, obj) -> Scalar:
-    return domain.scalar(vector_from_json(domain, [obj])[0])
+    return Scalar(domain, vector_from_json(domain, [obj])[0])
 
 
 def vector_to_json(domain: ScalarDomain, row) -> list:
@@ -83,10 +85,16 @@ def vector_to_json(domain: ScalarDomain, row) -> list:
 
 
 def vector_from_json(domain: ScalarDomain, obj) -> tuple:
-    """A JSON list of scalars as a row of ints and public payloads."""
+    """A JSON list of scalars as a row of canonical working payloads."""
     if not isinstance(obj, list):
         raise ConfigError("expected a list of scalars")
-    return tuple(x if type(x) is int else _payload_from_json(domain, x) for x in obj)
+    # a GF(p^k) list of k ints is checked at C speed; any other value is
+    # checked (and refused, or read) component by component
+    canon = domain._canon
+    ints = (int,) * domain.k if isinstance(domain, ExtensionField) else None
+    return tuple([canon(tuple(x)) if type(x) is list and tuple(map(type, x)) == ints
+                  else canon(x if type(x) is int else _payload_from_json(domain, x))
+                  for x in obj])
 
 
 def _payload_from_json(domain: ScalarDomain, obj):
@@ -112,8 +120,8 @@ def matrix_to_json(m: MatrixK):
 def matrix_from_json(domain: ScalarDomain, obj, cols: int | None = None) -> MatrixK:
     if not isinstance(obj, list):
         raise ConfigError("expected a list of rows")
-    return _built("matrix", MatrixK, domain,
-                  [vector_from_json(domain, row) for row in obj], cols=cols)
+    rows = [vector_from_json(domain, row) for row in obj]
+    return from_payloads(domain, rows, _built("matrix", _width, rows, cols))
 
 
 def subspace_to_json(s: Subspace):
@@ -127,7 +135,8 @@ def subspace_from_json(domain: ScalarDomain, obj) -> Subspace:
     if not isinstance(obj["rows"], list):
         raise ConfigError('subspace "rows" must be a list of rows')
     rows = [vector_from_json(domain, row) for row in obj["rows"]]
-    return _built("subspace", Subspace.from_rows, domain, ambient, rows)
+    _built("subspace", _width, rows, ambient)
+    return Subspace.spanned(domain, ambient, rows)
 
 
 def dual_spread_to_json(b: DualSpreadCandidate):
@@ -183,11 +192,15 @@ def family_to_json(f: TransversalFamily):
 def family_from_json(chart: AffineChart, obj) -> TransversalFamily:
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise ConfigError('a family file needs an "entries" list')
+    dom, m = chart.domain, chart.m
     entries = []
     for rec in obj["entries"]:
         if not (isinstance(rec, dict) and "u" in rec
                 and isinstance(rec.get("images"), list)):
             raise ConfigError('a family entry needs "u" and an "images" list')
-        entries.append((vector_from_json(chart.domain, rec["u"]),
-                        [vector_from_json(chart.domain, img) for img in rec["images"]]))
-    return _built("family", TransversalFamily, chart, entries)
+        u = vector_from_json(dom, rec["u"])
+        images = [vector_from_json(dom, img) for img in rec["images"]]
+        if all(len(row) == m for row in images):    # else the family refuses the shape
+            images = from_payloads(dom, images, m)
+        entries.append((u, images))
+    return _built("family", TransversalFamily, chart, entries, _canonical=True)

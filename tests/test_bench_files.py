@@ -245,6 +245,28 @@ def test_comparator_reports_samples_and_src_sizes():
     assert "src public names - -> -" in text.splitlines()
 
 
+def test_comparator_prints_the_traced_per_layer_metrics_side_by_side():
+    """The pr18 pair on reguli-gf3: one chart per reconstruction, so the
+    traced run built 180 -> 100 charts and ran 420 -> 340 rrefs."""
+    compare = _bench_module("compare")
+    parent, change = (os.path.join(ROOT, f"BENCH_{label}.json")
+                      for label in ("pr18-parent", "pr18"))
+    layers = {name: (p, c) for name, _, p, c in compare.traced(
+        compare.load(parent), compare.load(change), "reguli-gf3", BENCHMARK)}
+    assert list(layers) == [metric["name"] for metric in BENCHMARK["per_layer"]]
+    assert layers["chart.charts_built"] == (180, 100)
+    assert layers["linalg.rref_calls"] == (420, 340)
+    lines = compare.report(parent, change, BENCHMARK).splitlines()
+    block = lines[lines.index("reguli-gf3"):lines.index("spreads-cli-gf4")]
+    assert ["chart.charts_built", "180", "->", "100", "count"] in [
+        line.split() for line in block]
+    assert ["linalg.rref_calls", "420", "->", "340", "count"] in [
+        line.split() for line in block]
+    traced_lines = [line for line in lines if line.startswith("    ")]
+    assert len(traced_lines) == len(BENCHMARK["per_layer"]) * len(BENCHMARK["workloads"])
+    assert not any(word in line for line in traced_lines for word in ("ok", "worse"))
+
+
 def _compare_command():
     return [sys.executable, os.path.join(ROOT, "bench", "compare.py"),
             os.path.join(ROOT, "BENCH_pr16-parent.json"),

@@ -400,6 +400,17 @@ def regular_spread_gammas(domain):
             for x in elems for y in elems]
 
 
+def gf8_spread_gammas():
+    """GF(8) as the 3x3 matrices a*I + b*C + c*C^2 over GF(2), with C the
+    companion matrix of x^3 + x + 1: 8 members, any two differing by an
+    invertible matrix."""
+    c = MatrixK(GF2, [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    powers = [MatrixK.identity(GF2, 3), c, c * c]
+    return [functools.reduce(MatrixK.__add__, [p for p, bit in zip(powers, bits) if bit],
+                             MatrixK.zero(GF2, 3, 3))
+            for bits in itertools.product((0, 1), repeat=3)]
+
+
 def first_uncovered(cand):
     """The full scan: the first hyperplane without W containing no member."""
     members = cand.subspaces()
@@ -427,6 +438,11 @@ def gamma_matrices(domain, m, k):
             for c in itertools.product(domain.elements(), repeat=m * k)]
 
 
+@functools.lru_cache(maxsize=None)
+def invertible_matrices(domain, m):
+    return [g for g in gamma_matrices(domain, m, m) if is_invertible(g)]
+
+
 def draw_gammas(data, ch):
     """The gammas of a candidate: a regular spread moved by gamma ->
     gamma*A + H, whole, with one member deleted or repeated, a subset of
@@ -438,9 +454,10 @@ def draw_gammas(data, ch):
         return data.draw(st.lists(st.sampled_from(squares),
                                   max_size=domain.order ** ch.m + 1))
     # a regular spread moved by gamma -> gamma*A + H keeps DS1 and its size
-    a = data.draw(st.sampled_from([g for g in squares if is_invertible(g)]))
+    a = data.draw(st.sampled_from(invertible_matrices(domain, ch.m)))
     h = data.draw(st.sampled_from(squares))
-    spread = [g * a + h for g in regular_spread_gammas(domain)]
+    base = gf8_spread_gammas() if ch.m == 3 else regular_spread_gammas(domain)
+    spread = [g * a + h for g in base]
     kind = data.draw(st.sampled_from(["spread", "deleted", "duplicate",
                                       "subset", "random"]))
     if kind == "spread":
@@ -495,7 +512,9 @@ def _non_symmetric_gf2():
 ORACLE_CHARTS = {**COUNT_CHARTS,
                  "GF8": lambda: symmetric_chart(ExtensionField(2, (1, 1, 0, 1)), 2),
                  "GF9": lambda: symmetric_chart(ExtensionField(3, (1, 0, 1)), 2),
-                 "GF2-m3-k2": _non_symmetric_gf2}
+                 "GF2-m3-k2": _non_symmetric_gf2,
+                 # 7 projective points and 3 columns per member
+                 "GF2-m3-k3": lambda: symmetric_chart(GF2, 3)}
 
 
 def _check_against_reference(ch, gammas):
@@ -541,6 +560,32 @@ def test_ds1_reports_the_least_pair_over_all_buckets():
     assert check_pairwise_regular(cand).pair == (0, 15)
     assert is_dual_spread(cand).violation.pair == (0, 15)
     _check_against_reference(ch, gammas)
+
+
+def test_ds1_combines_k_columns_per_member(monkeypatch):
+    """DS1 over GF(4) reads each member's rows at all 5 points off its 2
+    columns: one combination per column, not one per point."""
+    gf4 = ExtensionField(2, (1, 1, 1))
+    ch = symmetric_chart(gf4, 2)
+    gammas = regular_spread_gammas(gf4)
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas + gammas[:1]])
+    calls = []
+    combine = ExtensionField._combine
+    monkeypatch.setattr(ExtensionField, "_combine",
+                        lambda self, *args: calls.append(args) or combine(self, *args))
+    assert check_pairwise_regular(cand).pair == (0, 16)
+    monkeypatch.undo()
+    assert len(calls) == 2 * len(cand.members)
+
+
+def test_gf8_spread_is_a_dual_spread_of_gf2_to_the_sixth():
+    ch = symmetric_chart(GF2, 3)
+    spread = gf8_spread_gammas()
+    assert len(set(spread)) == 8
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in spread])
+    assert is_dual_spread(cand).ok and ref_is_dual_spread(cand).ok
+    repeated = DualSpreadCandidate(ch, cand.members + cand.members[3:4])
+    assert check_pairwise_regular(repeated).pair == (3, 8)
 
 
 def test_checks_keep_no_memory_across_calls():

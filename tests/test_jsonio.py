@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from complaff import cli
+from complaff import chart as chart_module
+from complaff import cli, linalg
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
 from complaff.chart import symmetric_chart
 from complaff.config import chart_from_config
@@ -171,3 +172,102 @@ def test_gf4_entries_equal_to_a_canonical_payload_are_still_refused(component, t
     assert code == 2 and out.getvalue() == ""
     assert len(err.getvalue().splitlines()) == 1
     assert err.getvalue().startswith("config error: ")
+
+
+def _scalar_count(doc) -> int:
+    """The GF(p^k) scalars of a spread or family document: its lists of ints."""
+    if isinstance(doc, dict):
+        return sum(_scalar_count(v) for v in doc.values())
+    if isinstance(doc, list):
+        if doc and all(type(x) is int for x in doc):
+            return 1
+        return sum(_scalar_count(x) for x in doc)
+    return 0
+
+
+def _counting(monkeypatch):
+    """Record every ``ExtensionField._canon`` and ``payload_of`` argument."""
+    canon, unwrapped = [], []
+    real_canon, real_payload_of = ExtensionField._canon, linalg.payload_of
+    monkeypatch.setattr(ExtensionField, "_canon",
+                        lambda self, x: canon.append(x) or real_canon(self, x))
+    for module in (linalg, chart_module):
+        monkeypatch.setattr(module, "payload_of",
+                            lambda d, x: unwrapped.append(x) or real_payload_of(d, x))
+    return canon, unwrapped
+
+
+def test_gf4_files_are_canonicalized_once_per_value(monkeypatch):
+    """Decoding reads each scalar of a file through _canon once, and the
+    conversions between spreads and families read none again."""
+    chart = chart_from_config(_golden("gf4.json"))
+    spread_doc, family_doc = _golden("gf4_spread.json"), _golden("gf4_family.json")
+    values = _scalar_count(spread_doc), _scalar_count(family_doc)
+    assert values == (64, 96)
+    canon, unwrapped = _counting(monkeypatch)
+    spread = dual_spread_from_json(chart, spread_doc)
+    assert len(canon) == values[0]
+    family = family_from_json(chart, family_doc)
+    assert len(canon) == sum(values)
+    family_from_dual_spread(spread, 0)
+    family_to_dual_spread(family)
+    monkeypatch.undo()
+    assert len(canon) == sum(values) and unwrapped == []
+
+
+def test_extract_family_reads_its_points_from_the_decoded_spread(monkeypatch):
+    spread = os.path.join(GOLDEN_INPUTS, "gf4_spread.json")
+    canon, unwrapped = _counting(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["extract-family", spread, "--index", "0",
+                         "--config", os.path.join(GOLDEN_INPUTS, "gf4.json")])
+    monkeypatch.undo()
+    assert code == 0
+    assert len(canon) == _scalar_count(_golden("gf4_spread.json"))
+    assert unwrapped == []
+
+
+@pytest.mark.parametrize("obj, raw", [([1, 0, 1], (0, 1)), ([], (0, 0)), (3, (1, 0))],
+                         ids=["x^2+1", "empty", "bare-3"])
+def test_gf4_scalars_of_another_form_read_as_before(obj, raw):
+    """1 + x^2 reduces modulo x^2 + x + 1 to x, [] is 0 and 3 is 1."""
+    assert scalar_from_json(GF4, obj).raw == raw
+    assert matrix_from_json(GF4, [[obj, 1]]).payload == ((raw, (1, 0)),)
+
+
+def _check_spread(tmp_path, doc, command="check-dual-spread"):
+    """The exit code and stderr of the command on the document over GF(4)."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path), "--config",
+                         os.path.join(GOLDEN_INPUTS, "gf4.json")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("component, text", [
+    ([1, True], "[1, True] for GF(2^2): a component must be an integer, not True"),
+    ([1.0, 0], "[1.0, 0] for GF(2^2): a component must be an integer, not 1.0"),
+    (["1", 0], "['1', 0] for GF(2^2): a component must be an integer, not '1'"),
+    ([[1], 0], "[[1], 0] for GF(2^2): a component must be an integer, not [1]"),
+], ids=["true", "float", "string", "list"])
+def test_gf4_components_of_a_wrong_type_are_refused_with_one_line(component, text, tmp_path):
+    doc = _golden("gf4_spread.json")
+    doc["gammas"][1][1][0] = component
+    assert _check_spread(tmp_path, doc) == (2, f"config error: bad scalar {text}\n")
+
+
+def test_rows_of_a_wrong_width_are_refused_as_before(tmp_path):
+    doc = _golden("gf4_spread.json")
+    doc["gammas"][1][1].append([0, 0])
+    assert _check_spread(tmp_path, doc) == (2, "config error: bad matrix: ragged rows\n")
+    zero = [0, 0]
+    for rows, text in [([[[1, 0], zero, zero]], "rows have 3 columns, not 4"),
+                       ([[[1, 0], zero, zero, zero], [[1, 0]]], "ragged rows")]:
+        doc = {"subspaces": [{"ambient": 4, "rows": rows}]}
+        assert _check_spread(tmp_path, doc) == (2, f"config error: bad subspace: {text}\n")
+    doc = _golden("gf4_family.json")
+    doc["entries"][1]["images"][0].append(zero)
+    assert _check_spread(tmp_path, doc, "build-dual-spread") == (
+        2, "config error: bad family: entries must be length-m coordinate tuples\n")
