@@ -36,7 +36,7 @@ from .chart import (
     line_through,
 )
 from .errors import InfiniteDomainError, ReconstructionError
-from .linalg import MatrixK, from_payloads, kernel, rref, stack
+from .linalg import MatrixK, from_payloads, kernel, reduce_rows
 from .projective import Subspace
 
 
@@ -99,12 +99,15 @@ class TransversalSet:
         self._alpha_w = regulus.alpha * ch.w_matrix
         self._beta_w_b = regulus.beta * ch.w_matrix + ch.b_matrix
 
+    def _generators(self, z) -> tuple:
+        """The payload rows z^alpha = z*(alpha*W) and z^beta + z = z*(beta*W + B)."""
+        dom, n = self.chart.domain, self.chart.ambient
+        return (dom._combine(z, self._alpha_w.payload, n),
+                dom._combine(z, self._beta_w_b.payload, n))
+
     def _line_for(self, z) -> Subspace:
         """The transversal through the payload coordinate row z."""
-        ch = self.chart
-        return Subspace.spanned(ch.domain, ch.ambient, [
-            ch.domain._combine(z, self._alpha_w.payload, ch.ambient),
-            ch.domain._combine(z, self._beta_w_b.payload, ch.ambient)])
+        return Subspace.spanned(self.chart.domain, self.chart.ambient, self._generators(z))
 
     def lines(self, seed: int = 0):
         return _over_z_points(self.chart, seed, self._line_for)
@@ -114,7 +117,9 @@ class TransversalSet:
 
         The points of span{z^alpha, z^beta + z} have U-parts c*z, so the
         first nonzero U-part of T's rows names its z up to a left multiple;
-        the Z-point test and `_line_for` do not see that multiple.
+        the Z-point test and the generators do not see that multiple.  T is
+        that transversal when it holds both generators, which span a plane:
+        z^alpha is a nonzero vector of W and z^beta + z has U-part z != 0.
         """
         ch = self.chart
         if t.dim != 2 or t.domain != ch.domain or t.ambient != ch.ambient:
@@ -124,7 +129,8 @@ class TransversalSet:
             return False
         z = next((y for y in (c[ch.k:] for c in coords)
                   if any(x != ch.domain._zero for x in y)), None)
-        return z is not None and ch.z._is_z_point(z) and self._line_for(z) == t
+        return (z is not None and ch.z._is_z_point(z)
+                and all(c is not None for c in t._coefficients(self._generators(z))))
 
     def __iter__(self):
         return iter(self.lines())
@@ -135,10 +141,11 @@ def transversals_of(regulus: Regulus) -> TransversalSet:
 
 
 def w_plus_transversals(regulus: Regulus, seed: int = 0):
-    """The hyperplane family {W + T : T transversal}."""
-    ts = transversals_of(regulus).lines(seed)
-    made = [regulus.chart.w + t for t in ts]
-    return Sampled(made) if isinstance(ts, Sampled) else frozenset(made)
+    """{W + T : T transversal}, each W + T spanned by W and T's two generators."""
+    ts, ch = transversals_of(regulus), regulus.chart
+    made = _over_z_points(ch, seed, lambda z: Subspace.spanned(
+        ch.domain, ch.ambient, ch.w.basis.payload + ts._generators(z)))
+    return made if isinstance(made, Sampled) else frozenset(made)
 
 
 def w_plus_z(chart: AffineChart, seed: int = 0):
@@ -177,7 +184,10 @@ def reconstruct_from_transversals(lines) -> tuple:
 
     With a companion T of each other line T_j (T1 <= T_j (+) T), the line
     through a point P of T1 meeting T_j and T hits T_j in the T_j-part of
-    P, read off one `rref([T_j; T])`; the member X(P) is spanned by P and
+    P: reduced on its first n columns, [T_j | T_j ; T | 0] has rows
+    (v | T_j-part of v), which P's entries at the pivots combine into
+    (P' | hit), and P' = P exactly when P is in T_j (+) T; the member
+    X(P) is spanned by P and
     its hits.  Only X1, X2, X3 are built, through T1's rows[1], rows[0]
     and rows[0] + rows[1].  The lines are accepted exactly when X1 (+) X2
     is a chart in which X3 is the graph of an invertible gamma3.  This is
@@ -205,26 +215,30 @@ def reconstruct_from_transversals(lines) -> tuple:
     ambient = lines[0].ambient
     if any(t.dim != 2 or t.ambient != ambient for t in lines):
         raise ReconstructionError("transversals must be 2-dimensional subspaces")
-    if any((a + b).dim != 4 for a, b in itertools.combinations(lines, 2)):
+    for t in lines[1:]:
+        lines[0]._check(t)
+    if any(len(reduce_rows(domain, [list(r) for r in a.basis.payload + b.basis.payload],
+                           ambient)) != 4 for a, b in itertools.combinations(lines, 2)):
         raise ReconstructionError("transversals of a regulus are pairwise skew")
 
-    t1 = lines[0].basis.payload
+    t1, zero, one = lines[0].basis.payload, domain._zero, domain._one
     hits = []                     # per T_j: the hits from T1's two rows
     for tj in lines[1:]:
         for t in lines[1:]:
             if t is tj:
                 continue
-            coords = rref(stack(domain, [tj.basis, t.basis], cols=ambient)).coordinates
-            parts = [coords(row) for row in t1]
-            if None not in parts:
-                hits.append([domain._combine(c[:2], tj.basis.payload, ambient)
-                             for c in parts])
+            rows = ([[*r, *r] for r in tj.basis.payload]
+                    + [[*r, *[zero] * ambient] for r in t.basis.payload])
+            pivots = reduce_rows(domain, rows, ambient)
+            parts = [domain._combine([p[c] for c in pivots], rows, 2 * ambient)
+                     for p in t1]
+            if all(part[:ambient] == list(p) for part, p in zip(parts, t1)):
+                hits.append([part[ambient:] for part in parts])
                 break
         else:
             raise ReconstructionError("no companion transversal inside a common 3-space")
 
     # X1, X2, X3 through T1's rows[1], rows[0] and rows[0] + rows[1]
-    zero, one = domain._zero, domain._one
     x1, x2, x3 = (Subspace.spanned(domain, ambient, [
         domain._combine(e, rows, ambient) for rows in (t1, *hits)])
         for e in ((zero, one), (one, zero), (one, one)))

@@ -285,3 +285,37 @@ def test_comparator_ends_quietly_when_its_reader_closes_the_pipe():
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait() == 1 and err == ""
+
+
+def test_mutator_enumerates_each_operator_at_its_site():
+    """bench/mutate.py mutates the named functions' bodies only: not their
+    signatures, not f-strings and not other functions."""
+    mutate = _bench_module("mutate")
+    source = ("def f(a, b):\n"
+              "    if a == b and not a:\n"
+              "        return all(x + 1 for x in a)\n"
+              "    for y in b:\n"
+              "        break\n"
+              "    return f'{a == b}'\n"
+              "\n"
+              "class C:\n"
+              "    def g(self, n=3):\n"
+              "        return n is None\n"
+              "\n"
+              "def h():\n"
+              "    return 1 < 2\n")
+    found = mutate.mutants(source, ["f", "C.g"])
+    assert [(m.function, m.line, m.col, m.operator) for m in found] == [
+        ("C.g", 10, 15, "is -> is not"),
+        ("f", 2, 7, "== -> !="), ("f", 2, 7, "and -> or"), ("f", 2, 18, "drop not"),
+        ("f", 3, 15, "all -> any"), ("f", 3, 19, "+ -> -"),
+        ("f", 3, 23, "1 -> 0"), ("f", 3, 23, "1 -> 2"),
+        ("f", 5, 8, "break -> pass")]
+    lines = source.splitlines()
+    for m in found:
+        changed = m.source.splitlines()
+        assert [i for i, (a, b) in enumerate(zip(lines, changed)) if a != b] == [m.line - 1]
+        compile(m.source, "<mutant>", "exec")
+    assert found[2].source.splitlines()[1] == "    if (a == b or not a):"
+    with pytest.raises(ValueError, match="no such function: g"):
+        mutate.mutants(source, ["g"])

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from complaff import chart as chart_module
+from complaff import linalg, projective, reguli
 from complaff.algebra import (
     ExtensionField,
     PrimeField,
     Quaternions,
+    Sampled,
     Scalar,
     _projective_reps,
 )
@@ -17,8 +20,8 @@ from complaff.chart import (
     line_through,
     symmetric_chart,
 )
-from complaff.errors import ReconstructionError
-from complaff.linalg import MatrixK, is_invertible
+from complaff.errors import DomainMismatchError, InfiniteDomainError, ReconstructionError
+from complaff.linalg import MatrixK, apply, is_invertible
 from complaff.projective import Subspace, all_complements, is_complement
 from complaff.reguli import (
     Regulus,
@@ -43,6 +46,33 @@ Q = Quaternions()
 
 def e(domain, n, i):
     return unit_vector(domain, n, i)
+
+
+def count_calls(monkeypatch, name) -> list:
+    """Count the calls of the linalg function `name` through every library
+    module that holds it, the argument tuples listed in call order."""
+    calls, original = [], getattr(linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (linalg, projective, chart_module, reguli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_sums(monkeypatch) -> list:
+    """Count the calls of Subspace.__add__."""
+    calls, add = [], Subspace.__add__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return add(a, b)
+
+    monkeypatch.setattr(Subspace, "__add__", counted)
+    return calls
 
 
 def random_regulus(chart, rng):
@@ -194,6 +224,48 @@ def test_transversal_membership_predicate():
     assert not ts.contains(skewed)
 
 
+@pytest.mark.parametrize("which", ["standard", "moved"])
+def test_transversal_contains_refuses_both_half_member_planes(which):
+    """For every nonzero z (each a Z-point over GF(3)) and every w in W
+    outside K*z^alpha, the planes span{z^alpha, z^beta + z + w} and
+    span{z^beta + z, w} each hold one generator of the transversal through
+    z and are refused, as is the 3-space spanned by w and both generators;
+    the transversal itself is accepted."""
+    ch = symmetric_chart(GF3, 2)
+    reg = (standard_regulus(ch) if which == "standard" else
+           Regulus(ch, MatrixK(GF3, [[1, 1], [0, 1]]), MatrixK(GF3, [[0, 1], [1, 2]])))
+    ts = transversals_of(reg)
+    zero = (GF3.zero(),) * 2
+    w_points = [ch.from_split(x, zero) for x in itertools.product(GF3.elements(), repeat=2)]
+    refused = 0
+    for z in itertools.product(GF3.elements(), repeat=2):
+        if z == zero:
+            continue
+        z_alpha = ch.from_split(apply(z, reg.alpha), zero)
+        z_beta_z = ch.from_split(apply(z, reg.beta), z)
+        assert ts.contains(Subspace.from_rows(GF3, 4, [z_alpha, z_beta_z]))
+        for w in w_points:
+            if Subspace.from_rows(GF3, 4, [z_alpha, w]).dim != 2:
+                continue                     # w in K*z^alpha
+            for rows in ([z_alpha, vec_add(z_beta_z, w)], [z_beta_z, w]):
+                plane = Subspace.from_rows(GF3, 4, rows)
+                assert plane.dim == 2 and not ts.contains(plane)
+                refused += 1
+            assert not ts.contains(Subspace.from_rows(GF3, 4, [z_alpha, z_beta_z, w]))
+    assert refused == 8 * 2 * (9 - 3)
+
+
+def test_transversal_contains_makes_no_reduction(monkeypatch):
+    """Membership of the two generators in T, read off T's echelon basis."""
+    ch = symmetric_chart(GF3, 2)
+    ch.z                                     # built on first use
+    ts = transversals_of(standard_regulus(ch))
+    lines = ts.lines()
+    reductions = count_calls(monkeypatch, "reduce_rows")
+    assert all(ts.contains(t) for t in lines) and len(lines) == 4
+    assert reductions == []
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------
@@ -260,6 +332,83 @@ def test_reconstruct_rejects_corrupted_input():
         reconstruct_from_transversals([lines[0], lines[0], lines[1]])
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_reconstruct_refuses_a_line_that_is_no_plane_of_the_space(position):
+    """A point, a 3-space or a plane of K^6 among three GF(3) transversals."""
+    lines = list(transversals_of(standard_regulus(symmetric_chart(GF3, 2))).lines()[:3])
+    for bad in (Subspace.from_rows(GF3, 4, [lines[0].rows()[0]]),
+                Subspace.from_rows(GF3, 4, [e(GF3, 4, i) for i in (0, 1, 2)]),
+                Subspace.from_rows(GF3, 6, [e(GF3, 6, 0), e(GF3, 6, 1)])):
+        with pytest.raises(ReconstructionError,
+                           match="^transversals must be 2-dimensional subspaces$"):
+            reconstruct_from_transversals(lines[:position] + [bad] + lines[position:])
+
+
+def test_reconstruct_needs_both_rows_of_t1_in_a_companion_sum():
+    """GF(2)^6: T1 = span{(1,1,0 | 0,0,0), (0,0,1 | 0,0,0)} is skew to the
+    transversals T_a, T_b through z = (1,0,0), (0,1,0), but only its first
+    row lies in T_a (+) T_b, so T_a has no companion."""
+    ts = transversals_of(standard_regulus(symmetric_chart(GF2, 3)))
+    t_a, t_b = (Subspace.from_rows(GF2, 6, [e(GF2, 6, i), e(GF2, 6, i + 3)]) for i in (0, 1))
+    assert ts.contains(t_a) and ts.contains(t_b)
+    t1 = Subspace.from_rows(GF2, 6, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
+    assert (t1 + t_a).dim == (t1 + t_b).dim == (t_a + t_b).dim == 4
+    assert (t1 & (t_a + t_b)).dim == 1
+    with pytest.raises(ReconstructionError,
+                       match="^no companion transversal inside a common 3-space$"):
+        reconstruct_from_transversals([t1, t_a, t_b])
+
+
+def test_reconstruct_needs_three_lines():
+    lines = transversals_of(standard_regulus(symmetric_chart(GF3, 2))).lines()
+    for few in (lines[:2], lines[:1], ()):
+        with pytest.raises(ReconstructionError,
+                           match="^need at least three transversals$"):
+            reconstruct_from_transversals(few)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_reconstruct_refuses_lines_over_two_domains(position):
+    """A GF(5) line among GF(3) transversals: the domain of the first line
+    against the first other one.  A Quat(Q) line first is refused as
+    infinite, and elsewhere as a second domain."""
+    lines = list(transversals_of(standard_regulus(symmetric_chart(GF3, 2))).lines()[:3])
+    for other in (PrimeField(5), Q):
+        mixed = list(lines)
+        mixed.insert(position, transversals_of(
+            standard_regulus(symmetric_chart(other, 2))).lines()[0])
+        if position == 0 and other is Q:
+            with pytest.raises(InfiniteDomainError):
+                reconstruct_from_transversals(mixed)
+            continue
+        with pytest.raises(DomainMismatchError) as caught:
+            reconstruct_from_transversals(mixed)
+        pair = (other, GF3) if position == 0 else (GF3, other)
+        assert str(caught.value) == f"{pair[0]} vs {pair[1]}"
+
+
+@pytest.mark.parametrize("domain", [GF2, GF3, GF4], ids=repr)
+def test_reconstruct_reduces_each_pair_without_rref(domain, monkeypatch):
+    """Skewness and hits come from plain reductions: the one rref left is
+    the chart X1 (+) X2's own, and X1 + X2 the one subspace sum."""
+    ch = symmetric_chart(domain, 2)
+    reg = random_regulus(ch, random.Random(3))
+    lines = transversals_of(reg).lines()
+    rrefs, sums = count_calls(monkeypatch, "rref"), count_sums(monkeypatch)
+    built, init = [], AffineChart.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AffineChart, "__init__", counted_init)
+    members = reconstruct_from_transversals(lines)
+    monkeypatch.undo()
+    assert set(members) == set(reg.members())
+    assert len(built) == 1 and len(rrefs) == 1 and rrefs[0][0] == built[0]._t
+    assert len(sums) == 1 and sums[0][0] + sums[0][1] == built[0].space
+
+
 # ---------------------------------------------------------------------------
 # regular lines are affine reguli
 # ---------------------------------------------------------------------------
@@ -292,6 +441,29 @@ def test_regulus_through_requires_complementary():
     c2 = ch.coord([[1, 0], [0, 0]])
     with pytest.raises(ValueError):
         regulus_through(c1, c2)
+
+
+def test_w_plus_transversals_reduces_once_per_z_point(monkeypatch):
+    """W + T spanned from W's rows and T's two generators: one reduction
+    per Z-point and no subspace sum, with the members W + T of old."""
+    ch = symmetric_chart(GF3, 2)
+    ch.z                                     # built on first use
+    reg = random_regulus(ch, random.Random(5))
+    want = frozenset(ch.w + t for t in transversals_of(reg).lines())
+    reductions, sums = count_calls(monkeypatch, "reduce_rows"), count_sums(monkeypatch)
+    got = w_plus_transversals(reg)
+    monkeypatch.undo()
+    assert got == want and len(got) == 4
+    assert len(reductions) == 4 and sums == []
+
+
+def test_w_plus_transversals_samples_in_z_point_order_over_the_quaternions():
+    ch = symmetric_chart(Q, 2)
+    reg = regulus_through(ch.coord([[1, 0], [0, 1]]), ch.coord([[0, 0], [0, 0]]))
+    for seed in (0, 3):
+        got = w_plus_transversals(reg, seed)
+        assert isinstance(got, Sampled)
+        assert got == Sampled(ch.w + t for t in transversals_of(reg).lines(seed))
 
 
 def test_unique_regulus_with_this_trace():
