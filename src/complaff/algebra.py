@@ -553,8 +553,6 @@ class Quaternions(ScalarDomain):
 
     is_commutative = False
     _zero, _one = _UNITS[0], _UNITS[1]
-    # the payloads of 1, i, j and k: a basis of K over its center Q
-    _center_basis = (_one, (0, 1, 0, 0, 1), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1))
 
     def __repr__(self):
         return "Quat(Q)"
@@ -672,7 +670,8 @@ class Quaternions(ScalarDomain):
         return out
 
     def _imag_parts(self, a):
-        """a's coordinates over ``_center_basis`` after 1, as central payloads."""
+        """a's i, j and k parts as central payloads: Z-linear in a, and all
+        zero exactly when a is central."""
         return [_lowest_terms(x, 0, 0, 0, a[4]) for x in a[1:4]]
 
     def _is_central(self, a):

@@ -199,9 +199,10 @@ class ZStructure:
     The Z-span is the set of Z-linear combinations of the b_i; a
     subspace A <= span(b_i) is *central* when it has a basis inside the
     Z-span.  For commutative domains Z = K and every subspace is
-    central.  Over a skew field the domain describes K over Z: its
-    ``_center_basis``, ``_imag_parts`` and ``_is_central``.  The public
-    helpers take and return Scalar tuples, the ``_`` ones payload rows.
+    central.  Over a skew field the domain describes K over Z by its
+    ``_is_central`` and ``_imag_parts``.  The public helpers take and
+    return Scalar tuples, the ``_`` ones payload rows.  The three central
+    queries read E, the reduced echelon form of A's coordinates over (b_i).
     """
 
     def __init__(self, domain: ScalarDomain, basis_vectors):
@@ -293,56 +294,51 @@ class ZStructure:
 
     # -- central subspaces --------------------------------------------------
 
-    def _require_inside(self, a: Subspace):
-        if not self.span.contains(a):
+    def _coordinates(self, a: Subspace, reverse: bool = False) -> list:
+        """A's basis as payload coordinate rows over (b_i), each reversed if
+        asked; ValueError when A is not inside span(b_i)."""
+        self.span._check(a)
+        rows = [self._coords(v) for v in a.basis.payload]
+        if None in rows:
             raise ValueError("subspace is not inside the reference span")
+        return [g[::-1] for g in rows] if reverse else rows
 
     def maximal_central_subspace(self, a: Subspace) -> Subspace:
         """The unique largest central subspace inside A.
 
-        K-span of (A intersect Z-span), computed by expanding K over Z in
-        the domain's ``_center_basis`` and solving the resulting Z-linear
-        system exactly.  Its entries are central payloads, so it is solved
-        in the domain itself.
+        Every vector of A is y*E*B, and y*E equals y at E's r pivot
+        columns, so it lies in the Z-span exactly when every y_i is central
+        and sum_i y_i * imag(E_ij) = 0 at each other column j, imag the
+        Z-linear ``_imag_parts``: a kernel of r x 3*(dim - r) central
+        payloads over the quaternions.  The result spans kernel * E * B.
         """
-        self._require_inside(a)
-        if self.domain.is_commutative:
+        rows, d = self._coordinates(a), self.domain
+        if d.is_commutative:
             return a
-        d = self.domain
-        mul, imag, units = d._mul, d._imag_parts, d._center_basis
-        # unknowns y_{i,t} in Z with y_i = sum_t y_{i,t} unit_t; constraints:
-        # the parts of every column of y*G off the first unit vanish, where
-        # the rows of G are the coordinates of A's basis w.r.t. (b_i)
-        system = []
-        for v in a.basis.payload:
-            g = self._coords(v)
-            for unit in units:
-                system.append([p for x in g for p in imag(mul(unit, x))])
-        zero, r = d._zero, a.dim
-        expand = from_payloads(d, [[unit if j == i else zero for j in range(r)]
-                                   for i in range(r) for unit in units], r)
-        # y*G*B = y * A's basis, with y = solution * expand
-        null = kernel(from_payloads(d, system, (len(units) - 1) * self.dim))
-        return Subspace(d, self.ambient, row_space(null * expand * a.basis))
+        pivots, imag = reduce_rows(d, rows, self.dim), d._imag_parts
+        system = [[p for j in range(self.dim) if j not in pivots for p in imag(g[j])]
+                  for g in rows]
+        null = kernel(from_payloads(d, system, len(system[0]) if rows else 0))
+        e = from_payloads(d, rows, self.dim)
+        return Subspace(d, self.ambient, row_space(null * e * self.matrix))
 
     def is_central_subspace(self, a: Subspace) -> bool:
-        return self.maximal_central_subspace(a) == a
+        """Is every entry of E central?  E is unique, and reducing central
+        rows keeps them central."""
+        rows = self._coordinates(a)
+        reduce_rows(self.domain, rows, self.dim)
+        return all(map(self.domain._is_central, itertools.chain(*rows)))
 
     def central_complement(self, a: Subspace) -> Subspace:
         """A central complement of A inside span(b_i).
 
         Greedy over the reference basis indices, smallest first, so the
         result is a coordinate subspace span{b_j : j in J}: b_i lies in it
-        exactly when i is in J.
+        exactly when i is in J.  The greedy pass skips b_j exactly when a
+        vector of A has its last nonzero coordinate at j: J is the
+        complement of the pivots of E reduced from the last column first.
         """
-        self._require_inside(a)
-        current, chosen = a, []
-        for b in self.matrix.payload:
-            if current.dim == self.dim:
-                break
-            bigger = Subspace.spanned(self.domain, self.ambient,
-                                      current.basis.payload + (b,))
-            if bigger.dim > current.dim:
-                chosen.append(b)
-                current = bigger
-        return Subspace.spanned(self.domain, self.ambient, chosen)
+        rows = self._coordinates(a, reverse=True)
+        skipped = {self.dim - 1 - p for p in reduce_rows(self.domain, rows, self.dim)}
+        return Subspace.spanned(self.domain, self.ambient, [
+            b for j, b in enumerate(self.matrix.payload) if j not in skipped])

@@ -67,8 +67,6 @@ class QuaternionAlgebra(ScalarDomain):
             raise ValueError("(a, b)_Q is taken definite here: a, b < 0")
         self.a, self.b = a, b
         self._zero, self._one = self._canon(0), self._canon(1)
-        self._center_basis = tuple(self._canon([int(s == t) for s in range(4)])
-                                   for t in range(4))
 
     def __repr__(self):
         return f"({self.a}, {self.b})_Q"
@@ -119,8 +117,8 @@ class QuaternionAlgebra(ScalarDomain):
         return not (x[1] or x[2] or x[3])
 
     def _imag_parts(self, x):
-        """The coordinates of x over ``_center_basis`` after the first, each
-        a central payload."""
+        """The i, j and k parts of x, each a central payload: Z-linear in x,
+        and all zero exactly when x is central."""
         return [self._canon([c, 0, 0, 0]) for c in x[1:]]
 
 
@@ -281,13 +279,15 @@ def ref_point_in_projective_z(z_basis: MatrixK, v) -> bool:
 
 def ref_maximal_central_subspace(z_basis: MatrixK, a_basis: MatrixK) -> MatrixK:
     """Echelon basis of the largest central subspace inside the row space of
-    a_basis (a quaternion subspace of the span of z_basis): the unknowns
-    y_(i,t) in Q of y_i = sum_t y_(i,t) unit_t, the i, j, k parts of every
-    column of y*G set to zero over Rationals, G the coordinates of A."""
+    a_basis (a subspace of the span of z_basis over a quaternion algebra
+    whose public payload is (x0, x1, x2, x3) = x0 + x1*i + x2*j + x3*k):
+    the 4r unknowns y_(i,t) in Q of y_i = sum_t y_(i,t) unit_t, the i, j,
+    k parts of every column of y*G set to zero over Rationals, G the
+    coordinates of A."""
     q = z_basis.domain
     if a_basis.rows == 0:
         return a_basis
-    units = (q.one(), q.i, q.j, q.k)
+    units = [q.scalar([Fraction(s == t) for s in range(4)]) for t in range(4)]
     g = MatrixK(q, [ref_solve(z_basis, row) for row in a_basis.entries],
                 cols=z_basis.rows)
     qq = Rationals()

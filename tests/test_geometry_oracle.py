@@ -19,7 +19,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from boxed_reference import (
+    QuaternionAlgebra,
     ref_apply,
+    ref_central_complement,
     ref_cone_decompose,
     ref_maximal_central_subspace,
     ref_rank,
@@ -32,7 +34,7 @@ from complaff.chart import AffineChart, AffineLine, Subchart, symmetric_chart
 from complaff.dualspread import SingularSet
 from complaff.errors import ReconstructionError
 from complaff.linalg import MatrixK, kernel
-from complaff.projective import Subspace
+from complaff.projective import Subspace, ZStructure
 from complaff.reguli import (
     cone_decompose,
     reconstruct_from_transversals,
@@ -49,13 +51,22 @@ ORACLE = settings(derandomize=True, database=None, max_examples=40,
                   deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 RATIONALS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
-rationals = st.sampled_from(RATIONALS).map(lambda c: Q.scalar((c, 0, 0, 0)))
 
 
 def elements(domain):
     if domain.is_finite:
         return st.sampled_from(domain.elements())
     return st.tuples(*[st.sampled_from(RATIONALS)] * 4).map(domain.scalar)
+
+
+def central_scalars(domain):
+    """Elements of the center: all of a finite field, else rationals."""
+    if domain.is_finite:
+        return elements(domain)
+    return st.sampled_from(RATIONALS).map(lambda c: domain.scalar((c, 0, 0, 0)))
+
+
+rationals = central_scalars(Q)
 
 
 def matrices(domain, rows, cols):
@@ -83,39 +94,87 @@ def charts(draw, domain, m):
 
 
 # ---------------------------------------------------------------------------
-# maximal central subspaces over Quat(Q)
+# central subspaces over the three skew fields and the finite fields
 # ---------------------------------------------------------------------------
 
-@st.composite
-def u_rows(draw, ch):
-    """Coefficient rows over the chart's U-basis: a left multiple of a
-    rational row (central), a sum of two such with different multipliers,
-    or random quaternions."""
-    m = ch.m
+SKEW = [Q, QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3)]
+SKEW_IDS = ["Quat", "(-1,-1)", "(-1,-3)"]
 
+
+@st.composite
+def coefficient_rows(draw, domain, dim):
+    """Coefficient rows over a reference basis: a left multiple of a
+    central row, a sum of two such with different multipliers, or random
+    entries."""
     def central():
-        k = draw(elements(Q))
-        return [k * c for c in draw(st.lists(rationals, min_size=m, max_size=m))]
+        k = draw(elements(domain).filter(lambda x: not x.is_zero()))
+        return [k * c for c in draw(st.lists(central_scalars(domain),
+                                             min_size=dim, max_size=dim))]
 
     kind = draw(st.sampled_from(["central", "central", "twisted", "random"]))
     if kind == "central":
         return central()
     if kind == "twisted":
         return [x + y for x, y in zip(central(), central())]
-    return draw(st.lists(elements(Q), min_size=m, max_size=m))
+    return draw(st.lists(elements(domain), min_size=dim, max_size=dim))
+
+
+@st.composite
+def central_queries(draw, domain):
+    """(Z-structure, its basis B, A): B of dimension 1-4 spanning a proper
+    subspace of K^(dim + 1) or K^(dim + 2), and A <= span(B) of every
+    dimension r from 0 to dim."""
+    dim = draw(st.sampled_from([1, 2, 3, 4]))
+    b = draw(matrices(domain, dim, dim + draw(st.integers(1, 2))))
+    assume(ref_rank(b) == dim)
+    r = draw(st.sampled_from(range(dim + 1)))
+    rows = [ref_apply(draw(coefficient_rows(domain, dim)), b) for _ in range(r)]
+    a = Subspace.from_rows(domain, b.cols, rows)
+    assume(a.dim == r)
+    return ZStructure(domain, b), b, a
 
 
 @pytest.mark.parametrize("m", [2, 3])
 @settings(ORACLE, max_examples=80)
 @given(data=st.data())
 def test_maximal_central_subspace_matches_boxed(m, data):
-    ch = data.draw(charts(Q, m))
-    b = MatrixK(Q, ch.b, cols=ch.ambient)
-    coeffs = [data.draw(u_rows(ch)) for _ in range(data.draw(st.integers(1, m)))]
-    a = Subspace.from_rows(Q, ch.ambient, [ref_apply(c, b) for c in coeffs])
+    """On charts whose U-basis is a random base change, over each skew field."""
+    domain = data.draw(st.sampled_from(SKEW))
+    ch = data.draw(charts(domain, m))
+    b = MatrixK(domain, ch.b, cols=ch.ambient)
+    coeffs = [data.draw(coefficient_rows(domain, m))
+              for _ in range(data.draw(st.integers(1, m)))]
+    a = Subspace.from_rows(domain, ch.ambient, [ref_apply(c, b) for c in coeffs])
     got = ch.z.maximal_central_subspace(a)
     assert got.basis == ref_maximal_central_subspace(b, a.basis)
     assert a.contains(got)
+
+
+@pytest.mark.parametrize("domain", SKEW, ids=SKEW_IDS)
+@settings(ORACLE, max_examples=60)
+@given(data=st.data())
+def test_central_subspace_queries_match_boxed(domain, data):
+    z, b, a = data.draw(central_queries(domain))
+    got = z.maximal_central_subspace(a)
+    assert got.basis == ref_maximal_central_subspace(b, a.basis)
+    assert a.contains(got)
+    assert z.is_central_subspace(a) == (got == a)
+
+
+@pytest.mark.parametrize("domain", [GF2, GF3, GF4, *SKEW],
+                         ids=["GF2", "GF3", "GF4", *SKEW_IDS])
+@settings(ORACLE, max_examples=40)
+@given(data=st.data())
+def test_central_complement_matches_boxed(domain, data):
+    """The same basis, and b_i inside it exactly for the chosen indices."""
+    z, b, a = data.draw(central_queries(domain))
+    got = z.central_complement(a)
+    basis, chosen = ref_central_complement(b, a.basis)
+    assert got.basis == basis
+    assert [i for i, row in enumerate(b.entries) if got.coefficients_of(row) is not None] == [
+        i for i, row in enumerate(b.entries) if row in chosen]
+    assert z.is_central_subspace(got)
+    assert z.is_central_subspace(a) == (z.maximal_central_subspace(a) == a)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
 from complaff.chart import AffineChart
 from complaff.errors import InfiniteDomainError
 from complaff.linalg import MatrixK
+from complaff import projective
 from complaff.projective import (
     Subspace,
     ZStructure,
@@ -258,6 +259,71 @@ def test_central_complement_prefers_small_indices():
     a = sub(Q, 2, [(Q.i, Q.one())])   # does not contain b1
     c = z.central_complement(a)
     assert c == sub(Q, 2, [(Q.one(), Q.zero())])
+
+
+def test_central_complement_reads_the_last_nonzero_coordinate():
+    """A = span{b_0 + b_1}: b_0 is outside A, so it is chosen, and b_1 is in
+    A + b_0, so it is not, although A's echelon pivot is at b_0."""
+    for d in (GF3, Q):
+        z = ZStructure(d, [e(d, 3, 1), e(d, 3, 2)])
+        a = sub(d, 3, [vec_add(e(d, 3, 1), e(d, 3, 2))])
+        assert z.central_complement(a) == sub(d, 3, [e(d, 3, 1)])
+
+
+def recorded(monkeypatch, name):
+    """The argument tuples of every call to the projective module's `name`."""
+    calls, real = [], getattr(projective, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(projective, name, wrapper)
+    return calls
+
+
+def test_maximal_central_subspace_solves_r_unknowns(monkeypatch):
+    """One central unknown per basis row of A and the three imaginary parts
+    of each non-pivot coordinate: the kernel is of an r x 3*(dim - r)
+    system, whatever the ambient dimension."""
+    calls = recorded(monkeypatch, "kernel")
+    z = ZStructure(Q, [e(Q, 6, i) for i in range(1, 5)])
+    for r in range(1, 5):
+        coords = [[Q.one() if j == i else Q.i if j >= r else Q.zero() for j in range(4)]
+                  for i in range(r)]
+        calls.clear()
+        got = z.maximal_central_subspace(sub(Q, 6, [z.from_coords(c) for c in coords]))
+        assert [(m.rows, m.cols) for (m,) in calls] == [(r, 3 * (4 - r))]
+        # y_0 + ... + y_(r-1) = 0 while a column is free, no condition after
+        assert got.dim == (r - 1 if r < 4 else 4)
+
+
+def test_central_queries_solve_no_system_when_they_need_none(monkeypatch):
+    """is_central_subspace reads E's entries, and over a commutative domain
+    the maximal central subspace is A with no reduction."""
+    kernels = recorded(monkeypatch, "kernel")
+    reductions = recorded(monkeypatch, "reduce_rows")
+    z = quaternion_zstructure()
+    got = [z.is_central_subspace(sub(Q, 2, rows)) for rows in (
+        [(Q.i, Q.one())], [(Q.i, Q.zero())], [(Q.i, Q.one()), (Q.one(), Q.zero())])]
+    assert got == [False, True, True] and kernels == []
+    reductions.clear()
+    z3 = ZStructure(GF3, [e(GF3, 4, 2), e(GF3, 4, 3)])
+    a = sub(GF3, 4, [vec_add(e(GF3, 4, 2), e(GF3, 4, 3))])
+    assert z3.maximal_central_subspace(a) == a and reductions == kernels == []
+
+
+def test_central_complement_spans_once(monkeypatch):
+    spans, real = [], Subspace.spanned.__func__
+
+    def spanned(cls, *args):
+        spans.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Subspace, "spanned", classmethod(spanned))
+    z = ZStructure(Q, [e(Q, 4, i) for i in range(4)])
+    z.central_complement(sub(Q, 4, [(Q.i, Q.one(), Q.zero(), Q.zero())]))
+    assert len(spans) == 1
 
 
 def test_outside_reference_span_rejected():

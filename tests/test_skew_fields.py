@@ -6,8 +6,8 @@ Hamilton's quaternions again, the reference that test_kernel_oracle.py
 checks ``complaff.algebra.Quaternions`` against; (-1, -3) is a division
 ring that is not Hamilton's, checked here as one first.  The library
 reads no payload layout of either: every property below runs over both,
-through ``_center_basis``, ``_imag_parts``, ``_is_central`` and the
-arithmetic hooks alone.  The seed-0 sample is the 3^4 grid over
+through ``_imag_parts``, ``_is_central`` and the arithmetic hooks
+alone.  The seed-0 sample is the 3^4 grid over
 {0, 1, -1} and a seeded batch of 20.
 """
 
@@ -29,7 +29,7 @@ IDS = ["(-1,-1)", "(-1,-3)"]
 
 def units(d):
     """1, i, j, k as Scalars."""
-    return [d.scalar(u) for u in d._center_basis]
+    return [d.scalar([int(s == t) for s in range(4)]) for t in range(4)]
 
 
 def random_element(rng, d):
