@@ -294,14 +294,14 @@ class ZStructure:
 
     # -- central subspaces --------------------------------------------------
 
-    def _coordinates(self, a: Subspace, reverse: bool = False) -> list:
-        """A's basis as payload coordinate rows over (b_i), each reversed if
-        asked; ValueError when A is not inside span(b_i)."""
+    def _coordinates(self, a: Subspace) -> list:
+        """A's basis as payload coordinate rows over (b_i); ValueError when
+        A is not inside span(b_i)."""
         self.span._check(a)
         rows = [self._coords(v) for v in a.basis.payload]
         if None in rows:
             raise ValueError("subspace is not inside the reference span")
-        return [g[::-1] for g in rows] if reverse else rows
+        return rows
 
     def maximal_central_subspace(self, a: Subspace) -> Subspace:
         """The unique largest central subspace inside A.
@@ -315,9 +315,9 @@ class ZStructure:
         rows, d = self._coordinates(a), self.domain
         if d.is_commutative:
             return a
-        pivots, imag = reduce_rows(d, rows, self.dim), d._imag_parts
-        system = [[p for j in range(self.dim) if j not in pivots for p in imag(g[j])]
-                  for g in rows]
+        pivots = reduce_rows(d, rows, self.dim)
+        free = [j for j in range(self.dim) if j not in pivots]
+        system = [[p for j in free for p in d._imag_parts(g[j])] for g in rows]
         null = kernel(from_payloads(d, system, len(system[0]) if rows else 0))
         e = from_payloads(d, rows, self.dim)
         return Subspace(d, self.ambient, row_space(null * e * self.matrix))
@@ -338,7 +338,7 @@ class ZStructure:
         vector of A has its last nonzero coordinate at j: J is the
         complement of the pivots of E reduced from the last column first.
         """
-        rows = self._coordinates(a, reverse=True)
+        rows = [g[::-1] for g in self._coordinates(a)]
         skipped = {self.dim - 1 - p for p in reduce_rows(self.domain, rows, self.dim)}
         return Subspace.spanned(self.domain, self.ambient, [
             b for j, b in enumerate(self.matrix.payload) if j not in skipped])

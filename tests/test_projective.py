@@ -3,11 +3,11 @@ import itertools
 import pytest
 
 from boxed_reference import ref_complement
+from complaff import projective
 from complaff.algebra import ExtensionField, PrimeField, Quaternions, Scalar
 from complaff.chart import AffineChart
 from complaff.errors import InfiniteDomainError
 from complaff.linalg import MatrixK
-from complaff import projective
 from complaff.projective import (
     Subspace,
     ZStructure,

@@ -6,9 +6,9 @@ Hamilton's quaternions again, the reference that test_kernel_oracle.py
 checks ``complaff.algebra.Quaternions`` against; (-1, -3) is a division
 ring that is not Hamilton's, checked here as one first.  The library
 reads no payload layout of either: every property below runs over both,
-through ``_imag_parts``, ``_is_central`` and the arithmetic hooks
-alone.  The seed-0 sample is the 3^4 grid over
-{0, 1, -1} and a seeded batch of 20.
+through ``_imag_parts``, ``_is_central`` and the arithmetic hooks alone.
+The seed-0 sample is the 3^4 grid over {0, 1, -1} and a seeded batch of
+20.
 """
 
 import itertools
