@@ -157,7 +157,13 @@ class ScalarDomain:
 
     def _combine(self, coeffs, rows, width: int) -> list:
         """The payload row sum_i coeffs[i] * rows[i] (left multiples) on
-        the first `width` columns."""
+        the first `width` columns, always `width` entries.  The rows are
+        those of one matrix, at least `width` wide: a wider `width` raises
+        ValueError whatever the coefficients, on every domain.  With no
+        rows the result is `width` zeros; zip stops at the shorter of
+        `coeffs` and `rows`."""
+        if rows and len(rows[0]) < width:
+            raise ValueError(f"width {width} exceeds the rows' {len(rows[0])} columns")
         add, mul, zero = self._add, self._mul, self._zero
         acc = [zero] * width
         for c, row in zip(coeffs, rows):
@@ -254,6 +260,8 @@ class PrimeField(ScalarDomain):
 
     def _combine(self, coeffs, rows, width):
         """The combination summed as plain ints, one ``% p`` per entry."""
+        if rows and len(rows[0]) < width:
+            raise ValueError(f"width {width} exceeds the rows' {len(rows[0])} columns")
         acc = [0] * width
         for c, row in zip(coeffs, rows):
             if c:
@@ -435,9 +443,15 @@ class ExtensionField(ScalarDomain):
         return [digits[::-1] for digits in itertools.product(range(self.p), repeat=self.k)]
 
     def _canon(self, payload):
-        """A canonical tuple is its own entry of the table of canonical
-        payloads.  A tuple of real numbers equal to those ints (True,
-        1.0) hits the same entry, which is their ``int(x) % p`` too."""
+        """The canonical payload of an int, or of a tuple or list of ints
+        (bools count as ints), the coefficients constant term first.  Only
+        these inputs are in the contract, and each gets one answer whatever
+        the table holds.  A canonical tuple is its own entry of the table
+        of canonical payloads and is returned from it; anything else is
+        reduced by the polynomial path and its result stored.  The hit
+        tests equality, not type, so for other entry types the answer can
+        depend on the table: in a fresh process ``(1+0j, 0)`` raises
+        TypeError, but once (1, 0) is in the table it returns (1, 0)."""
         if type(payload) is tuple:
             hit = self._canon_t.get(payload)
             if hit is not None:
@@ -467,6 +481,8 @@ class ExtensionField(ScalarDomain):
         """The combination read off the tables: one row of the product
         table per nonzero coefficient, and no method call per entry.  The
         first nonzero term starts the sum, so no entry adds a zero."""
+        if rows and len(rows[0]) < width:
+            raise ValueError(f"width {width} exceeds the rows' {len(rows[0])} columns")
         add_t, mul_t, zero = self._add_t, self._mul_t, self._zero
         acc = None
         for c, row in zip(coeffs, rows):
@@ -642,6 +658,8 @@ class Quaternions(ScalarDomain):
         when a term's denominator differs from it.  The one
         ``_lowest_terms`` at the end gives the canonical 5-tuple that the
         generic loop would."""
+        if rows and len(rows[0]) < width:
+            raise ValueError(f"width {width} exceeds the rows' {len(rows[0])} columns")
         terms = [(q, row) for q, row in zip(coeffs, rows)
                  if q[0] or q[1] or q[2] or q[3]]
         out = []

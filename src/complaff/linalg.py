@@ -35,11 +35,17 @@ per matrix) or a vector crosses the API boundary:
 ``_echelon_check``, gives a row's coefficients over reduced echelon rows
 (its entries at the pivots, if they rebuild it) for
 ``Echelon.coordinates``, subspace membership and the standard complement.
+``Echelon.coordinates`` skips what its echelon makes vacuous.  At full
+column rank the reduced rows are the identity, so the row is its own
+coefficient row: no rebuild.  When ``rref`` left the transform equal to
+the identity rows of [M | I], the reduced matrix is M, so the pivot
+entries padded with zeros to M's row count are the coefficients: no
+transform product.  Both skips return what the full route would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import Scalar, ScalarDomain
 from .errors import DomainMismatchError
@@ -294,6 +300,8 @@ class Echelon:
     matrix: MatrixK          # the reduced form R = transform * original
     pivots: tuple            # pivot column per nonzero row
     transform: MatrixK       # invertible record of the row operations
+    # the transform is the identity, so R is the original matrix itself
+    _untouched: bool = field(default=False, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -301,22 +309,35 @@ class Echelon:
 
     def coordinates(self, row) -> list | None:
         """Payload coefficients x with x * original = row, or None outside the
-        row space: row's entries at the pivots, carried back by the transform."""
+        row space: row's entries at the pivots, carried back by the transform.
+        At full column rank R's nonzero rows are the identity, so the row is
+        inside and those entries are the row itself: nothing to rebuild.  When
+        the transform is the identity, R is the original, and x is those
+        entries padded with zeros to its row count: no product."""
         reduced = self.matrix
         if len(row) != reduced.cols:
             raise ValueError("vector has the wrong length")
-        coeffs = _echelon_check(reduced.domain, reduced.payload, self.pivots)[1](row)
-        return None if coeffs is None else reduced.domain._combine(
-            coeffs, self.transform.payload, self.transform.cols)
+        domain = reduced.domain
+        if len(self.pivots) == reduced.cols:
+            coeffs = list(row)
+        else:
+            coeffs = _echelon_check(domain, reduced.payload, self.pivots)[1](row)
+            if coeffs is None:
+                return None
+        if self._untouched:
+            return coeffs + [domain._zero] * (reduced.rows - len(coeffs))
+        return domain._combine(coeffs, self.transform.payload, self.transform.cols)
 
 
 def rref(m: MatrixK) -> Echelon:
     """Left-reduced row echelon form with the row-operation transform."""
     rows = _augmented(m)
+    start = [r[m.cols:] for r in rows]              # the identity rows of [M | I]
     pivots = reduce_rows(m.domain, rows, m.cols)
+    tails = [r[m.cols:] for r in rows]
     return Echelon(from_payloads(m.domain, [r[:m.cols] for r in rows], m.cols),
-                   tuple(pivots),
-                   from_payloads(m.domain, [r[m.cols:] for r in rows], m.rows))
+                   tuple(pivots), from_payloads(m.domain, tails, m.rows),
+                   tails == start)
 
 
 def rank(m: MatrixK) -> int:

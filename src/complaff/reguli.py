@@ -28,13 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Sampled, _listing
-from .chart import (
-    AffineChart,
-    AffineLine,
-    ComplementCoord,
-    are_complementary,
-    line_through,
-)
+from .chart import AffineChart, AffineLine, ComplementCoord
 from .errors import InfiniteDomainError, ReconstructionError
 from .linalg import MatrixK, from_payloads, kernel, reduce_rows
 from .projective import Subspace
@@ -169,10 +163,15 @@ def regular_line_regulus(line: AffineLine) -> Regulus:
 
 def regulus_through(c1: ComplementCoord, c2: ComplementCoord) -> Regulus:
     """The unique regulus containing W, U1, U2 whose W+transversal trace
-    is W + Z(U)."""
-    if not are_complementary(c1, c2):
-        raise ValueError("the two complements must be complementary to each other")
-    return regular_line_regulus(line_through(c1, c2))
+    is W + Z(U): {W} union l(gamma2 - gamma1, gamma1).  U1 and U2 are
+    complementary exactly when gamma2 - gamma1 is invertible, which
+    `Regulus` checks in its one rank; it also refuses gamma1 = gamma2 and
+    a chart that is not symmetric."""
+    c1._check(c2)
+    try:
+        return Regulus(c1.chart, c2.gamma - c1.gamma, c1.gamma)
+    except ValueError as exc:
+        raise ValueError("the two complements must be complementary to each other") from exc
 
 
 # ---------------------------------------------------------------------------

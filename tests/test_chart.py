@@ -18,6 +18,7 @@ from complaff.chart import (
     split_scalar_central,
     symmetric_chart,
 )
+from complaff.config import chart_from_config
 from complaff.errors import ChartMismatchError, DomainMismatchError
 from complaff.linalg import MatrixK
 from complaff.projective import Subspace, is_complement
@@ -112,6 +113,59 @@ def test_nonstandard_bases_round_trip():
     ch = AffineChart(GF3, 4, w)
     for c in ch.all_coords()[:20]:
         assert ch.coordinate_of(ch.complement(c)) == c
+
+
+def count_combines(monkeypatch, domain) -> list:
+    """Count the `_combine` calls of the domain's class."""
+    calls, combine = [], type(domain)._combine
+
+    def counted(self, *args):
+        calls.append(args)
+        return combine(self, *args)
+
+    monkeypatch.setattr(type(domain), "_combine", counted)
+    return calls
+
+
+def split_rows(ch):
+    """Payload rows of the chart's space: the rows of [W-basis; b] and a
+    complement's basis."""
+    gamma = MatrixK(ch.domain, [[i + j for j in range(ch.k)] for i in range(ch.m)])
+    return [*ch._t.payload, *ch.complement(gamma).basis.payload]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: symmetric_chart(Q, 2),
+    lambda: chart_from_config({"field": "GF(3)", "n": 5, "k": 2})],
+    ids=["model-quat", "default-config"])
+def test_split_on_an_identity_basis_makes_no_combine(make, monkeypatch):
+    """[W-basis; b] = I: full column rank and no row operation, so a row's
+    chart coordinates are its own entries."""
+    ch = make()
+    rows = split_rows(ch)
+    calls = count_combines(monkeypatch, ch.domain)
+    coords = [ch._split(v) for v in rows]
+    monkeypatch.undo()
+    assert calls == []
+    assert coords == [list(v) for v in rows]
+
+
+@pytest.mark.parametrize("domain", [GF3, Q], ids=["GF3", "Quat"])
+def test_split_with_other_bases_makes_one_combine(domain, monkeypatch):
+    """A full-space chart with non-identity bases: no rebuild, one transform
+    product per row."""
+    one = domain.one()
+    w = Subspace.from_rows(domain, 4, [vec_add(e(domain, 4, 0), e(domain, 4, 3)),
+                                       e(domain, 4, 1)])
+    b = [vec_add(e(domain, 4, 2), e(domain, 4, 1)), vec_scale(one + one, e(domain, 4, 3))]
+    ch = AffineChart(domain, 4, w, Subspace.from_rows(domain, 4, b), b=b)
+    rows = split_rows(ch)
+    calls = count_combines(monkeypatch, domain)
+    coords = [ch._split(v) for v in rows]
+    monkeypatch.undo()
+    assert len(calls) == len(rows)
+    assert tuple(map(tuple, coords[:4])) == MatrixK.identity(domain, 4).payload
+    assert [domain._combine(x, ch._t.payload, 4) for x in coords] == list(map(list, rows))
 
 
 def test_desk_scale_bounds():

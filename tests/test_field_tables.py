@@ -161,6 +161,29 @@ def test_canonical_table_matches_the_polynomial_path(p, mod):
     assert all(table[x] is x for x in table)
 
 
+# The contract of ExtensionField._canon: ints, bools, and tuples or lists
+# of them.  Each gets the same canonical payload from an empty table of
+# canonical payloads as from one that already holds every answer.
+in_contract = st.one_of(st.integers(-10 ** 30, 10 ** 30), st.booleans())
+contract_input = st.one_of(in_contract,
+                           st.lists(in_contract, max_size=7).map(tuple),
+                           st.lists(in_contract, max_size=7))
+
+
+@pytest.mark.parametrize("p, mod", SMALL[:3], ids=["GF4", "GF8", "GF9"])
+@ORACLE
+@given(value=contract_input)
+def test_canon_answer_does_not_depend_on_the_table(p, mod, value):
+    field = ExtensionField(p, mod)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_canon_t", {})
+        cold = field._canon(value)
+    for x in field._payloads():
+        field._canon(x)
+    assert field._canon(value) == cold == poly_canon(value, p, mod)
+    assert type(cold) is tuple and all(type(c) is int for c in cold)
+
+
 # x^3 + 2x + 1 over GF(3), used by no other test, so only the fuzz fills
 # its table of canonical payloads
 GF27 = (3, (1, 2, 0, 1))

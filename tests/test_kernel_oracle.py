@@ -41,9 +41,11 @@ from complaff.chart import AffineChart, Subchart, symmetric_chart
 from complaff.linalg import (
     MatrixK,
     apply,
+    boxed,
     inverse,
     is_invertible,
     kernel,
+    payload_row,
     rank,
     row_space,
     rref,
@@ -134,6 +136,56 @@ def test_solve_matches_reference(domain, data):
     else:
         rhs = data.draw(vectors(domain, m.cols))
     assert solve(m, rhs) == ref_solve(m, rhs)
+
+
+@st.composite
+def shortcut_matrices(draw, domain):
+    """A matrix for each route of ``Echelon.coordinates``: full column rank
+    (rows shuffled from a general matrix and the identity), already reduced
+    (the boxed echelon basis), with and without trailing zero rows, or
+    general."""
+    kind = draw(st.sampled_from(["full_rank", "reduced", "reduced_zero_rows",
+                                 "general"]))
+    m = draw(matrices(domain))
+    if kind == "full_rank":
+        rows = list(m.entries) + list(MatrixK.identity(domain, m.cols).entries)
+        rows = draw(st.permutations(rows))
+    elif kind == "general":
+        return m
+    else:
+        rows = list(ref_row_space(m).entries)
+        if kind == "reduced_zero_rows":
+            rows += [(domain.zero(),) * m.cols] * draw(st.integers(1, 2))
+    return MatrixK(domain, rows, cols=m.cols)
+
+
+@pytest.mark.parametrize("domain", [DOMAINS[0], DOMAINS[2], DOMAINS[4]],
+                         ids=["GF2", "GF4", "Quat"])
+@ORACLE
+@given(data=st.data())
+def test_coordinates_shortcuts_match_reference(domain, data):
+    """x with x*M = v exactly when v is in the row space, on every route,
+    and the same x as the boxed transform product."""
+    m = data.draw(shortcut_matrices(domain))
+    if data.draw(st.booleans()):
+        v = ref_apply(data.draw(vectors(domain, m.rows)), m)    # in the row space
+    else:
+        v = data.draw(vectors(domain, m.cols))
+    x = rref(m).coordinates(payload_row(domain, v))
+    want = ref_solve(m, v)
+    assert (x is None) == (want is None)
+    if x is not None:
+        assert len(x) == m.rows
+        assert ref_apply(boxed(domain, x), m) == v
+        assert boxed(domain, x) == want
+
+
+def test_coordinates_of_zero_over_a_zero_matrix_keep_the_row_count():
+    """M = [[0]]: no pivot, no row operation, and x = (0,), not ()."""
+    gf2 = DOMAINS[0]
+    assert rref(MatrixK(gf2, [[0]])).coordinates([0]) == [0]
+    assert rref(MatrixK(gf2, [[0]])).coordinates([1]) is None
+    assert solve(MatrixK(gf2, [[0], [0]]), (gf2.zero(),)) == (gf2.zero(),) * 2
 
 
 @domains

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxed_reference import QuaternionAlgebra
 from complaff.algebra import (
     ExtensionField,
     PrimeField,
@@ -394,6 +395,25 @@ def test_finite_field_combine_matches_the_generic_loop(name, data):
     assert out == ScalarDomain._combine(domain, coeffs, rows, width)
     assert len(out) == width
     assert all(is_canonical_finite(domain, x) for x in out)
+
+
+@pytest.mark.parametrize("domain", [GF3, GF4, Q, QuaternionAlgebra(-1, -1)],
+                         ids=["GF3", "GF4", "Quat", "(-1,-1)"])
+def test_combine_has_width_entries_or_refuses_a_wider_width(domain):
+    """One length rule on every domain: `width` entries, and ValueError for
+    a `width` wider than the rows, whatever the coefficients."""
+    zero, one = domain._zero, domain._one
+    rows = [[one, one], [one, zero]]
+    for coeffs in ([one, zero], [zero, one], [zero, zero], [one], []):
+        for width in (0, 1, 2):
+            assert len(domain._combine(coeffs, rows, width)) == width
+        for width in (3, 4):
+            with pytest.raises(ValueError, match="exceeds"):
+                domain._combine(coeffs, rows, width)
+    assert domain._combine([one, one], rows, 2) == [domain._add(one, one), one]
+    assert domain._combine([], [], 4) == [zero] * 4
+    with pytest.raises(ValueError, match="exceeds"):
+        domain._combine([one], [[one, one]], 4)
 
 
 @pytest.mark.parametrize("name", list(FINITE))

@@ -443,6 +443,33 @@ def test_regulus_through_requires_complementary():
         regulus_through(c1, c2)
 
 
+@pytest.mark.parametrize("domain", [GF3, Q], ids=["GF3", "Quat"])
+def test_regulus_through_ranks_the_difference_once(domain, monkeypatch):
+    """Regulus's invertibility test of gamma2 - gamma1 is the only rank."""
+    ch = symmetric_chart(domain, 2)
+    c1, c2 = ch.coord([[1, 2], [0, 1]]), ch.coord([[0, 1], [1, 1]])
+    reductions = count_calls(monkeypatch, "reduce_rows")
+    reg = regulus_through(c1, c2)
+    monkeypatch.undo()
+    assert len(reductions) == 1
+    assert reg.alpha == c2.gamma - c1.gamma and reg.beta == c1.gamma
+    assert reg.contains(c1.subspace()) and reg.contains(c2.subspace())
+
+
+def test_regulus_through_keeps_its_message():
+    """Equal points, a singular difference and a non-symmetric chart are
+    refused with one message, as the CLI reports it."""
+    ch = symmetric_chart(GF3, 2)
+    c = ch.coord([[1, 2], [0, 1]])
+    wide = AffineChart(GF3, 5, Subspace.from_rows(GF3, 5, [e(GF3, 5, 0), e(GF3, 5, 1)]))
+    pairs = [(c, c), (c, c + ch.coord([[1, 0], [0, 0]])),
+             (wide.zero_coord(), wide.coord([[1, 0], [0, 1], [0, 0]]))]
+    for c1, c2 in pairs:
+        with pytest.raises(ValueError) as info:
+            regulus_through(c1, c2)
+        assert str(info.value) == "the two complements must be complementary to each other"
+
+
 def test_w_plus_transversals_reduces_once_per_z_point(monkeypatch):
     """W + T spanned from W's rows and T's two generators: one reduction
     per Z-point and no subspace sum, with the members W + T of old."""
