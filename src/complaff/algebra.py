@@ -451,13 +451,17 @@ class ExtensionField(ScalarDomain):
         reduced by the polynomial path and its result stored.  The hit
         tests equality, not type, so for other entry types the answer can
         depend on the table: in a fresh process ``(1+0j, 0)`` raises
-        TypeError, but once (1, 0) is in the table it returns (1, 0)."""
+        TypeError, but once (1, 0) is in the table it returns (1, 0).  The
+        polynomial path refuses a non-integral float with ValueError rather
+        than truncate it; an integral float reads as its int."""
         if type(payload) is tuple:
             hit = self._canon_t.get(payload)
             if hit is not None:
                 return hit
-        elif isinstance(payload, int):
+        if isinstance(payload, int):
             payload = (payload,)
+        elif any(isinstance(x, float) and not x.is_integer() for x in payload):
+            raise ValueError(f"{payload!r} has a non-integral component")
         c = tuple(int(x) % self.p for x in payload)
         if len(c) >= len(self.modulus):
             _, c = _poly_divmod(c, self.modulus, self.p)

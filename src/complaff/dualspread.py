@@ -161,33 +161,27 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
     differences invertible.  Runs over any domain; duplicates fail.
 
     The reported pair is the first failing (i, j) in the order of
-    `itertools.combinations`.  With dim U != dim W no two members are
-    complementary (two m-dimensional complements need 2m = n), and
-    `is_invertible` refuses the non-square difference at (0, 1) with no
-    reduction; over an infinite domain each pair gets a rank test.  Over a
-    finite field with m = dim U = dim W, gamma_i - gamma_j is singular
-    exactly when u*(gamma_i - gamma_j) = 0 for some projective point u of
-    K^m (a canonical representative kills it whenever any nonzero u
-    does).  So the members, walked in order, are bucketed by their rows
-    u*gamma_i, one bucket dict per point, and every singular pair shares a
-    bucket at some point.  A bucket's first index a is the least member
-    with its key, so a singular pair (i, j) meets (a, j) <= (i, j), itself
-    singular: the least (first, j) over every collision is the first
-    singular pair in combinations order.  Every collision counts: stopping
-    at the first can name (3, 5) where (0, 15) is first.  A finite
-    division ring is commutative (Wedderburn 1905), so column l of the
-    table [u*gamma]_u over the points is sum_i gamma[i][l] * (column i of
-    the table of points): the cost is k row combinations per member, each
-    over all (q^m - 1)/(q - 1) points at once, against N(N - 1)/2
-    reductions.
+    `itertools.combinations`, whichever of two paths finds it.  The rank
+    path tests each pair's difference in that order.  With dim U != dim W
+    no two members are complementary (two m-dimensional complements need
+    2m = n), and `is_invertible` refuses the non-square difference at
+    (0, 1) with no reduction; over an infinite domain each pair gets a
+    rank test.  Over a finite field with m = dim U = dim W the bucket path
+    (`_least_singular_pair`) costs one combination per projective point of
+    K^m, P = (q^m - 1)/(q - 1) of them, against N(N - 1)/2 reductions on
+    the rank path for N members.  Both counts are known before any work,
+    so the rank path is taken when it has fewer steps.
     """
     ch = b.chart
-    if ch.domain.is_finite and ch.m == ch.k:
-        pair = _least_singular_pair(ch.domain, ch.m, [c.gamma.payload for c in b.members])
+    dom, m = ch.domain, ch.m
+    gammas = [c.gamma for c in b.members]
+    n = len(gammas)
+    if (dom.is_finite and m == ch.k
+            and n * (n - 1) // 2 >= (dom.order ** m - 1) // (dom.order - 1)):
+        pair = _least_singular_pair(dom, m, [g.payload for g in gammas])
     else:
-        pair = next(((i, j) for i, j in itertools.combinations(range(len(b.members)), 2)
-                     if not is_invertible(b.members[i].gamma - b.members[j].gamma)),
-                    None)
+        pair = next(((i, j) for i, j in itertools.combinations(range(n), 2)
+                     if not is_invertible(gammas[i] - gammas[j])), None)
     if pair is None:
         return None
     i, j = pair
@@ -196,16 +190,29 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
 
 
 def _least_singular_pair(domain, m: int, gammas) -> tuple | None:
-    """The least (i, j), i < j, with gammas[i] - gammas[j] singular: the m x k
-    payload matrices bucketed by their rows u*gamma, per projective point u
-    of K^m, each gamma's rows at every point read off its k columns."""
-    points = list(_projective_reps(domain, m))
-    columns = list(zip(*points))
-    buckets = [{} for _ in points]
+    """The least (i, j), i < j, with gammas[i] - gammas[j] singular, for m x m
+    payload matrices over a finite field.
+
+    gamma_i - gamma_j is singular exactly when u*(gamma_i - gamma_j) = 0
+    for some projective point u of K^m (a canonical representative kills
+    it whenever any nonzero u does).  Row r of the table `rows` is row r of
+    every gamma, member after member, so one left combination u*rows gives
+    the rows u*gamma_i of all N members at once: no commutativity is used.
+    Its N slices of width m are bucketed, one bucket dict per point, and
+    every singular pair shares a bucket at some point.  A bucket's first
+    index a is the least member with its key, so a singular pair (i, j)
+    meets (a, j) <= (i, j), itself singular: the least (first, j) over
+    every collision is the first singular pair in combinations order.
+    Every collision counts: stopping at the first can name (3, 5) where
+    (0, 15) is first.
+    """
+    rows = [[x for gamma in gammas for x in gamma[r]] for r in range(m)]
+    width = len(gammas) * m
     best = None
-    for j, gamma in enumerate(gammas):
-        rows = zip(*[domain._combine(col, columns, len(points)) for col in zip(*gamma)])
-        for first, row in zip(buckets, rows):
+    for u in _projective_reps(domain, m):
+        first = {}
+        # zip(*[it] * m) cuts the table into the members' rows u*gamma_j
+        for j, row in enumerate(zip(*[iter(domain._combine(u, rows, width))] * m)):
             i = first.setdefault(row, j)
             if i != j and (best is None or (i, j) < best):
                 best = (i, j)
@@ -253,38 +260,42 @@ def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
     c_W = W*c and c_U = B*c.  ker c contains W exactly when c_W = 0; those
     forms are skipped.  The member of gamma is spanned by the rows of
     gamma*W + B, and c takes the values gamma*c_W + c_U on them, so the
-    member lies in ker c exactly when gamma*c_W + c_U = 0: m products of
-    a row of gamma by c_W per member, no subspace built.  In a chart
-    whose space V is a proper subspace, gamma*W + B still spans the
-    member, and the hyperplanes of K^n without W meet V in its
-    hyperplanes without W, so the scan over K^n finds the same verdict.
-    Only the witness is built, as the kernel of its form, so it is the
-    subspace `hyperplanes` returns for that form.
+    member lies in ker c exactly when gamma*c_W = -c_U.  A finite division
+    ring is commutative (Wedderburn 1905), so both reads are left
+    combinations: (c_W | c_U) is one combination of the columns of the
+    chart matrix [W; B] by c, and the values -gamma_i*c_W of all N members
+    are one combination by -c_W of k rows, row l holding column l of every
+    gamma.  Those values are kept as a set of m-tuples while c_W stays the
+    same (a default chart's first q^m forms share c_W = e_1), and each form
+    is one lookup of c_U in it: no subspace built, and at most one set,
+    which the call drops.  In a chart whose space V is a proper subspace,
+    gamma*W + B still spans the member, and the hyperplanes of K^n without
+    W meet V in its hyperplanes without W, so the scan over K^n finds the
+    same verdict.  Only the witness is built, as the kernel of its form,
+    so it is the subspace `hyperplanes` returns for that form.
     """
     ch = b.chart
     if len(b.members) == ch.domain.order ** ch.m:
         return None
-    domain, n = ch.domain, ch.ambient
-    mul, add, neg, zero = domain._mul, domain._add, domain._neg, domain._zero
-
-    def dot(row, col):
-        """sum_l row[l] * col[l], the entries of row on the left."""
-        acc = zero
-        for x, y in zip(row, col):
-            if x != zero and y != zero:
-                acc = add(acc, mul(x, y))
-        return acc
-
-    w, u = ch.w_matrix.payload, ch.b_matrix.payload
+    domain, k, m = ch.domain, ch.k, ch.m
+    combine, neg = domain._combine, domain._neg
+    columns = list(zip(*ch._t.payload))
     gammas = [c.gamma.payload for c in b.members]
-    for c in _projective_reps(domain, n):
-        c_w = [dot(row, c) for row in w]
-        if all(x == zero for x in c_w):
+    # row l: column l of every gamma, member after member
+    member_columns = [[row[l] for gamma in gammas for row in gamma] for l in range(k)]
+    width = len(gammas) * m
+    zeros = [domain._zero] * k
+    c_w, values = None, None
+    for c in _projective_reps(domain, ch.ambient):
+        c_wu = combine(c, columns, k + m)
+        if c_wu[:k] == zeros:
             continue                         # ker c contains W
+        if c_wu[:k] != c_w:
+            c_w = c_wu[:k]
+            values = set(zip(*[iter(combine([neg(x) for x in c_w], member_columns,
+                                            width))] * m))
         # the member of gamma lies in ker c iff gamma*c_W = -c_U
-        target = [neg(dot(row, c)) for row in u]
-        if not any(all(dot(row, c_w) == t for row, t in zip(gamma, target))
-                   for gamma in gammas):
+        if tuple(c_wu[k:]) not in values:
             return _hyperplane(domain, c)
     return None
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complaff import linalg
+from complaff import dualspread, linalg
 from complaff.algebra import ExtensionField, PrimeField, Quaternions
 from complaff.chart import (
     AffineChart,
@@ -509,12 +509,22 @@ def _non_symmetric_gf2():
     return AffineChart(GF2, 5, Subspace.from_rows(GF2, 5, [e(GF2, 5, 0), e(GF2, 5, 1)]))
 
 
+def _skew_bases_gf3():
+    # bases of W and U that are no unit vectors, and a W that is no
+    # coordinate subspace: c_W = W*c changes between consecutive forms, so
+    # the scan builds the members' values afresh, not once per run
+    w_rows, u_rows = [[1, 0, 0, 1], [0, 1, 2, 0]], [[0, 0, 1, 1], [1, 2, 0, 1]]
+    w, u = (Subspace.from_rows(GF3, 4, rows) for rows in (w_rows, u_rows))
+    return AffineChart(GF3, 4, w, u, b=MatrixK(GF3, u_rows), w_basis=MatrixK(GF3, w_rows))
+
+
 ORACLE_CHARTS = {**COUNT_CHARTS,
                  "GF8": lambda: symmetric_chart(ExtensionField(2, (1, 1, 0, 1)), 2),
                  "GF9": lambda: symmetric_chart(ExtensionField(3, (1, 0, 1)), 2),
                  "GF2-m3-k2": _non_symmetric_gf2,
                  # 7 projective points and 3 columns per member
-                 "GF2-m3-k3": lambda: symmetric_chart(GF2, 3)}
+                 "GF2-m3-k3": lambda: symmetric_chart(GF2, 3),
+                 "GF3-skew-bases": _skew_bases_gf3}
 
 
 def _check_against_reference(ch, gammas):
@@ -562,20 +572,72 @@ def test_ds1_reports_the_least_pair_over_all_buckets():
     _check_against_reference(ch, gammas)
 
 
-def test_ds1_combines_k_columns_per_member(monkeypatch):
-    """DS1 over GF(4) reads each member's rows at all 5 points off its 2
-    columns: one combination per column, not one per point."""
-    gf4 = ExtensionField(2, (1, 1, 1))
-    ch = symmetric_chart(gf4, 2)
-    gammas = regular_spread_gammas(gf4)
-    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas + gammas[:1]])
+def _count_combines(monkeypatch, check, cand):
+    """check(cand) and the (coefficients, rows, width) of every GF(4)
+    `_combine` call it makes."""
     calls = []
     combine = ExtensionField._combine
     monkeypatch.setattr(ExtensionField, "_combine",
                         lambda self, *args: calls.append(args) or combine(self, *args))
-    assert check_pairwise_regular(cand).pair == (0, 16)
+    result = check(cand)
     monkeypatch.undo()
-    assert len(calls) == 2 * len(cand.members)
+    return result, calls
+
+
+def test_ds1_combines_once_per_projective_point(monkeypatch):
+    """DS1 over GF(4) reads the rows u*gamma of every member at one of the
+    5 points of K^2 with one combination: 5 calls, whatever the number of
+    members."""
+    gf4 = ExtensionField(2, (1, 1, 1))
+    ch = symmetric_chart(gf4, 2)
+    spread = regular_spread_gammas(gf4)
+    for gammas, pair in ((spread + spread[:1], (0, 16)), (spread * 2 + spread[5:6], (0, 16))):
+        cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+        bad, calls = _count_combines(monkeypatch, check_pairwise_regular, cand)
+        assert bad.pair == pair
+        assert len(calls) == 5
+        assert all(width == 2 * len(gammas) for _, _, width in calls)
+
+
+def test_ds1_takes_the_rank_path_when_it_has_fewer_steps(monkeypatch):
+    # GF(2)^16 as U x U: 255 projective points of U, one pair of members
+    ch = symmetric_chart(GF2, 8)
+    gammas = [MatrixK.identity(GF2, 8), MatrixK.identity(GF2, 8) + MatrixK.identity(GF2, 8)]
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+    reductions = []
+    reduce_rows = linalg.reduce_rows
+    monkeypatch.setattr(linalg, "reduce_rows",
+                        lambda *args: reductions.append(args) or reduce_rows(*args))
+    monkeypatch.setattr(dualspread, "_projective_reps", None)
+    assert check_pairwise_regular(cand) is None
+    monkeypatch.undo()
+    assert len(reductions) == 1
+    repeated = DualSpreadCandidate(ch, cand.members[:1] * 2)
+    assert check_pairwise_regular(repeated).pair == (0, 1)
+
+
+def test_ds2_builds_the_member_values_once_per_c_w(monkeypatch):
+    """On the default GF(4) chart the first 16 forms (1, 0, a, b) share
+    c_W = (1, 0), and each spread member lies in exactly one of their
+    kernels.  With one member dropped the witness is among them, found
+    after one build of the 15 members' values, wherever it falls."""
+    gf4 = ExtensionField(2, (1, 1, 1))
+    ch = symmetric_chart(gf4, 2)
+    gammas = regular_spread_gammas(gf4)
+    one, zero = gf4._one, gf4._zero
+    monkeypatch.setattr(dualspread, "_hyperplane", lambda domain, c: c)
+    positions = []
+    for drop in range(len(gammas)):
+        members = gammas[:drop] + gammas[drop + 1:]
+        cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in members])
+        form, calls = _count_combines(monkeypatch, _uncovered_hyperplane, cand)
+        monkeypatch.setattr(dualspread, "_hyperplane", lambda domain, c: c)
+        assert form[:2] == (one, zero)
+        builds = [args for args in calls if args[2] == 2 * len(members)]
+        assert len(builds) == 1
+        positions.append(len(calls) - len(builds))
+    # one combination of the chart's columns per form walked
+    assert sorted(positions) == list(range(1, 17))
 
 
 def test_gf8_spread_is_a_dual_spread_of_gf2_to_the_sixth():

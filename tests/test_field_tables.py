@@ -200,9 +200,27 @@ fuzz_input = st.one_of(st.integers(-10 ** 30, 10 ** 30),
 def test_canonical_table_holds_only_canonical_payloads(value):
     p, mod = GF27
     field = ExtensionField(p, mod)
-    assert field._canon(value) == poly_canon(value, p, mod)
     table = algebra._FIELD_TABLES[p, mod][4]
-    assert 0 < len(table) <= p ** 3
+    if isinstance(value, int) or all(not isinstance(c, float) or c.is_integer()
+                                     for c in value):
+        assert field._canon(value) == poly_canon(value, p, mod)
+        assert 0 < len(table)
+    else:
+        # a non-integral float is refused, not truncated, and stores nothing
+        size = len(table)
+        with pytest.raises(ValueError, match="non-integral"):
+            field._canon(value)
+        assert len(table) == size
+    assert len(table) <= p ** 3
     for key, entry in table.items():
         assert key is entry and len(key) == 3
         assert all(type(c) is int and 0 <= c < p for c in key)
+
+
+def test_canon_refuses_non_integral_floats():
+    gf4 = ExtensionField(2, (1, 1, 1))
+    for value in ((1.5, 0), [3.9, 0.2], (0, float("inf"))):
+        with pytest.raises(ValueError, match="non-integral"):
+            gf4._canon(value)
+    # an integral float reads as its int, from the table or not
+    assert gf4._canon((1.0, 0.0)) == gf4._canon([3.0, 2.0]) == (1, 0)
