@@ -15,10 +15,14 @@ tau_i: D -> U with the basis-difference property (T1*) and the
 coset-hitting property (T2*) produce dual spreads member-by-member, and
 every dual spread containing W arises that way.
 
-Both conditions are decided on chart coordinates: DS1 by bucketing the
-rows u*gamma_i over the projective points u of U (`check_pairwise_regular`),
-DS2 by reading the singular set S(ker c) of each form c off c_W = W*c and
-c_U = B*c (`_uncovered_hyperplane`).  `is_dual_spread` and
+Both conditions are decided on chart coordinates, over a finite field
+with one table combination across all members per step: DS1 by
+bucketing the rows u*gamma_i, read at each projective point u of U by
+one left combination (`check_pairwise_regular`, which takes one rank
+reduction per pair instead when there are fewer pairs than points), and
+DS2 by reading the singular set S(ker c) of each form c off c_W = W*c
+and c_U = B*c, tested against the set of member values -gamma_i*c_W
+(`_uncovered_hyperplane`).  `is_dual_spread` and
 `verify_family` run one sequence (`_ds1_then_ds2`): DS1 on any domain,
 then DS2, which walks hyperplanes and so needs a finite field.  Over an
 infinite domain a DS1 failure is reported, and a candidate that passes

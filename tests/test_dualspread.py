@@ -572,29 +572,28 @@ def test_ds1_reports_the_least_pair_over_all_buckets():
     _check_against_reference(ch, gammas)
 
 
-def _count_combines(monkeypatch, check, cand):
+def _count_combines(check, cand):
     """check(cand) and the (coefficients, rows, width) of every GF(4)
     `_combine` call it makes."""
     calls = []
     combine = ExtensionField._combine
-    monkeypatch.setattr(ExtensionField, "_combine",
-                        lambda self, *args: calls.append(args) or combine(self, *args))
-    result = check(cand)
-    monkeypatch.undo()
-    return result, calls
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExtensionField, "_combine",
+                   lambda self, *args: calls.append(args) or combine(self, *args))
+        return check(cand), calls
 
 
-def test_ds1_combines_once_per_projective_point(monkeypatch):
+def test_ds1_combines_once_per_projective_point():
     """DS1 over GF(4) reads the rows u*gamma of every member at one of the
     5 points of K^2 with one combination: 5 calls, whatever the number of
     members."""
     gf4 = ExtensionField(2, (1, 1, 1))
     ch = symmetric_chart(gf4, 2)
     spread = regular_spread_gammas(gf4)
-    for gammas, pair in ((spread + spread[:1], (0, 16)), (spread * 2 + spread[5:6], (0, 16))):
+    for gammas in (spread + spread[:1], spread * 2 + spread[5:6]):
         cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
-        bad, calls = _count_combines(monkeypatch, check_pairwise_regular, cand)
-        assert bad.pair == pair
+        bad, calls = _count_combines(check_pairwise_regular, cand)
+        assert bad.pair == (0, 16)
         assert len(calls) == 5
         assert all(width == 2 * len(gammas) for _, _, width in calls)
 
@@ -616,6 +615,33 @@ def test_ds1_takes_the_rank_path_when_it_has_fewer_steps(monkeypatch):
     assert check_pairwise_regular(repeated).pair == (0, 1)
 
 
+# (q, m, N, path) on each side of N(N - 1)/2 >= P = (q^m - 1)/(q - 1),
+# the tie (3 pairs, 3 points) included
+PATHS = [(2, 2, 2, "rank"), (2, 2, 3, "bucket"), (3, 2, 3, "rank"),
+         (3, 2, 4, "bucket"), (2, 3, 4, "rank"), (2, 3, 5, "bucket")]
+
+
+@pytest.mark.parametrize("q, m, n, path", PATHS)
+def test_ds1_path_follows_the_step_counts(monkeypatch, q, m, n, path):
+    domain = PrimeField(q)
+    ch = symmetric_chart(domain, m)
+    spread = gf8_spread_gammas() if m == 3 else regular_spread_gammas(domain)
+    # pairwise regular members, so the rank path reduces every pair
+    cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in spread[:n]])
+    buckets, reductions = [], []
+    bucket, reduce_rows = dualspread._least_singular_pair, linalg.reduce_rows
+    monkeypatch.setattr(dualspread, "_least_singular_pair",
+                        lambda *args: buckets.append(args) or bucket(*args))
+    monkeypatch.setattr(linalg, "reduce_rows",
+                        lambda *args: reductions.append(args) or reduce_rows(*args))
+    assert check_pairwise_regular(cand) is None
+    monkeypatch.undo()
+    if path == "rank":
+        assert (len(buckets), len(reductions)) == (0, n * (n - 1) // 2)
+    else:
+        assert (len(buckets), len(reductions)) == (1, 0)
+
+
 def test_ds2_builds_the_member_values_once_per_c_w(monkeypatch):
     """On the default GF(4) chart the first 16 forms (1, 0, a, b) share
     c_W = (1, 0), and each spread member lies in exactly one of their
@@ -630,8 +656,7 @@ def test_ds2_builds_the_member_values_once_per_c_w(monkeypatch):
     for drop in range(len(gammas)):
         members = gammas[:drop] + gammas[drop + 1:]
         cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in members])
-        form, calls = _count_combines(monkeypatch, _uncovered_hyperplane, cand)
-        monkeypatch.setattr(dualspread, "_hyperplane", lambda domain, c: c)
+        form, calls = _count_combines(_uncovered_hyperplane, cand)
         assert form[:2] == (one, zero)
         builds = [args for args in calls if args[2] == 2 * len(members)]
         assert len(builds) == 1
