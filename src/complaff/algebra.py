@@ -242,6 +242,13 @@ class PrimeField(ScalarDomain):
         return range(self.p)
 
     def _canon(self, payload):
+        """The residue of an int (a bool counts as its int).  An integral
+        float reads as its int; a non-integral one is refused with
+        ValueError rather than truncated, as in `ExtensionField._canon`."""
+        if type(payload) is int:
+            return payload % self.p
+        if isinstance(payload, float) and not payload.is_integer():
+            raise ValueError(f"{payload!r} is not an integer")
         return int(payload) % self.p
 
     def _add(self, a, b):

@@ -35,6 +35,7 @@ from .linalg import (
     payload_of,
     payload_row,
     reduce_rows,
+    row_space,
     rref,
     stack,
 )
@@ -52,7 +53,14 @@ def _basis_matrix(domain: ScalarDomain, rows, span: Subspace, message: str):
 
 
 class AffineChart:
-    """V = W (+) U with chosen bases; coordinatizes the complements of W."""
+    """V = W (+) U with chosen bases; coordinatizes the complements of W.
+
+    Construction checks V = W (+) U with one plain reduction of
+    [W-basis; b].  The coordinate echelon (`_split`, an `rref` with its
+    transform) and the Z-structure (`z`) are built on first use, so a chart
+    that never reads chart coordinates, such as every chart of a
+    dual-spread command, makes no `rref`.
+    """
 
     def __init__(self, domain: ScalarDomain, ambient: int, w: Subspace,
                  u: Subspace | None = None, b=None, w_basis=None,
@@ -73,14 +81,17 @@ class AffineChart:
         self.w_matrix = _basis_matrix(domain, w_basis, w, "w_basis does not span W")
         self.b_matrix = _basis_matrix(domain, b, u, "b is not a basis of U")
         self._t = stack(domain, [self.w_matrix, self.b_matrix], cols=ambient)
-        echelon = rref(self._t)
         # V = W (+) U: [W-basis; b] has rank k + m and the space's echelon rows
-        if (echelon.rank != self.k + self.m
-                or echelon.matrix.payload[:echelon.rank] != self.space.basis.payload):
+        echelon = row_space(self._t)
+        if echelon.rows != self.k + self.m or echelon.payload != self.space.basis.payload:
             raise ValueError("V = W (+) U fails for the given data")
-        # payload row -> its payload coordinates [x | y] over the rows of
-        # [W-basis; b], or None outside the space
-        self._split = echelon.coordinates
+
+    @functools.cached_property
+    def _split(self):
+        """payload row -> its payload coordinates [x | y] over the rows of
+        [W-basis; b], or None outside the space; the `rref` behind it is
+        built on first use."""
+        return rref(self._t).coordinates
 
     @functools.cached_property
     def z(self) -> ZStructure:

@@ -167,8 +167,22 @@ def _coord_from_file(chart, path: str) -> ComplementCoord:
     raise ConfigError(f'{path}: expected {{"gamma": ...}} or a subspace object')
 
 
+def _bound_regulus(chart, z_points: bool) -> None:
+    """Refuse, before listing, a regulus of more than _MAX_LISTED members
+    (q + 1) or, when `z_points`, a U of more Z-points ((q^m-1)/(q-1))."""
+    if not chart.domain.is_finite:
+        return                       # infinite families are seeded samples
+    q, m = chart.domain.order, chart.m
+    if q + 1 > _MAX_LISTED:
+        raise ConfigError(f"{q}+1 regulus members exceed the limit {_MAX_LISTED}")
+    if z_points and (q ** m - 1) // (q - 1) > _MAX_LISTED:
+        raise ConfigError(f"({q}^{m}-1)/({q}-1) Z-points of U exceed the limit "
+                          f"{_MAX_LISTED}")
+
+
 def cmd_regulus(args) -> int:
     chart, cfg = _chart(args)
+    _bound_regulus(chart, z_points=True)
     c1 = _coord_from_file(chart, args.through[0])
     c2 = _coord_from_file(chart, args.through[1])
     try:
@@ -195,6 +209,7 @@ def cmd_regulus(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     chart, cfg = _chart(args)
+    _bound_regulus(chart, z_points=False)
     lines = transversals_from_json(chart.domain, _read_json(args.transversals))
     for line in lines:
         if line.ambient != chart.ambient:

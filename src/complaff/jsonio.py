@@ -7,13 +7,28 @@ Scalar encoding depends on the domain:
 * quaternions      -- list of four exact fraction strings "a", "-1/2", ...
   (or ints); a plain int n reads as n in every domain
 
-JSON goes payload to payload.  `vector_from_json` checks the JSON types
-and returns a row of canonical working payloads, no ``Scalar``: it calls
-``_canon`` once per value, and nothing downstream reads the value again.
-The matrix, subspace and family decoders build on those rows as they are
-(``from_payloads``, ``Subspace.spanned``, a family's images as a
-``MatrixK``).  `vector_to_json` writes payload rows through
+JSON goes payload to payload.  Every decoder hands all the rows of its
+document to one call of `_rows_from_json`, which checks the JSON types and
+returns rows of canonical working payloads, no ``Scalar``: it binds
+``_canon`` once, calls it once per value, and nothing downstream reads the
+value again.  Over GF(p^k) C-level type passes over all values and all
+components decide whether every value is a list of ints, as the encoder
+writes them; only otherwise is each value checked on its own.  The
+matrix, subspace, spread and family decoders build on those rows as they
+are (``from_payloads``, ``Subspace.spanned``, ``ComplementCoord``, a
+family's images as a ``MatrixK``).  The encoders bind the domain's row
+writer once per document and write payload rows through
 ``domain._public``.
+
+A document with one fault is refused with the same ``ConfigError`` text
+as by a decoder that reads it row by row and member by member.  With
+several faults, the fault reported is the first in this order: the
+layout of the document (an object, a list of matrices or of entries),
+then any row that is not a list, then any value that is no scalar of the
+domain, then, member after member, each matrix's width and row count,
+and last a family's own checks; within each class the first in document
+order.  So a row that is not a list is reported before a bad scalar of
+an earlier member.
 
 Subspaces are ``{"ambient": n, "rows": [[scalar, ...], ...]}``.  Dual
 spread candidates are ``{"kind": "dual-spread", "gammas": [...]}`` (or
@@ -26,8 +41,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain, islice, repeat
 
-from .algebra import ExtensionField, PrimeField, Quaternions, Scalar, ScalarDomain
+from .algebra import ExtensionField, PrimeField, Quaternions, ScalarDomain
 from .chart import AffineChart, ComplementCoord
 from .dualspread import DualSpreadCandidate, TransversalFamily
 from .errors import ConfigError
@@ -64,37 +80,48 @@ def int_from_json(obj: dict, key: str, default=None) -> int:
     return _json_int(obj.get(key, default), f'"{key}"')
 
 
-def scalar_to_json(s: Scalar):
-    return vector_to_json(s.domain, [s.raw])[0]
-
-
-def scalar_from_json(domain: ScalarDomain, obj) -> Scalar:
-    return Scalar(domain, vector_from_json(domain, [obj])[0])
+def _row_writer(domain: ScalarDomain):
+    """The function that writes a working payload row as its JSON list."""
+    public = domain._public
+    if isinstance(domain, PrimeField):
+        return lambda row: list(map(public, row))
+    if isinstance(domain, ExtensionField):
+        return lambda row: list(map(list, map(public, row)))
+    if isinstance(domain, Quaternions):
+        return lambda row: [[str(c) for c in public(x)] for x in row]
+    raise ConfigError(f"no JSON form for scalars of {domain}")
 
 
 def vector_to_json(domain: ScalarDomain, row) -> list:
     """The JSON list of a working payload row."""
-    public = domain._public
-    if isinstance(domain, PrimeField):
-        return [public(x) for x in row]
-    if isinstance(domain, ExtensionField):
-        return [list(public(x)) for x in row]
-    if isinstance(domain, Quaternions):
-        return [[str(c) for c in public(x)] for x in row]
-    raise ConfigError(f"no JSON form for scalars of {domain}")
+    return _row_writer(domain)(row)
 
 
 def vector_from_json(domain: ScalarDomain, obj) -> tuple:
     """A JSON list of scalars as a row of canonical working payloads."""
-    if not isinstance(obj, list):
+    return _rows_from_json(domain, [obj])[0]
+
+
+def _rows_from_json(domain: ScalarDomain, rows: list) -> list:
+    """Every row of a document, each a JSON list of scalars, as a tuple of
+    canonical working payloads: one ``_canon`` call per value.
+
+    Every row is checked to be a list before any value is read.  Over
+    GF(p^k), when every value is a list of ints (one type pass over all
+    values and one over all components), each is read as its tuple, as
+    `_payload_from_json` would read it; otherwise every value is read on
+    its own, an int as it is and anything else by `_payload_from_json`,
+    which refuses it with its ``bad scalar`` line."""
+    if not all(map(isinstance, rows, repeat(list))):
         raise ConfigError("expected a list of scalars")
-    # a GF(p^k) list of k ints is checked at C speed; any other value is
-    # checked (and refused, or read) component by component
     canon = domain._canon
-    ints = (int,) * domain.k if isinstance(domain, ExtensionField) else None
-    return tuple([canon(tuple(x)) if type(x) is list and tuple(map(type, x)) == ints
-                  else canon(x if type(x) is int else _payload_from_json(domain, x))
-                  for x in obj])
+    if isinstance(domain, ExtensionField):
+        values = [x for row in rows for x in row]
+        if (set(map(type, values)) == {list}
+                and set(map(type, chain.from_iterable(values))) == {int}):
+            return [tuple([canon(tuple(x)) for x in row]) for row in rows]
+    return [tuple([canon(x if type(x) is int else _payload_from_json(domain, x))
+                   for x in row]) for row in rows]
 
 
 def _payload_from_json(domain: ScalarDomain, obj):
@@ -114,13 +141,13 @@ def _payload_from_json(domain: ScalarDomain, obj):
 
 
 def matrix_to_json(m: MatrixK):
-    return [vector_to_json(m.domain, row) for row in m.payload]
+    return list(map(_row_writer(m.domain), m.payload))
 
 
 def matrix_from_json(domain: ScalarDomain, obj, cols: int | None = None) -> MatrixK:
     if not isinstance(obj, list):
         raise ConfigError("expected a list of rows")
-    rows = [vector_from_json(domain, row) for row in obj]
+    rows = _rows_from_json(domain, obj)
     return from_payloads(domain, rows, _built("matrix", _width, rows, cols))
 
 
@@ -134,14 +161,15 @@ def subspace_from_json(domain: ScalarDomain, obj) -> Subspace:
     ambient = int_from_json(obj, "ambient")
     if not isinstance(obj["rows"], list):
         raise ConfigError('subspace "rows" must be a list of rows')
-    rows = [vector_from_json(domain, row) for row in obj["rows"]]
+    rows = _rows_from_json(domain, obj["rows"])
     _built("subspace", _width, rows, ambient)
     return Subspace.spanned(domain, ambient, rows)
 
 
 def dual_spread_to_json(b: DualSpreadCandidate):
+    write = _row_writer(b.chart.domain)
     return {"kind": "dual-spread",
-            "gammas": [matrix_to_json(m.gamma) for m in b.members]}
+            "gammas": [list(map(write, m.gamma.payload)) for m in b.members]}
 
 
 def dual_spread_from_json(chart: AffineChart, obj) -> DualSpreadCandidate:
@@ -152,17 +180,26 @@ def dual_spread_from_json(chart: AffineChart, obj) -> DualSpreadCandidate:
     key = "gammas" if "gammas" in obj else "subspaces"
     if not isinstance(obj.get(key), list):
         raise ConfigError('a dual-spread file needs a "gammas" or "subspaces" list')
-    members = []
-    if key == "gammas":
-        for g in obj["gammas"]:
-            members.append(_built("dual-spread member", ComplementCoord, chart,
-                                  matrix_from_json(chart.domain, g, cols=chart.k)))
-    else:
+    if key == "subspaces":
+        members = []
         for s in obj["subspaces"]:
             sub = subspace_from_json(chart.domain, s)
             if sub == chart.w:
                 continue             # W is implicit
             members.append(_built("dual-spread member", chart.coordinate_of, sub))
+        return DualSpreadCandidate(chart, members)
+    gammas, dom, k, m = obj["gammas"], chart.domain, chart.k, chart.m
+    if not all(map(isinstance, gammas, repeat(list))):
+        raise ConfigError("expected a list of rows")
+    rows = iter(_rows_from_json(dom, list(chain.from_iterable(gammas))))
+    members = []
+    for g in gammas:
+        gamma = list(islice(rows, len(g)))
+        if len(gamma) != m or set(map(len, gamma)) != {k}:
+            _built("matrix", _width, gamma, k)       # a width fault comes first
+            raise ConfigError("bad dual-spread member: "
+                              "gamma has the wrong shape for this chart")
+        members.append(ComplementCoord(chart, from_payloads(dom, gamma, k)))
     return DualSpreadCandidate(chart, members)
 
 
@@ -183,23 +220,26 @@ def transversals_from_json(domain: ScalarDomain, obj):
 
 
 def family_to_json(f: TransversalFamily):
+    write = _row_writer(f.chart.domain)
     return {"kind": "family",
-            "entries": [{"u": vector_to_json(f.chart.domain, u),
-                         "images": matrix_to_json(images)}
+            "entries": [{"u": write(u), "images": list(map(write, images.payload))}
                         for u, images in zip(f._points, f._images)]}
 
 
 def family_from_json(chart: AffineChart, obj) -> TransversalFamily:
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise ConfigError('a family file needs an "entries" list')
-    dom, m = chart.domain, chart.m
-    entries = []
-    for rec in obj["entries"]:
+    dom, m, records = chart.domain, chart.m, obj["entries"]
+    for rec in records:
         if not (isinstance(rec, dict) and "u" in rec
                 and isinstance(rec.get("images"), list)):
             raise ConfigError('a family entry needs "u" and an "images" list')
-        u = vector_from_json(dom, rec["u"])
-        images = [vector_from_json(dom, img) for img in rec["images"]]
+    rows = iter(_rows_from_json(dom, [row for rec in records
+                                      for row in (rec["u"], *rec["images"])]))
+    entries = []
+    for rec in records:
+        u = next(rows)
+        images = list(islice(rows, len(rec["images"])))
         if all(len(row) == m for row in images):    # else the family refuses the shape
             images = from_payloads(dom, images, m)
         entries.append((u, images))

@@ -35,16 +35,30 @@ DS2 as the scan that builds every hyperplane without W as the kernel of
 its form and asks ``Subspace.contains`` of every member.
 ``ref_is_dual_spread`` and ``ref_verify_family`` put them together with
 the library's verdicts and messages.
+
+The JSON references at the end are the former decoders, one row and one
+member at a time: ``ref_vector_from_json`` dispatches on the domain and
+checks the types of each row on its own, and the matrix, subspace,
+spread and family references call it row by row, wrapping the shape
+checks of every member.  They return what the library decoders return
+and raise ``ConfigError`` with the same text, fault by fault.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from complaff.algebra import Rationals, ScalarDomain
-from complaff.dualspread import Report, Violation, family_to_dual_spread
-from complaff.errors import InfiniteDomainError, ReconstructionError
-from complaff.linalg import Echelon, MatrixK, is_invertible
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, Rationals, ScalarDomain
+from complaff.chart import ComplementCoord
+from complaff.dualspread import (
+    DualSpreadCandidate,
+    Report,
+    TransversalFamily,
+    Violation,
+    family_to_dual_spread,
+)
+from complaff.errors import ConfigError, InfiniteDomainError, ReconstructionError
+from complaff.linalg import Echelon, MatrixK, _width, from_payloads, is_invertible
 from complaff.projective import Subspace, hyperplanes_not_containing
 
 
@@ -497,3 +511,93 @@ def ref_verify_family(f) -> Report:
             "T2*", "no domain point lands in the coset family of this "
             "hyperplane", hyperplane=x))
     return Report(True)
+
+
+# ---------------------------------------------------------------------------
+# JSON decoding, one row at a time
+# ---------------------------------------------------------------------------
+
+def _ref_built(what: str, make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _ref_json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _ref_payload_from_json(domain, obj):
+    try:
+        if type(obj) is list and isinstance(domain, ExtensionField):
+            return tuple(_ref_json_int(c, "a component") for c in obj)
+        if type(obj) is list and isinstance(domain, Quaternions):
+            if len(obj) != 4 or not all(type(c) in (str, int) for c in obj):
+                raise ValueError("need 4 components, each a string or an integer")
+            return tuple(map(Fraction, obj))
+        raise ValueError("a scalar must be an integer" + (
+            "" if isinstance(domain, PrimeField) else " or a list"))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad scalar {obj!r} for {domain}: {exc}") from exc
+
+
+def ref_vector_from_json(domain, obj) -> tuple:
+    """One JSON row, its types checked value by value after a dispatch on
+    the domain."""
+    if not isinstance(obj, list):
+        raise ConfigError("expected a list of scalars")
+    canon = domain._canon
+    ints = (int,) * domain.k if isinstance(domain, ExtensionField) else None
+    return tuple([canon(tuple(x)) if type(x) is list and tuple(map(type, x)) == ints
+                  else canon(x if type(x) is int else _ref_payload_from_json(domain, x))
+                  for x in obj])
+
+
+def ref_matrix_from_json(domain, obj, cols=None) -> MatrixK:
+    if not isinstance(obj, list):
+        raise ConfigError("expected a list of rows")
+    rows = [ref_vector_from_json(domain, row) for row in obj]
+    return from_payloads(domain, rows, _ref_built("matrix", _width, rows, cols))
+
+
+def ref_subspace_from_json(domain, obj) -> Subspace:
+    if not isinstance(obj, dict) or "ambient" not in obj or "rows" not in obj:
+        raise ConfigError('a subspace needs "ambient" and "rows"')
+    ambient = _ref_json_int(obj["ambient"], '"ambient"')
+    if not isinstance(obj["rows"], list):
+        raise ConfigError('subspace "rows" must be a list of rows')
+    rows = [ref_vector_from_json(domain, row) for row in obj["rows"]]
+    _ref_built("subspace", _width, rows, ambient)
+    return Subspace.spanned(domain, ambient, rows)
+
+
+def ref_dual_spread_from_json(chart, obj) -> DualSpreadCandidate:
+    """A "gammas" document (or a bare list of gammas), member by member."""
+    if isinstance(obj, list):
+        obj = {"gammas": obj}
+    if not isinstance(obj, dict) or not isinstance(obj.get("gammas"), list):
+        raise ConfigError('a dual-spread file needs a "gammas" or "subspaces" list')
+    return DualSpreadCandidate(chart, [
+        _ref_built("dual-spread member", ComplementCoord, chart,
+                   ref_matrix_from_json(chart.domain, g, cols=chart.k))
+        for g in obj["gammas"]])
+
+
+def ref_family_from_json(chart, obj) -> TransversalFamily:
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
+        raise ConfigError('a family file needs an "entries" list')
+    dom, m = chart.domain, chart.m
+    entries = []
+    for rec in obj["entries"]:
+        if not (isinstance(rec, dict) and "u" in rec
+                and isinstance(rec.get("images"), list)):
+            raise ConfigError('a family entry needs "u" and an "images" list')
+        u = ref_vector_from_json(dom, rec["u"])
+        images = [ref_vector_from_json(dom, img) for img in rec["images"]]
+        if all(len(row) == m for row in images):
+            images = from_payloads(dom, images, m)
+        entries.append((u, images))
+    return _ref_built("family", TransversalFamily, chart, entries, _canonical=True)

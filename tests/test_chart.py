@@ -168,6 +168,30 @@ def test_split_with_other_bases_makes_one_combine(domain, monkeypatch):
     assert [domain._combine(x, ch._t.payload, 4) for x in coords] == list(map(list, rows))
 
 
+def test_chart_builds_its_coordinate_echelon_on_first_use(monkeypatch):
+    """The default GF(4) chart checks V = W (+) U with a plain reduction:
+    no rref until the first coordinate read, and none after it."""
+    from complaff import chart as chart_module, config, linalg, projective
+    calls, original = [], linalg.rref
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (linalg, projective, chart_module, config):
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", counted)
+    ch = chart_from_config({"field": "gf(2^2; modulus=[1,1,1])", "n": 4, "k": 2})
+    assert calls == []
+    gamma = MatrixK(ch.domain, [[1, 0], [0, ch.domain.scalar((0, 1))]])
+    s = ch.complement(gamma)
+    assert calls == []
+    assert ch.coordinate_of(s).gamma == gamma
+    assert calls == [ch._t]
+    assert ch.coordinate_of(s).gamma == gamma
+    assert calls == [ch._t]
+
+
 def test_desk_scale_bounds():
     # fields up to GF(9), dimensions up to 8
     from complaff.algebra import ExtensionField

@@ -508,6 +508,10 @@ OVERSIZED = {
         "field": "gf(3317044064679887385961813^32; modulus=["
                  + ",".join(str(c) for c in range(2, 34)) + ",1])",
         "n": 4, "k": 2}),
+    # q + 1 = 2^61 regulus members, before any member is listed
+    "regulus-gf-2^61-1": ("regulus", {"field": "gf(2305843009213693951)", "n": 2, "k": 1}),
+    "reconstruct-gf-2^61-1": ("reconstruct", {"field": "gf(2305843009213693951)",
+                                              "n": 2, "k": 1}),
 }
 
 
@@ -521,6 +525,15 @@ def test_oversized_work_is_refused_before_it_starts(name, tmp_path):
         spread = tmp_path / "spread.json"
         spread.write_text(json.dumps({"kind": "dual-spread", "gammas": []}))
         argv.append(str(spread))
+    elif command == "regulus":
+        for name, gamma in (("zero.json", [[0]]), ("one.json", [[1]])):
+            (tmp_path / name).write_text(json.dumps({"gamma": gamma}))
+        argv += ["--through", str(tmp_path / "zero.json"), str(tmp_path / "one.json")]
+    elif command == "reconstruct":
+        lines = tmp_path / "lines.json"
+        lines.write_text(json.dumps({"kind": "transversals", "subspaces": [
+            {"ambient": 2, "rows": [[1, 0], [0, 1]]}] * 3}))
+        argv += ["--transversals", str(lines)]
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

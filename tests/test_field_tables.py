@@ -17,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complaff import algebra
-from complaff.algebra import ExtensionField, _poly_divmod, _poly_is_irreducible, _poly_mul
+from complaff.algebra import (
+    ExtensionField,
+    PrimeField,
+    _poly_divmod,
+    _poly_is_irreducible,
+    _poly_mul,
+)
 
 SMALL = [(2, (1, 1, 1)),            # GF(4):  x^2 + x + 1
          (2, (1, 1, 0, 1)),         # GF(8):  x^3 + x + 1
@@ -224,3 +230,12 @@ def test_canon_refuses_non_integral_floats():
             gf4._canon(value)
     # an integral float reads as its int, from the table or not
     assert gf4._canon((1.0, 0.0)) == gf4._canon([3.0, 2.0]) == (1, 0)
+
+
+def test_prime_canon_refuses_non_integral_floats():
+    gf3 = PrimeField(3)
+    for value in (2.5, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not an integer"):
+            gf3._canon(value)
+    # ints, bools and integral floats read as before
+    assert [gf3._canon(x) for x in (5, -1, True, False, 2.0, -4.0)] == [2, 2, 1, 0, 2, 2]

@@ -259,6 +259,7 @@ def test_transversal_contains_makes_no_reduction(monkeypatch):
     """Membership of the two generators in T, read off T's echelon basis."""
     ch = symmetric_chart(GF3, 2)
     ch.z                                     # built on first use
+    ch._split                                # built on first use
     ts = transversals_of(standard_regulus(ch))
     lines = ts.lines()
     reductions = count_calls(monkeypatch, "reduce_rows")
