@@ -92,6 +92,15 @@ def test_chart_accepts_exactly_the_direct_sums(space_rows):
                 AffineChart(GF2, 4, w, u, space=space)
 
 
+@pytest.mark.parametrize("w_dim", [0, 3], ids=["W=0", "W=V"])
+def test_trivial_charts_are_refused(w_dim):
+    """W = 0 (k = 0) and W = V (m = 0, U = 0 by default) are excluded, each
+    on its own."""
+    w = Subspace.spanned(GF3, 3, MatrixK.identity(GF3, 3).payload[:w_dim])
+    with pytest.raises(ValueError, match="trivial charts"):
+        AffineChart(GF3, 3, w)
+
+
 def test_coordinate_rejects_non_complement():
     ch = std_chart(GF2)
     with pytest.raises(ValueError):
