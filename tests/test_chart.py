@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from complaff import chart as chart_module
+from complaff import config, linalg, projective
 from complaff.algebra import ExtensionField, PrimeField, Quaternions
 from complaff.chart import (
     AffineChart,
@@ -180,7 +182,6 @@ def test_split_with_other_bases_makes_one_combine(domain, monkeypatch):
 def test_chart_builds_its_coordinate_echelon_on_first_use(monkeypatch):
     """The default GF(4) chart checks V = W (+) U with a plain reduction:
     no rref until the first coordinate read, and none after it."""
-    from complaff import chart as chart_module, config, linalg, projective
     calls, original = [], linalg.rref
 
     def counted(m):
