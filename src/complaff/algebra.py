@@ -5,8 +5,11 @@ Three domains are available to users, one more internally:
 * ``PrimeField(p)``          -- GF(p), payload: int in [0, p).
 * ``ExtensionField(p, mod)`` -- GF(p^k) with an explicit monic modulus
   polynomial ``mod = (c_0, ..., c_k)``, c_k = 1, irreducible over GF(p)
-  (checked once per ``(p, mod)`` by Rabin's test).  Payload: tuple of k
-  ints, c_0 first.
+  (checked once per ``(p, mod)`` by Rabin's test).  Working payload: the
+  int code c_0 + c_1*p + ... + c_(k-1)*p^(k-1) of the residue's
+  coefficients, held as the private int subclass ``_Code`` so that
+  ``_canon`` can tell it from a plain int n, which means n*1.  The public
+  payload is the tuple of k coefficient ints, c_0 first.
 * ``Quaternions()``          -- the rational quaternions a + bi + cj + dk
   with i^2 = j^2 = -1 and ij = k = -ji.  Multiplication is
   noncommutative; the center is the rational subfield.  Working payload:
@@ -26,28 +29,31 @@ All payloads are kept in canonical reduced form, so scalar equality is
 payload equality, and a payload is zero exactly when it equals the
 domain's ``_zero``.  Scalars are immutable and hashable.  A ``Scalar``
 holds the working payload in ``raw``; ``payload`` is the public view,
-``domain._public(raw)``, which differs from ``raw`` only on the
-quaternions.  ``_canon`` is the one way in (an int, the public view or
-the working payload, on every domain), ``_public`` the one way out;
+``domain._public(raw)``, which differs from ``raw`` only on GF(p^k) and
+the quaternions.  ``_canon`` is the one way in (an int, the public view
+or the working payload, on every domain), ``_public`` the one way out;
 ``domain.scalar(value)`` is the one public constructor, for ints too.
 
-Extension-field arithmetic is table lookup, the approach of the
-``galois`` library (https://github.com/mhostetter/galois).  ``_neg`` and
-``_inv`` read a dict keyed by the canonical payload tuple; ``_add`` and
+Extension-field arithmetic is table lookup on int codes, the approach
+and the element representation of the ``galois`` library
+(https://github.com/mhostetter/galois), so no table read hashes a tuple.
+``_neg`` and ``_inv`` read a dict keyed by the code; ``_add`` and
 ``_mul`` read ``table[a][b]``, one dict per left operand, which is
 cheaper than hashing the pair.  A missing entry is computed once by the
-polynomial helpers (``_poly_mulmod``, and ``_poly_invmod`` as a^(p^k - 2)
-through ``_poly_powmod``, which Rabin's test shares) and stored.
-``_canon`` reads a fifth dict, of canonical payloads, each its own key:
-a tuple found there is returned as it is, and anything else is reduced
-by the polynomial path and its result stored, so the dict never holds
-more than the q canonical payloads.  ``_combine`` reads the tables
-directly, one product row per nonzero coefficient and one sum lookup
-per entry.  The tables belong to ``(p, mod)``, not to a domain object,
-so every ``ExtensionField`` built with the same parameters shares them.
-A table holds only the operands that were used, never all q^2 pairs up
-front.  Over GF(p), ``_combine`` sums the products as plain ints and
-reduces each entry once.
+polynomial helpers on the coefficient tuples (``_poly_mulmod``, and
+``_poly_invmod`` as a^(p^k - 2) through ``_poly_powmod``, which Rabin's
+test shares) and stored.  Two more dicts translate: the code of each
+canonical coefficient tuple, which ``_canon`` reads (a canonical tuple
+is answered from it, anything else is reduced by the polynomial path
+first, so it never holds more than q entries), and the coefficient tuple
+of each code, which ``_public`` and the polynomial fills read.
+``_combine`` reads the tables directly, one product row per nonzero
+coefficient and one sum lookup per entry.  The tables belong to
+``(p, mod)``, not to a domain object, so every ``ExtensionField`` built
+with the same parameters shares them.  A table holds only the operands
+that were used, never all q^2 pairs up front, and never a dense list:
+q can be as large as p^16.  Over GF(p), ``_combine`` sums the products
+as plain ints and reduces each entry once.
 
 Enumeration policy: ``elements()`` refuses on infinite domains (raises
 ``InfiniteDomainError``); deterministic sampling is opt-in through
@@ -382,10 +388,18 @@ class _Table(dict):
         return value
 
 
-# (p, modulus) -> the add, neg, mul and inv tables of GF(p)[x]/(modulus),
-# add and mul as tables of rows, and the canonical payloads seen so far,
-# each its own key; an entry exists only once the modulus has passed the
-# irreducibility test
+class _Code(int):
+    """A GF(p^k) working payload: the int c_0 + c_1*p + ... + c_(k-1)*p^(k-1)
+    of its coefficients, a type apart from a plain int n, which `_canon`
+    reads as n*1."""
+
+    __slots__ = ()
+
+
+# (p, modulus) -> the add, neg, mul and inv tables of GF(p)[x]/(modulus)
+# on codes, add and mul as tables of rows; the code of each canonical
+# coefficient tuple and the coefficient tuple of each code.  An entry
+# exists only once the modulus has passed the irreducibility test.
 _FIELD_TABLES: dict = {}
 
 
@@ -394,12 +408,18 @@ def _field_tables(p, mod):
     if tables is None:
         if not _poly_is_irreducible(mod, p):
             raise ValueError(f"modulus {list(mod)} is reducible over GF({p})")
+        k = len(mod) - 1
+        code = _Table(lambda c: _Code(sum(x * p ** i for i, x in enumerate(c))))
+        coeffs = _Table(lambda n: tuple(n // p ** i % p for i in range(k)))
         tables = _FIELD_TABLES[p, mod] = (
-            _Table(lambda a: _Table(lambda b: tuple((x + y) % p for x, y in zip(a, b)))),
-            _Table(lambda a: tuple((-x) % p for x in a)),
-            _Table(lambda a: _Table(lambda b: _poly_mulmod(a, b, mod, p))),
-            _Table(lambda a: _poly_invmod(a, mod, p)),
-            {},
+            _Table(lambda a: _Table(lambda b: code[tuple(
+                (x + y) % p for x, y in zip(coeffs[a], coeffs[b]))])),
+            _Table(lambda a: code[tuple((-x) % p for x in coeffs[a])]),
+            _Table(lambda a: _Table(lambda b: code[
+                _poly_mulmod(coeffs[a], coeffs[b], mod, p)])),
+            _Table(lambda a: code[_poly_invmod(coeffs[a], mod, p)]),
+            code,
+            coeffs,
         )
     return tables
 
@@ -419,13 +439,12 @@ class ExtensionField(ScalarDomain):
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
         (self._add_t, self._neg_t, self._mul_t, self._inv_t,
-         self._canon_t) = _field_tables(p, mod)
+         self._canon_t, self._public_t) = _field_tables(p, mod)
         self.p = p
         self.modulus = mod
         self.k = len(mod) - 1
         self.characteristic = p
-        self._zero = (0,) * self.k
-        self._one = (1,) + self._zero[1:]
+        self._zero, self._one = _Code(0), _Code(1)
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -441,40 +460,42 @@ class ExtensionField(ScalarDomain):
     def order(self) -> int:
         return self.p ** self.k
 
-    def generator(self) -> "Scalar":
-        """The residue class of x."""
-        return Scalar(self, self._canon((0, 1)))
-
     def _payloads(self):
-        """In the order of c_0 + c_1*p + ... + c_(k-1)*p^(k-1)."""
-        return [digits[::-1] for digits in itertools.product(range(self.p), repeat=self.k)]
+        """The codes 0, 1, ..., q - 1."""
+        return list(map(_Code, range(self.order)))
 
     def _canon(self, payload):
-        """The canonical payload of an int, or of a tuple or list of ints
-        (bools count as ints), the coefficients constant term first.  Only
-        these inputs are in the contract, and each gets one answer whatever
-        the table holds.  A canonical tuple is its own entry of the table
-        of canonical payloads and is returned from it; anything else is
-        reduced by the polynomial path and its result stored.  The hit
+        """The code of a working payload (returned as it is), of an int n
+        (n*1, the code n mod p; bools count as ints), or of a tuple or list
+        of ints, the coefficients constant term first.  Only these inputs
+        are in the contract, and each gets one answer whatever the tables
+        hold.  A canonical coefficient tuple is a key of the code table and
+        is answered from it; any other sequence is reduced by the
+        polynomial path, and the code of its result is stored.  The hit
         tests equality, not type, so for other entry types the answer can
         depend on the table: in a fresh process ``(1+0j, 0)`` raises
-        TypeError, but once (1, 0) is in the table it returns (1, 0).  The
-        polynomial path refuses a non-integral float with ValueError rather
-        than truncate it; an integral float reads as its int."""
+        TypeError, but once (1, 0) is in the table it returns the code 1.
+        The polynomial path refuses a non-integral float with ValueError
+        rather than truncate it; an integral float reads as its int."""
+        if type(payload) is _Code:
+            return payload
         if type(payload) is tuple:
             hit = self._canon_t.get(payload)
             if hit is not None:
                 return hit
-        if isinstance(payload, int):
-            payload = (payload,)
-        elif any(isinstance(x, float) and not x.is_integer() for x in payload):
+        elif isinstance(payload, int):
+            return _Code(payload % self.p)
+        if any(isinstance(x, float) and not x.is_integer() for x in payload):
             raise ValueError(f"{payload!r} has a non-integral component")
         c = tuple(int(x) % self.p for x in payload)
         if len(c) >= len(self.modulus):
             _, c = _poly_divmod(c, self.modulus, self.p)
         c = _poly_trim(c)
-        c += (0,) * (self.k - len(c))
-        return self._canon_t.setdefault(c, c)
+        return self._canon_t[c + (0,) * (self.k - len(c))]
+
+    def _public(self, raw):
+        """The coefficient tuple of a code, constant term first."""
+        return self._public_t[raw]
 
     def _add(self, a, b):
         return self._add_t[a][b]
@@ -506,13 +527,13 @@ class ExtensionField(ScalarDomain):
         return [zero] * width if acc is None else acc
 
     def _int_of(self, a):
-        return None if any(a[1:]) else a[0]
+        return int(a) if a < self.p else None
 
     def _str(self, a):
         if a == self._zero:
             return "0"
         parts = []
-        for i, c in enumerate(a):
+        for i, c in enumerate(self._public(a)):
             if c == 0:
                 continue
             if i == 0:

@@ -55,11 +55,14 @@ def _basis_matrix(domain: ScalarDomain, rows, span: Subspace, message: str):
 class AffineChart:
     """V = W (+) U with chosen bases; coordinatizes the complements of W.
 
-    Construction checks V = W (+) U with one plain reduction of
-    [W-basis; b].  The coordinate echelon (`_split`, an `rref` with its
-    transform) and the Z-structure (`z`) are built on first use, so a chart
-    that never reads chart coordinates, such as every chart of a
-    dual-spread command, makes no `rref`.
+    Construction checks V = W (+) U for a given U with one plain
+    reduction of [W-basis; b].  Without one, U is spanned by the unit
+    vectors off W's pivot columns, an echelon basis of a complement of W
+    in K^n, so the chart takes it as it is and checks nothing.  The
+    coordinate echelon (`_split`, an `rref` with its transform) and the
+    Z-structure (`z`) are built on first use, so a chart that never reads
+    chart coordinates, such as every chart of a dual-spread command, makes
+    no `rref`.
     """
 
     def __init__(self, domain: ScalarDomain, ambient: int, w: Subspace,
@@ -69,10 +72,13 @@ class AffineChart:
         self.ambient = ambient
         self.space = space if space is not None else Subspace.full(domain, ambient)
         self.w = w
-        if u is None:
-            if space is not None:
+        derived = u is None
+        if derived:
+            if self.space.dim != ambient:
                 raise ValueError("an explicit U is required inside a proper subspace")
-            u = Subspace.spanned(domain, ambient, standard_complement_rows(w))
+            # unit rows off W's pivots: an echelon basis, and V = W (+) U
+            u = Subspace(domain, ambient, from_payloads(
+                domain, standard_complement_rows(w), ambient))
         self.u = u
         self.k = w.dim
         self.m = u.dim
@@ -81,10 +87,11 @@ class AffineChart:
         self.w_matrix = _basis_matrix(domain, w_basis, w, "w_basis does not span W")
         self.b_matrix = _basis_matrix(domain, b, u, "b is not a basis of U")
         self._t = stack(domain, [self.w_matrix, self.b_matrix], cols=ambient)
-        # V = W (+) U: [W-basis; b] has rank k + m and the space's echelon rows
-        echelon = row_space(self._t)
-        if echelon.rows != self.k + self.m or echelon.payload != self.space.basis.payload:
-            raise ValueError("V = W (+) U fails for the given data")
+        if not derived:
+            # V = W (+) U: [W-basis; b] has rank k + m and the space's echelon rows
+            echelon = row_space(self._t)
+            if echelon.rows != self.k + self.m or echelon.payload != self.space.basis.payload:
+                raise ValueError("V = W (+) U fails for the given data")
 
     @functools.cached_property
     def _split(self):

@@ -14,6 +14,7 @@ from .algebra import ExtensionField, PrimeField, Quaternions, ScalarDomain
 from .chart import AffineChart
 from .errors import ConfigError
 from .jsonio import _read_json, int_from_json, matrix_from_json
+from .linalg import from_payloads
 from .projective import Subspace
 
 _GF_PRIME = re.compile(r"gf\(\s*(\d+)\s*\)\Z")
@@ -105,9 +106,13 @@ def chart_from_config(cfg: dict) -> AffineChart:
         if key in cfg and not isinstance(cfg[key], list):
             raise ConfigError(f'"{key}" must be a list of rows')
     try:
-        w_rows = matrix_from_json(domain, cfg["W"], cols=n) if "W" in cfg else None
-        w = Subspace.spanned(domain, n, Subspace.full(domain, n).basis.payload[:k]
-                             if w_rows is None else w_rows.payload)
+        full = Subspace.full(domain, n)
+        w_rows = None
+        if "W" in cfg:
+            w_rows = matrix_from_json(domain, cfg["W"], cols=n)
+            w = Subspace.spanned(domain, n, w_rows.payload)
+        else:                        # e_1..e_k are their own echelon basis
+            w = Subspace(domain, n, from_payloads(domain, full.basis.payload[:k], n))
         if w.dim != k:
             raise ConfigError(f"W has dimension {w.dim}, expected {k}")
         u = b_rows = None
@@ -116,6 +121,6 @@ def chart_from_config(cfg: dict) -> AffineChart:
             u = Subspace.spanned(domain, n, b_rows.payload)
             if u.dim != n - k:
                 raise ConfigError(f"U has dimension {u.dim}, expected {n - k}")
-        return AffineChart(domain, n, w, u, b=b_rows, w_basis=w_rows)
+        return AffineChart(domain, n, w, u, b=b_rows, w_basis=w_rows, space=full)
     except ValueError as exc:             # a ConfigError keeps its message
         raise ConfigError(str(exc)) from exc

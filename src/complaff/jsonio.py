@@ -3,7 +3,8 @@
 Scalar encoding depends on the domain:
 
 * prime field      -- plain int
-* extension field  -- list of k ints, constant coefficient first
+* extension field  -- list of k ints, constant coefficient first (the
+  public view of the int code the library works on)
 * quaternions      -- list of four exact fraction strings "a", "-1/2", ...
   (or ints); a plain int n reads as n in every domain
 
@@ -13,12 +14,14 @@ returns rows of canonical working payloads, no ``Scalar``: it binds
 ``_canon`` once, calls it once per value, and nothing downstream reads the
 value again.  Over GF(p^k) C-level type passes over all values and all
 components decide whether every value is a list of ints, as the encoder
-writes them; only otherwise is each value checked on its own.  The
-matrix, subspace, spread and family decoders build on those rows as they
-are (``from_payloads``, ``Subspace.spanned``, ``ComplementCoord``, a
+writes them; only otherwise is each value checked on its own.  Each list
+becomes a coefficient tuple, which ``_canon`` turns into its int code.
+The matrix, subspace, spread and family decoders build on those rows as
+they are (``from_payloads``, ``Subspace.spanned``, ``ComplementCoord``, a
 family's images as a ``MatrixK``).  The encoders bind the domain's row
 writer once per document and write payload rows through
-``domain._public``.
+``domain._public``; over GF(p^k) the writer binds the field's code ->
+coefficient tuple table itself, once per document.
 
 A document with one fault is refused with the same ``ConfigError`` text
 as by a decoder that reads it row by row and member by member.  With
@@ -86,7 +89,8 @@ def _row_writer(domain: ScalarDomain):
     if isinstance(domain, PrimeField):
         return lambda row: list(map(public, row))
     if isinstance(domain, ExtensionField):
-        return lambda row: list(map(list, map(public, row)))
+        coefficients = domain._public_t.__getitem__        # code -> tuple
+        return lambda row: list(map(list, map(coefficients, row)))
     if isinstance(domain, Quaternions):
         return lambda row: [[str(c) for c in public(x)] for x in row]
     raise ConfigError(f"no JSON form for scalars of {domain}")

@@ -141,8 +141,9 @@ def standard_complement_rows(w: Subspace) -> tuple:
     """The unit payload rows at the non-pivot columns of W's echelon basis,
     in column order: an echelon basis themselves."""
     pivots = set(_echelon_check(w.domain, w.basis.payload)[0])
-    units = MatrixK.identity(w.domain, w.ambient).payload
-    return tuple(units[j] for j in range(w.ambient) if j not in pivots)
+    zero, one, n = w.domain._zero, w.domain._one, w.ambient
+    return tuple((zero,) * j + (one,) + (zero,) * (n - j - 1)
+                 for j in range(n) if j not in pivots)
 
 
 def all_complements(w: Subspace) -> tuple:

@@ -202,6 +202,43 @@ def test_chart_builds_its_coordinate_echelon_on_first_use(monkeypatch):
     assert calls == [ch._t]
 
 
+GF4_SPEC = "gf(2^2; modulus=[1,1,1])"
+
+
+def test_default_chart_makes_no_reduction_and_one_identity(monkeypatch):
+    """e_1..e_k and the unit rows off W's pivots are echelon bases of W and
+    of a complement, so the default chart reduces nothing."""
+    reductions, identities = [], []
+    original, identity = linalg.reduce_rows, MatrixK.identity.__func__
+
+    def counted(domain, rows, ncols):
+        reductions.append(ncols)
+        return original(domain, rows, ncols)
+
+    def counted_identity(cls, domain, n):
+        identities.append(n)
+        return identity(cls, domain, n)
+
+    for module in (linalg, projective, chart_module, config):
+        if hasattr(module, "reduce_rows"):
+            monkeypatch.setattr(module, "reduce_rows", counted)
+    monkeypatch.setattr(MatrixK, "identity", classmethod(counted_identity))
+    ch = chart_from_config({"field": GF4_SPEC, "n": 4, "k": 2})
+    assert reductions == [] and identities == [4]
+    assert ch.u.basis.payload == MatrixK.identity(ch.domain, 4).payload[2:]
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (3, 1)])
+def test_default_chart_equals_the_chart_that_spells_out_w_and_u(n, k):
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    default = chart_from_config({"field": GF4_SPEC, "n": n, "k": k})
+    spelled = chart_from_config({"field": GF4_SPEC, "n": n, "k": k,
+                                 "W": units[:k], "U": units[k:]})
+    assert default == spelled
+    assert (default.w_matrix, default.b_matrix) == (spelled.w_matrix, spelled.b_matrix)
+    assert default._t == spelled._t == MatrixK.identity(default.domain, n)
+
+
 def test_desk_scale_bounds():
     # fields up to GF(9), dimensions up to 8
     from complaff.algebra import ExtensionField

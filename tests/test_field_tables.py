@@ -59,19 +59,21 @@ def payloads(field):
 @pytest.mark.parametrize("p, mod", SMALL, ids=["GF4", "GF8", "GF9", "GF25"])
 def test_tables_match_polynomial_arithmetic(p, mod):
     field = ExtensionField(p, mod)
-    elems = payloads(field)
+    elems, pub = payloads(field), field._public
     zero, one = elems[0], elems[1]
-    for a, b in itertools.product(elems, repeat=2):
-        assert field._add(a, b) == ref_add(a, b, p)
-        assert field._mul(a, b) == ref_mul(a, b, mod, p)
-    for a in elems:
-        assert ref_add(a, field._neg(a), p) == zero
+    codes = [field._canon(a) for a in elems]
+    assert list(map(pub, codes)) == elems
+    for (a, ca), (b, cb) in itertools.product(zip(elems, codes), repeat=2):
+        assert pub(field._add(ca, cb)) == ref_add(a, b, p)
+        assert pub(field._mul(ca, cb)) == ref_mul(a, b, mod, p)
+    for a, ca in zip(elems, codes):
+        assert ref_add(a, pub(field._neg(ca)), p) == zero
         if a != zero:
-            inv = field._inv(a)
+            inv = pub(field._inv(ca))
             assert inv == next(x for x in elems if ref_mul(a, x, mod, p) == one)
     with pytest.raises(ZeroDivisionError):
-        field._inv(zero)
-    assert zero not in algebra._FIELD_TABLES[p, mod][3]
+        field._inv(field._zero)
+    assert field._zero not in algebra._FIELD_TABLES[p, mod][3]
 
 
 @pytest.mark.parametrize("p, mod", LARGE, ids=["GF256", "GF243"])
@@ -82,11 +84,12 @@ def test_tables_match_polynomial_arithmetic_large(p, mod, data):
     k = len(mod) - 1
     elem = st.tuples(*[st.integers(0, p - 1)] * k)
     a, b = data.draw(elem), data.draw(elem)
-    assert field._add(a, b) == ref_add(a, b, p)
-    assert field._mul(a, b) == ref_mul(a, b, mod, p)
-    assert ref_add(a, field._neg(a), p) == (0,) * k
+    ca, cb, pub = field._canon(a), field._canon(b), field._public
+    assert pub(field._add(ca, cb)) == ref_add(a, b, p)
+    assert pub(field._mul(ca, cb)) == ref_mul(a, b, mod, p)
+    assert ref_add(a, pub(field._neg(ca)), p) == (0,) * k
     if any(a):
-        assert field._inv(a) == ref_pow(a, p ** k - 2, mod, p)
+        assert pub(field._inv(ca)) == ref_pow(a, p ** k - 2, mod, p)
 
 
 def test_tables_are_shared_and_filled_lazily():
@@ -94,14 +97,15 @@ def test_tables_are_shared_and_filled_lazily():
     f1, f2 = ExtensionField(11, mod), ExtensionField(11, mod)
     tables = algebra._FIELD_TABLES[11, mod]
     assert all(len(t) == 0 for t in tables)
-    assert len(tables) == 5
+    assert len(tables) == 6
     for f in (f1, f2):
         assert all(mine is shared for mine, shared in zip(
-            (f._add_t, f._neg_t, f._mul_t, f._inv_t, f._canon_t), tables))
-    x = f1.generator()
+            (f._add_t, f._neg_t, f._mul_t, f._inv_t, f._canon_t, f._public_t), tables))
+    x = f1.scalar((0, 1))
     assert x * x == f2.scalar(10)
-    # one product row, and the canonical payloads of x and of 10
-    assert [len(t) for t in tables] == [0, 0, 1, 0, 2]
+    # one product row, the codes of x and of x * x = 10 (the int 10 itself
+    # is read with no table), and the coefficients of x, which the product read
+    assert [len(t) for t in tables] == [0, 0, 1, 0, 2, 1]
 
 
 def trial_division_irreducible(mod, p):
@@ -152,19 +156,22 @@ def non_canonical_forms(x, p):
 @pytest.mark.parametrize("p, mod", SMALL[:3], ids=["GF4", "GF8", "GF9"])
 def test_canonical_table_matches_the_polynomial_path(p, mod):
     field = ExtensionField(p, mod)
-    k = len(mod) - 1
-    inputs = [v for x in field._payloads() for v in (x, *non_canonical_forms(x, p))]
+    k, pub = len(mod) - 1, field._public
+    for code in field._payloads():                 # a working payload as it is
+        assert field._canon(code) is code and type(code) is algebra._Code
+    elems = list(map(pub, field._payloads()))
+    inputs = [v for x in elems for v in (x, *non_canonical_forms(x, p))]
     inputs += list(range(-2 * p, 3 * p))                              # ints
-    inputs += [x + (1,) for x in field._payloads()]                   # reduced by mod
+    inputs += [x + (1,) for x in elems]                               # reduced by mod
     for value in inputs:
         want = poly_canon(value, p, mod)
         for _ in range(2):                         # a miss (maybe), then a hit
             got = field._canon(value)
-            assert got == want and type(got) is tuple, value
-            assert all(type(c) is int for c in got), value
+            assert pub(got) == want and type(got) is algebra._Code, value
+            assert 0 <= got < p ** k, value
     table = algebra._FIELD_TABLES[p, mod][4]
-    assert sorted(table) == sorted(field._payloads()) and len(table) == p ** k
-    assert all(table[x] is x for x in table)
+    assert sorted(table) == sorted(elems) and len(table) == p ** k
+    assert all(pub(table[x]) == x for x in table)
 
 
 # The contract of ExtensionField._canon: ints, bools, and tuples or lists
@@ -182,12 +189,13 @@ contract_input = st.one_of(in_contract,
 def test_canon_answer_does_not_depend_on_the_table(p, mod, value):
     field = ExtensionField(p, mod)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_canon_t", {})
+        mp.setattr(field, "_canon_t", algebra._Table(field._canon_t._fill))
         cold = field._canon(value)
     for x in field._payloads():
-        field._canon(x)
-    assert field._canon(value) == cold == poly_canon(value, p, mod)
-    assert type(cold) is tuple and all(type(c) is int for c in cold)
+        field._canon(field._public(x))
+    assert field._canon(value) == cold
+    assert field._public(cold) == poly_canon(value, p, mod)
+    assert type(cold) is algebra._Code
 
 
 # x^3 + 2x + 1 over GF(3), used by no other test, so only the fuzz fills
@@ -207,10 +215,14 @@ def test_canonical_table_holds_only_canonical_payloads(value):
     p, mod = GF27
     field = ExtensionField(p, mod)
     table = algebra._FIELD_TABLES[p, mod][4]
-    if isinstance(value, int) or all(not isinstance(c, float) or c.is_integer()
-                                     for c in value):
-        assert field._canon(value) == poly_canon(value, p, mod)
-        assert 0 < len(table)
+    if isinstance(value, int):
+        # an int n is the code n mod p, read with no table
+        size = len(table)
+        assert field._public(field._canon(value)) == poly_canon(value, p, mod)
+        assert len(table) == size
+    elif all(not isinstance(c, float) or c.is_integer() for c in value):
+        assert field._public(field._canon(value)) == poly_canon(value, p, mod)
+        assert poly_canon(value, p, mod) in table
     else:
         # a non-integral float is refused, not truncated, and stores nothing
         size = len(table)
@@ -219,8 +231,8 @@ def test_canonical_table_holds_only_canonical_payloads(value):
         assert len(table) == size
     assert len(table) <= p ** 3
     for key, entry in table.items():
-        assert key is entry and len(key) == 3
-        assert all(type(c) is int and 0 <= c < p for c in key)
+        assert type(entry) is algebra._Code and field._public(entry) == key
+        assert len(key) == 3 and all(type(c) is int and 0 <= c < p for c in key)
 
 
 def test_canon_refuses_non_integral_floats():
@@ -229,7 +241,8 @@ def test_canon_refuses_non_integral_floats():
         with pytest.raises(ValueError, match="non-integral"):
             gf4._canon(value)
     # an integral float reads as its int, from the table or not
-    assert gf4._canon((1.0, 0.0)) == gf4._canon([3.0, 2.0]) == (1, 0)
+    assert gf4._canon((1.0, 0.0)) == gf4._canon([3.0, 2.0]) == gf4._canon((1, 0))
+    assert gf4._public(gf4._canon([3.0, 2.0])) == (1, 0)
 
 
 def test_prime_canon_refuses_non_integral_floats():

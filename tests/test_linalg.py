@@ -37,7 +37,7 @@ GF3 = PrimeField(3)
 GF4 = ExtensionField(2, (1, 1, 1))
 Q = Quaternions()
 # each domain with a scalar of another domain
-FOREIGN = [(GF3, GF4.generator()), (GF4, PrimeField(5).one()), (Q, GF3.one())]
+FOREIGN = [(GF3, GF4.scalar((0, 1))), (GF4, PrimeField(5).one()), (Q, GF3.one())]
 
 
 def mat(domain, rows, cols=None):
@@ -381,8 +381,10 @@ def finite_combinations(draw, domain):
 def is_canonical_finite(domain, x):
     if isinstance(domain, PrimeField):
         return type(x) is int and 0 <= x < domain.p
-    return (type(x) is tuple and len(x) == domain.k
-            and all(type(c) is int and 0 <= c < domain.p for c in x))
+    coeffs = domain._public(x)
+    return (domain._canon(x) is x and domain._canon(coeffs) == x
+            and len(coeffs) == domain.k
+            and all(type(c) is int and 0 <= c < domain.p for c in coeffs))
 
 
 @pytest.mark.parametrize("name", list(FINITE))
