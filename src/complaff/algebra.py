@@ -444,6 +444,7 @@ class ExtensionField(ScalarDomain):
         self.modulus = mod
         self.k = len(mod) - 1
         self.characteristic = p
+        self._q = p ** self.k                     # every code lies below q
         self._zero, self._one = _Code(0), _Code(1)
 
     def __repr__(self):
@@ -458,7 +459,7 @@ class ExtensionField(ScalarDomain):
 
     @property
     def order(self) -> int:
-        return self.p ** self.k
+        return self._q
 
     def _payloads(self):
         """The codes 0, 1, ..., q - 1."""
@@ -476,9 +477,13 @@ class ExtensionField(ScalarDomain):
         depend on the table: in a fresh process ``(1+0j, 0)`` raises
         TypeError, but once (1, 0) is in the table it returns the code 1.
         The polynomial path refuses a non-integral float with ValueError
-        rather than truncate it; an integral float reads as its int."""
+        rather than truncate it; an integral float reads as its int.  A
+        code of q or more, the working payload of a larger field, is
+        refused with ValueError, so no payload past q is ever held."""
         if type(payload) is _Code:
-            return payload
+            if payload < self._q:
+                return payload
+            raise ValueError(f"{int(payload)} is the code of no element of {self}")
         if type(payload) is tuple:
             hit = self._canon_t.get(payload)
             if hit is not None:

@@ -21,7 +21,7 @@ from complaff.chart import (
     symmetric_chart,
 )
 from complaff.config import chart_from_config
-from complaff.errors import ChartMismatchError, DomainMismatchError
+from complaff.errors import ChartMismatchError, ConfigError, DomainMismatchError
 from complaff.linalg import MatrixK
 from complaff.projective import Subspace, is_complement
 from vectors import unit_vector, vec_add, vec_scale
@@ -237,6 +237,13 @@ def test_default_chart_equals_the_chart_that_spells_out_w_and_u(n, k):
     assert default == spelled
     assert (default.w_matrix, default.b_matrix) == (spelled.w_matrix, spelled.b_matrix)
     assert default._t == spelled._t == MatrixK.identity(default.domain, n)
+
+
+@pytest.mark.parametrize("k", [0, 4, 5])
+def test_config_refuses_a_trivial_chart_by_its_dimensions(k):
+    """k = 0 and k >= n are refused on the numbers, before W is built."""
+    with pytest.raises(ConfigError, match=r"need 0 < k < n"):
+        chart_from_config({"field": GF4_SPEC, "n": 4, "k": k})
 
 
 def test_desk_scale_bounds():

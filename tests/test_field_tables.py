@@ -24,6 +24,7 @@ from complaff.algebra import (
     _poly_is_irreducible,
     _poly_mul,
 )
+from complaff.linalg import MatrixK
 
 SMALL = [(2, (1, 1, 1)),            # GF(4):  x^2 + x + 1
          (2, (1, 1, 0, 1)),         # GF(8):  x^3 + x + 1
@@ -243,6 +244,18 @@ def test_canon_refuses_non_integral_floats():
     # an integral float reads as its int, from the table or not
     assert gf4._canon((1.0, 0.0)) == gf4._canon([3.0, 2.0]) == gf4._canon((1, 0))
     assert gf4._public(gf4._canon([3.0, 2.0])) == (1, 0)
+
+
+def test_a_code_of_a_larger_field_is_refused():
+    """A working payload of GF(9) past q = 4 is no payload of GF(4); one
+    below it is taken as the code it is."""
+    gf4, gf9 = ExtensionField(2, (1, 1, 1)), ExtensionField(3, (1, 0, 1))
+    big, small = gf9._canon((2, 2)), gf9._canon((0, 1))
+    for make in (lambda: gf4._canon(big), lambda: gf4.scalar(big),
+                 lambda: MatrixK(gf4, [[big, 0]])):
+        with pytest.raises(ValueError, match="code of no element of GF"):
+            make()
+    assert gf4._canon(small) is small and gf4._public(small) == (1, 1)
 
 
 def test_prime_canon_refuses_non_integral_floats():
