@@ -636,10 +636,6 @@ class Quaternions(ScalarDomain):
                              for _ in range(4)) for _ in range(40)]
         return grid + batch
 
-    def norm(self, s: "Scalar") -> Fraction:
-        a, b, c, d, den = s.raw
-        return Fraction(a * a + b * b + c * c + d * d, den * den)
-
     def _canon(self, payload):
         if isinstance(payload, int):
             return _lowest_terms(payload, 0, 0, 0, 1)
@@ -830,10 +826,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.raw == self.domain._zero
-
-    def is_central(self) -> bool:
-        """True iff the element commutes with the whole domain."""
-        return self.domain._is_central(self.raw)
 
     def __eq__(self, other):
         """An int n equals only its canonical image (0 <= n < p on a finite

@@ -15,19 +15,19 @@ tau_i: D -> U with the basis-difference property (T1*) and the
 coset-hitting property (T2*) produce dual spreads member-by-member, and
 every dual spread containing W arises that way.
 
-Both conditions are decided on chart coordinates, over a finite field
-with one table combination across all members per step: DS1 by
-bucketing the rows u*gamma_i, read at each projective point u of U by
-one left combination (`check_pairwise_regular`, which takes one rank
-reduction per pair instead when there are fewer pairs than points), and
-DS2 by reading the singular set S(ker c) of each form c off c_W = W*c
-and c_U = B*c, tested against the set of member values -gamma_i*c_W
-(`_uncovered_hyperplane`).  `is_dual_spread` and
-`verify_family` run one sequence (`_ds1_then_ds2`): DS1 on any domain,
-then DS2, which walks hyperplanes and so needs a finite field.  Over an
-infinite domain a DS1 failure is reported, and a candidate that passes
-DS1 is refused with `InfiniteDomainError`.  `verify_family` only renames
-the violation: DS1 becomes T1* (the pair as domain points), DS2 T2*.
+Both conditions are decided on chart coordinates, on any domain and any
+chart.  DS1: over a finite field, with one table combination across all
+members per step, by bucketing the rows u*gamma_i, read at each
+projective point u of U by one left combination
+(`check_pairwise_regular`, which takes one rank reduction per pair
+instead when there are fewer pairs than points).  DS2, once DS1 holds:
+over a finite field q^m members cover every hyperplane without W, and
+short of that (always over an infinite domain) one witness is built
+with no search, a form c with c_W = W*c = e_1 and c_U = B*c outside the
+member values -gamma_i*c_W (`_uncovered_hyperplane`).
+`is_dual_spread` and `verify_family` run one sequence
+(`_ds1_then_ds2`).  `verify_family` only renames the violation: DS1
+becomes T1* (the pair as domain points), DS2 T2*.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .linalg import (
     from_payloads,
     is_invertible,
     payload_row,
+    reduce_rows,
     rref,
     stack,
 )
@@ -229,15 +230,10 @@ def is_dual_spread(b: DualSpreadCandidate) -> Report:
 
 
 def _ds1_then_ds2(b: DualSpreadCandidate) -> Report:
-    """DS1 on any domain; then DS2, which needs a finite field.  A DS1
-    failure over an infinite domain is reported; a candidate that passes
-    DS1 there is refused (InfiniteDomainError)."""
+    """DS1, then DS2 once DS1 holds, on any domain and any chart."""
     bad = check_pairwise_regular(b)
     if bad is not None:
         return Report(False, bad)
-    if not b.chart.domain.is_finite:
-        raise InfiniteDomainError("DS2 is checked by hyperplane enumeration, "
-                                  "which needs a finite field")
     x = _uncovered_hyperplane(b)
     if x is not None:
         return Report(False, Violation(
@@ -246,62 +242,53 @@ def _ds1_then_ds2(b: DualSpreadCandidate) -> Report:
 
 
 def _uncovered_hyperplane(b: DualSpreadCandidate) -> Subspace | None:
-    """The first hyperplane of K^n without W that contains no member, or
-    None.  The verdict by count needs DS1; the scan does not.
+    """A hyperplane of K^n without W that contains no member, or None when
+    there is none.  Needs DS1: only `_ds1_then_ds2` calls it.
 
     DS1 makes the members pairwise complementary, so no hyperplane
     contains two of them: the sets of hyperplanes through the members are
     disjoint, and each has (q^k-1)/(q-1) elements, one per hyperplane of
     V/S.  The q^m (q^k-1)/(q-1) hyperplanes of the chart's space without
     W are therefore all covered exactly when there are q^m members
-    (Dembowski, Finite Geometries, 1968), and the scan only runs to find
-    the witness when the count falls short.
+    (Dembowski, Finite Geometries, 1968).  An infinite domain has
+    infinitely many complements, so finitely many members never cover.
 
-    The scan walks the canonical forms c of K^n (`_projective_reps`, the
-    order of `hyperplanes`) and tests each through the chart, which is
-    the correspondence X <-> S(X) of hyperplanes without W and singular
-    sets.  With W and B the matrices of the chart's bases of W and U, put
-    c_W = W*c and c_U = B*c.  ker c contains W exactly when c_W = 0; those
-    forms are skipped.  The member of gamma is spanned by the rows of
-    gamma*W + B, and c takes the values gamma*c_W + c_U on them, so the
-    member lies in ker c exactly when gamma*c_W = -c_U.  A finite division
-    ring is commutative (Wedderburn 1905), so both reads are left
-    combinations: (c_W | c_U) is one combination of the columns of the
-    chart matrix [W; B] by c, and the values -gamma_i*c_W of all N members
-    are one combination by -c_W of k rows, row l holding column l of every
-    gamma.  Those values are kept as a set of m-tuples while c_W stays the
-    same (a default chart's first q^m forms share c_W = e_1), and each form
-    is one lookup of c_U in it: no subspace built, and at most one set,
-    which the call drops.  In a chart whose space V is a proper subspace,
-    gamma*W + B still spans the member, and the hyperplanes of K^n without
-    W meet V in its hyperplanes without W, so the scan over K^n finds the
-    same verdict.  Only the witness is built, as the kernel of its form,
-    so it is the subspace `hyperplanes` returns for that form.
+    Short of the count, one witness is built, with no search.  With W and
+    B the matrices of the chart's bases of W and U, a form c has
+    c_W = W*c and c_U = B*c.  ker c contains W exactly when c_W = 0.  The
+    member of gamma is spanned by the rows of gamma*W + B, and c takes the
+    values gamma*c_W + c_U on them, so the member lies in ker c exactly
+    when gamma*c_W = -c_U.  Fix c_W = e_1: then gamma*c_W is column 0 of
+    gamma, and the N members cover the N values -(column 0 of gamma_i).
+    The first N + 1 values of c_U in product order over K use only the
+    first N + 1 scalars, so they are taken from those alone, and one of
+    them is left out: the first payloads of a finite field in
+    `_payloads()` order (a prime field's is a range, so the work does not
+    grow with q), or 0, 1, ..., N over the library's infinite domains,
+    which have characteristic 0.  The form is then a solution c of
+    T*c = (c_W | c_U) for the chart matrix T = [W; B], which has full row
+    rank: one left reduction of [T | d], which holds over a skew field
+    too, with the free unknowns set to 0.  On a default chart T is the
+    identity and c is (c_W | c_U), the first form in `hyperplanes` order
+    that no member satisfies; on another chart the witness may be a
+    different one.
     """
     ch = b.chart
-    if len(b.members) == ch.domain.order ** ch.m:
-        return None
     domain, k, m = ch.domain, ch.k, ch.m
-    combine, neg = domain._combine, domain._neg
-    columns = list(zip(*ch._t.payload))
-    gammas = [c.gamma.payload for c in b.members]
-    # row l: column l of every gamma, member after member
-    member_columns = [[row[l] for gamma in gammas for row in gamma] for l in range(k)]
-    width = len(gammas) * m
-    zeros = [domain._zero] * k
-    c_w, values = None, None
-    for c in _projective_reps(domain, ch.ambient):
-        c_wu = combine(c, columns, k + m)
-        if c_wu[:k] == zeros:
-            continue                         # ker c contains W
-        if c_wu[:k] != c_w:
-            c_w = c_wu[:k]
-            values = set(zip(*[iter(combine([neg(x) for x in c_w], member_columns,
-                                            width))] * m))
-        # the member of gamma lies in ker c iff gamma*c_W = -c_U
-        if tuple(c_wu[k:]) not in values:
-            return _hyperplane(domain, c)
-    return None
+    zero, n = domain._zero, len(b.members)
+    if domain.is_finite and n == domain.order ** m:
+        return None
+    first = (itertools.islice(domain._payloads(), n + 1) if domain.is_finite
+             else map(domain._canon, range(n + 1)))
+    # -gamma*c_W at c_W = e_1: column 0 of gamma, negated
+    covered = {tuple(domain._neg(row[0]) for row in c.gamma.payload) for c in b.members}
+    c_u = next(u for u in itertools.product(first, repeat=m) if u not in covered)
+    # [T | d] with d = (e_1 | c_U); T has a pivot in every row
+    rows = [[*row, x] for row, x in zip(ch._t.payload, (domain._one, *[zero] * (k - 1), *c_u))]
+    c = [zero] * ch.ambient
+    for row, col in zip(rows, reduce_rows(domain, rows, ch.ambient)):
+        c[col] = row[-1]
+    return _hyperplane(domain, c)
 
 
 # ---------------------------------------------------------------------------

@@ -89,9 +89,6 @@ class Subspace:
         coeffs = next(self._coefficients([v]))
         return None if coeffs is None else boxed(self.domain, coeffs)
 
-    def contains_vector(self, v) -> bool:
-        return self.coefficients_of(v) is not None
-
     def contains(self, other: "Subspace") -> bool:
         self._check(other)
         return all(c is not None for c in self._coefficients(other.basis.payload))

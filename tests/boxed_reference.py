@@ -288,7 +288,7 @@ def ref_point_in_projective_z(z_basis: MatrixK, v) -> bool:
     if coords is None or all(c.is_zero() for c in coords):
         return False
     inv = next(c for c in coords if not c.is_zero()).inverse()
-    return all((inv * c).is_central() for c in coords)
+    return all(c.domain._is_central((inv * c).raw) for c in coords)
 
 
 def ref_maximal_central_subspace(z_basis: MatrixK, a_basis: MatrixK) -> MatrixK:

@@ -236,7 +236,7 @@ def test_criterion_5_quaternion_witnesses():
     for z1, z2 in itertools.product((Q.zero(), Q.one(), -Q.one()), repeat=2):
         v = (Q.zero(), Q.zero(), z1, z2)
         if not all(x.is_zero() for x in v):
-            assert not span.contains_vector(v)
+            assert span.coefficients_of(v) is None
 
     # (ii) diag(i,i) splits as (i, I); diag(i,j) does not split
     res = split_scalar_central(MatrixK(Q, [[Q.i, 0], [0, Q.i]]))

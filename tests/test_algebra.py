@@ -54,10 +54,10 @@ def test_is_central():
     from fractions import Fraction
 
     three_halves = Q.scalar((Fraction(3, 2), 0, 0, 0))
-    assert three_halves.is_central()
-    assert not Q.i.is_central()
+    assert Q._is_central(three_halves.raw)
+    assert not Q._is_central(Q.i.raw)
     x = GF4.scalar((0, 1))
-    assert x.is_central()
+    assert GF4._is_central(x.raw)
 
 
 def test_scalar_enumeration_orders():
@@ -122,21 +122,26 @@ def test_centrality_matches_commutation():
     for domain in (GF2, GF3, GF4):
         for a in domain.sample():
             commutes = all(a * s == s * a for s in domain.sample())
-            assert a.is_central() == commutes
+            assert domain._is_central(a.raw) == commutes
     probes = Q.sample()[:40]
     for a in Q.sample()[:30]:
         commutes = all(a * s == s * a for s in probes)
-        if a.is_central():
+        if Q._is_central(a.raw):
             assert commutes
         else:
             assert not commutes
+
+
+def quaternion_norm(s):
+    """a^2 + b^2 + c^2 + d^2 for s = a + bi + cj + dk."""
+    return sum(x * x for x in s.payload)
 
 
 def test_quaternion_norm_multiplicative():
     sample = Q.sample()
     pairs = list(itertools.product(sample[:15], sample[90:100]))
     for a, b in pairs:
-        assert Q.norm(a * b) == Q.norm(a) * Q.norm(b)
+        assert quaternion_norm(a * b) == quaternion_norm(a) * quaternion_norm(b)
 
 
 def test_extension_field_rejects_bad_modulus():

@@ -511,7 +511,7 @@ def test_split_commutative_always_succeeds():
     assert res is not None
     m, zeta = res
     assert zeta.scale_left(m) == nu
-    assert all(x.is_central() for row in zeta.entries for x in row)
+    assert all(GF3._is_central(x) for row in zeta.payload for x in row)
 
 
 def test_split_quaternion_examples():

@@ -9,11 +9,11 @@ import time
 import pytest
 
 from complaff import cli
-from complaff.algebra import ExtensionField, PrimeField
+from complaff.algebra import ExtensionField, PrimeField, Quaternions
 from complaff.chart import symmetric_chart
 from complaff.config import chart_from_config, load_config, parse_field
 from complaff.errors import ConfigError
-from complaff.jsonio import regulus_to_json, transversals_to_json
+from complaff.jsonio import regulus_to_json, subspace_from_json, transversals_to_json
 from complaff.projective import Subspace, ZStructure
 from complaff.reguli import regulus_through, transversals_of
 
@@ -247,8 +247,7 @@ def test_check_dual_spread_repeated_member_fails(cfg2, tmp_path):
     assert report["violation"]["kind"] == "DS1"
 
 
-def test_check_dual_spread_over_the_quaternions_reports_ds1_and_refuses_ds2(
-        cfgq, tmp_path):
+def test_check_dual_spread_over_the_quaternions_reports_ds1_and_ds2(cfgq, tmp_path):
     i = ["0", "1", "0", "0"]
     j = ["0", "0", "1", "0"]
     zero, skew = [[0, 0], [0, 0]], [[i, 0], [0, j]]
@@ -260,9 +259,15 @@ def test_check_dual_spread_over_the_quaternions_reports_ds1_and_refuses_ds2(
     assert (violation["kind"], violation["pair"]) == ("DS1", [0, 2])
     regular = tmp_path / "regular.json"
     regular.write_text(json.dumps({"kind": "dual-spread", "gammas": [zero, skew]}))
-    out = run_cli("check-dual-spread", str(regular), "--config", cfgq)
-    assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr.startswith("refused: ") and len(out.stderr.splitlines()) == 1
+    out = run_cli("check-dual-spread", str(regular), "--config", cfgq, "--json")
+    assert out.returncode == 1 and out.stderr == ""
+    violation = json.loads(out.stdout)["violation"]
+    # members 0 and diag(i, j) leave c_U = (0, 1) uncovered at c_W = e_1:
+    # the witness is ker (1, 0, 0, 1)
+    assert violation["kind"] == "DS2"
+    witness = subspace_from_json(Quaternions(), violation["hyperplane"])
+    assert witness == Subspace.from_rows(Quaternions(), 4, [[0, 1, 0, 0], [0, 0, 1, 0],
+                                                            [1, 0, 0, -1]])
 
 
 def test_check_dual_spread_missing_member_fails_ds2(cfg2, tmp_path):

@@ -1,14 +1,16 @@
 import functools
 import gc
 import itertools
+import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complaff import dualspread, linalg
-from complaff.algebra import ExtensionField, PrimeField, Quaternions
+from complaff import algebra, dualspread, linalg
+from complaff.algebra import ExtensionField, PrimeField, Quaternions, Rationals
 from complaff.chart import (
     AffineChart,
     ComplementCoord,
@@ -30,10 +32,10 @@ from complaff.dualspread import (
     normalized_family,
     verify_family,
 )
-from complaff.errors import InfiniteDomainError
 from complaff.linalg import MatrixK, from_payloads, is_invertible
-from complaff.projective import Subspace, hyperplanes, hyperplanes_not_containing
+from complaff.projective import Subspace, _hyperplane, hyperplanes, hyperplanes_not_containing
 from boxed_reference import (
+    QuaternionAlgebra,
     ref_check_pairwise_regular,
     ref_is_dual_spread,
     ref_uncovered_hyperplane,
@@ -252,27 +254,41 @@ def test_dual_spread_violations():
     assert not repeated.ok and repeated.violation.kind == "DS1"
 
 
-def test_dual_spread_refuses_infinite_domain():
+def check_witness(cand, x):
+    """The DS2 witness checked on its own: x is the kernel of a nonzero
+    form of K^n, W is not inside it, and no member is."""
+    ch = cand.chart
+    assert (x.ambient, x.dim) == (ch.ambient, ch.ambient - 1)
+    assert not x.contains(ch.w)
+    assert not any(x.contains(s) for s in cand.subspaces())
+
+
+def test_dual_spread_fails_ds2_over_the_quaternions():
+    # members 0 and I cover the values (0, 0) and (-1, 0) of c_U at
+    # c_W = e_1, so the witness is the form (1, 0 | 0, 1)
     ch = symmetric_chart(Q, 2)
     cand = DualSpreadCandidate(ch, [ch.zero_coord(),
                                     ch.coord([[1, 0], [0, 1]])])
-    with pytest.raises(InfiniteDomainError):
-        is_dual_spread(cand)
-    assert check_pairwise_regular(cand) is None
+    report = is_dual_spread(cand)
+    assert not report.ok and report.violation.kind == "DS2"
+    assert report.violation.hyperplane == _hyperplane(Q, [Q._canon(x) for x in (1, 0, 0, 1)])
+    check_witness(cand, report.violation.hyperplane)
     clash = DualSpreadCandidate(ch, [ch.zero_coord(),
                                      ch.coord([[1, 0], [0, 0]])])
     assert check_pairwise_regular(clash).kind == "DS1"
 
 
 def test_dual_spread_reports_ds1_over_the_quaternions():
-    # DS1 runs on any domain: only a candidate that passes it is refused
+    # DS1 runs first on any domain; a candidate that passes it fails DS2
     ch = symmetric_chart(Q, 2)
     c0, c1 = ch.zero_coord(), ch.coord([[Q.i, 0], [0, Q.j]])
     report = is_dual_spread(DualSpreadCandidate(ch, [c0, c1, c0]))
     assert not report.ok
     assert (report.violation.kind, report.violation.pair) == ("DS1", (0, 2))
-    with pytest.raises(InfiniteDomainError):
-        is_dual_spread(DualSpreadCandidate(ch, [c0, c1]))
+    cand = DualSpreadCandidate(ch, [c0, c1])
+    report = is_dual_spread(cand)
+    assert report.violation.kind == "DS2"
+    check_witness(cand, report.violation.hyperplane)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +305,10 @@ def raw_coset_condition(f):
         for cs in itertools.product(u_vectors, repeat=m):
             hit = False
             for _, images in f.entries:
-                if all(h.contains_vector(
+                if all(h.coefficients_of(
                         tuple(a - b for a, b in
                               zip(images[i], (ch.domain.scalar(x) for x in cs[i]))))
-                       for i in range(m)):
+                       is not None for i in range(m)):
                     hit = True
                     break
             if not hit:
@@ -527,26 +543,43 @@ ORACLE_CHARTS = {**COUNT_CHARTS,
                  "GF3-skew-bases": _skew_bases_gf3}
 
 
-def _check_against_reference(ch, gammas):
+def _assert_matches(report, ref, cand, same_witness):
+    """The report agrees with the reference's in verdict, kind and pair.  A
+    DS2 or T2* witness is checked on its own, and equals the reference's
+    where `same_witness` says the chart keeps the scan's order."""
+    if same_witness:
+        assert report == ref
+    else:
+        assert report.ok == ref.ok
+        got, want = report.violation, ref.violation
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.kind, got.detail, got.pair) == (want.kind, want.detail, want.pair)
+    if report.violation is not None and report.violation.hyperplane is not None:
+        check_witness(cand, report.violation.hyperplane)
+
+
+def _check_against_reference(ch, gammas, same_witness=True):
     cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
-    ds1 = check_pairwise_regular(cand)
-    assert ds1 == ref_check_pairwise_regular(cand)
-    # the form test needs no DS1; only the verdict by count does
-    if ds1 is None or len(gammas) != ch.domain.order ** ch.m:
-        assert _uncovered_hyperplane(cand) == ref_uncovered_hyperplane(cand)
-    assert is_dual_spread(cand) == ref_is_dual_spread(cand)
+    assert check_pairwise_regular(cand) == ref_check_pairwise_regular(cand)
+    _assert_matches(is_dual_spread(cand), ref_is_dual_spread(cand), cand, same_witness)
     points = list(itertools.product(ch.domain.elements(), repeat=ch.m))
     if ch.is_symmetric and len(gammas) <= len(points):
         family = TransversalFamily(ch, [(u, g.entries) for u, g in zip(points, gammas)])
-        assert verify_family(family) == ref_verify_family(family)
+        _assert_matches(verify_family(family), ref_verify_family(family), cand, same_witness)
 
 
 @pytest.mark.parametrize("name", list(ORACLE_CHARTS))
 @settings(derandomize=True, database=None, max_examples=12, deadline=None)
 @given(data=st.data())
 def test_dual_spread_checks_match_reference(name, data):
+    """The verdict equals the boxed scan's on every chart.  The witness
+    equals the scan's first uncovered hyperplane wherever the chart matrix
+    keeps its order: on the default charts, and on the subchart, whose
+    extra coordinate is free and set to 0.  On skew bases it may be a
+    different hyperplane, checked on its own."""
     ch = ORACLE_CHARTS[name]()
-    _check_against_reference(ch, draw_gammas(data, ch))
+    _check_against_reference(ch, draw_gammas(data, ch), name != "GF3-skew-bases")
 
 
 # Over GF(5): gamma_0 - gamma_15 and gamma_3 - gamma_5 are the only singular
@@ -643,26 +676,75 @@ def test_ds1_path_follows_the_step_counts(monkeypatch, q, m, n, path):
 
 
 def test_ds2_builds_the_member_values_once_per_c_w(monkeypatch):
-    """On the default GF(4) chart the first 16 forms (1, 0, a, b) share
-    c_W = (1, 0), and each spread member lies in exactly one of their
-    kernels.  With one member dropped the witness is among them, found
-    after one build of the 15 members' values, wherever it falls."""
+    """DS2 fixes c_W = (1, 0), so the member values -gamma*c_W are column 0
+    of every gamma, negated, read once with no combination.  On the
+    default GF(4) chart a spread with one member dropped leaves exactly
+    that member's value uncovered, and the witness form is
+    (1, 0 | -column 0 of the dropped member)."""
     gf4 = ExtensionField(2, (1, 1, 1))
     ch = symmetric_chart(gf4, 2)
     gammas = regular_spread_gammas(gf4)
     one, zero = gf4._one, gf4._zero
     monkeypatch.setattr(dualspread, "_hyperplane", lambda domain, c: c)
-    positions = []
     for drop in range(len(gammas)):
         members = gammas[:drop] + gammas[drop + 1:]
         cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in members])
         form, calls = _count_combines(_uncovered_hyperplane, cand)
-        assert form[:2] == (one, zero)
-        builds = [args for args in calls if args[2] == 2 * len(members)]
-        assert len(builds) == 1
-        positions.append(len(calls) - len(builds))
-    # one combination of the chart's columns per form walked
-    assert sorted(positions) == list(range(1, 17))
+        assert calls == []
+        assert form == [one, zero, *(gf4._neg(row[0]) for row in gammas[drop].payload)]
+
+
+class _CountedHash(int):
+    """A GF(2) payload that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedHash.hashes += 1
+        return int.__hash__(self)
+
+
+def test_ds2_builds_one_witness_on_a_chart_whose_first_forms_contain_w(monkeypatch):
+    """GF(2)^16 with W = span(e_2, ..., e_9): the first 2^7 canonical forms
+    (1, 0, ..., 0, t) all vanish on W.  Two members, 0 and the cyclic shift
+    S, cover the first two values of c_U in product order, -(column 0 of
+    0) = 0 and -(column 0 of S) = e_8, so the witness is the third, found
+    after three lookups of an 8-tuple of payloads.  DS2 walks no forms of
+    K^16 and makes one reduction, of [T | d]."""
+    gf2 = PrimeField(2)
+    units = MatrixK.identity(gf2, 16).entries
+    w = Subspace.from_rows(gf2, 16, units[1:9])
+    u = Subspace.from_rows(gf2, 16, units[:1] + units[9:])
+    ch = AffineChart(gf2, 16, w, u)
+    shift = MatrixK(gf2, [[int(j == (i + 1) % 8) for j in range(8)] for i in range(8)])
+    cand = DualSpreadCandidate(ch, [ch.zero_coord(), ComplementCoord(ch, shift)])
+    assert check_pairwise_regular(cand) is None
+    reductions = []
+    reduce_rows = linalg.reduce_rows
+
+    def count(*args):
+        reductions.append(args)
+        return reduce_rows(*args)
+
+    def walk(*args):
+        raise AssertionError("DS2 walked the forms of K^n")
+
+    monkeypatch.setattr(dualspread, "reduce_rows", count)
+    monkeypatch.setattr(linalg, "reduce_rows", count)
+    monkeypatch.setattr(dualspread, "_projective_reps", walk)
+    monkeypatch.setattr(algebra, "_projective_reps", walk)
+    monkeypatch.setattr(dualspread, "_hyperplane", lambda domain, c: c)
+    monkeypatch.setattr(gf2, "_payloads", lambda: (_CountedHash(0), _CountedHash(1)))
+    _CountedHash.hashes = 0
+    form = _uncovered_hyperplane(cand)
+    lookups = _CountedHash.hashes // ch.m
+    monkeypatch.undo()
+    assert len(reductions) == 1
+    assert lookups == len(cand.members) + 1
+    # T*c = (c_W | c_U) with c_W = e_1 and c_U = (0, ..., 0, 1, 0)
+    assert [sum(a * b for a, b in zip(row, form)) % 2 for row in ch._t.payload] == [
+        1, *[0] * 7, *[0] * 6, 1, 0]
+    check_witness(cand, _hyperplane(gf2, form))
 
 
 def test_gf8_spread_is_a_dual_spread_of_gf2_to_the_sixth():
@@ -747,3 +829,79 @@ def test_ds1_over_the_quaternions_fails_at_the_first_repeated_member():
     cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
     bad = check_pairwise_regular(cand)
     assert (bad.kind, bad.pair) == ("DS1", (0, 2))
+
+
+# ---------------------------------------------------------------------------
+# DS2 over skew fields and characteristic 0
+# ---------------------------------------------------------------------------
+
+INFINITE_DOMAINS = [Q, QuaternionAlgebra(-1, -1), QuaternionAlgebra(-1, -3), Rationals()]
+INFINITE_IDS = ["Quat(Q)", "(-1,-1)", "(-1,-3)", "QQ"]
+
+
+def random_scalar(rng, d):
+    """A small random element: a rational, or a quaternion of four."""
+    parts = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
+    return d.scalar(parts[0] if isinstance(d, Rationals) else parts)
+
+
+def infinite_charts(d, rng):
+    """The default symmetric chart of K^4, and one whose W is no coordinate
+    subspace and whose bases have random, over a skew field mostly
+    non-central, entries: T = [W; B] is unitriangular but not the
+    identity, so the witness needs the left reduction of [T | d]."""
+    a, b, c = (random_scalar(rng, d) for _ in range(3))
+    zero, one = d.zero(), d.one()
+    w_rows = [(one, zero, a, zero), (zero, one, zero, b)]
+    u_rows = [(zero, zero, one, c), (zero, zero, zero, one)]
+    w, u = (Subspace.from_rows(d, 4, rows) for rows in (w_rows, u_rows))
+    return [symmetric_chart(d, 2),
+            AffineChart(d, 4, w, u, b=MatrixK(d, u_rows), w_basis=MatrixK(d, w_rows))]
+
+
+@pytest.mark.parametrize("d", INFINITE_DOMAINS, ids=INFINITE_IDS)
+def test_candidates_passing_ds1_fail_ds2_with_a_checked_witness(d):
+    """Finitely many members never cover an infinite domain's hyperplanes:
+    a sampled candidate fails DS1 as the reference says, or else fails DS2
+    (T2* for its family) with one witness, checked on its own."""
+    rng = random.Random(7)
+    verdicts = set()
+    for ch in infinite_charts(d, rng):
+        points = [(d.scalar(t), d.zero()) for t in range(6)]
+        for size in (1, 2, 3, 4, 5, 3):
+            gammas = [MatrixK(d, [[random_scalar(rng, d) for _ in range(2)]
+                                  for _ in range(2)]) for _ in range(size)]
+            if size == 5:
+                gammas[4] = gammas[1]           # a repeated member fails DS1
+            cand = DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+            report = is_dual_spread(cand)
+            ds1 = ref_check_pairwise_regular(cand)
+            verdicts.add(ds1 is None)
+            if ds1 is not None:
+                assert report.violation == ds1
+                continue
+            assert report.violation.kind == "DS2"
+            check_witness(cand, report.violation.hyperplane)
+            family = verify_family(TransversalFamily(
+                ch, [(u, g.entries) for u, g in zip(points, gammas)]))
+            assert family.violation.kind == "T2*"
+            assert family.violation.hyperplane == report.violation.hyperplane
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d", INFINITE_DOMAINS + [PrimeField(2 ** 61 - 1)],
+                         ids=INFINITE_IDS + ["GF(2^61-1)"])
+def test_ds2_tries_n_plus_one_values_of_c_u(d):
+    """The N members t*J, t < N, with J = [[0, 1], [-1, 0]], cover the
+    first N values (0, t) of c_U in product order, so the witness on the
+    default chart is the form (1, 0 | 0, N), found among the first N + 1
+    scalars alone: on a prime field of 2^61 - 1 elements too."""
+    ch = symmetric_chart(d, 2)
+    j = MatrixK(d, [[0, 1], [-1, 0]])
+    for n in range(1, 5):
+        cand = DualSpreadCandidate(ch, [ComplementCoord(ch, j.scale_left(d.scalar(t)))
+                                        for t in range(n)])
+        report = is_dual_spread(cand)
+        assert report.violation.kind == "DS2"
+        assert report.violation.hyperplane == _hyperplane(d, [d._canon(x) for x in (1, 0, 0, n)])
+        check_witness(cand, report.violation.hyperplane)

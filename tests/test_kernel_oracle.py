@@ -216,7 +216,6 @@ def test_subspace_lattice_matches_reference(domain, data):
     v = (data.draw(vectors(domain, n)) if data.draw(st.booleans())
          else ref_apply(data.draw(vectors(domain, b.rows)), b))
     assert sa.coefficients_of(v) == ref_coefficients(sa.basis, v)
-    assert sa.contains_vector(v) == (ref_coefficients(sa.basis, v) is not None)
 
 
 # ---------------------------------------------------------------------------
