@@ -891,17 +891,28 @@ def test_candidates_passing_ds1_fail_ds2_with_a_checked_witness(d):
 
 @pytest.mark.parametrize("d", INFINITE_DOMAINS + [PrimeField(2 ** 61 - 1)],
                          ids=INFINITE_IDS + ["GF(2^61-1)"])
-def test_ds2_tries_n_plus_one_values_of_c_u(d):
+def test_ds2_tries_n_plus_one_values_of_c_u(d, monkeypatch):
     """The N members t*J, t < N, with J = [[0, 1], [-1, 0]], cover the
     first N values (0, t) of c_U in product order, so the witness on the
     default chart is the form (1, 0 | 0, N), found among the first N + 1
-    scalars alone: on a prime field of 2^61 - 1 elements too."""
+    scalars alone, which are all that DS2 takes of the domain: on a prime
+    field of 2^61 - 1 elements too."""
     ch = symmetric_chart(d, 2)
     j = MatrixK(d, [[0, 1], [-1, 0]])
+    taken = []
+    # the scalars are the first payloads of a finite field, else 0, ..., N
+    if d.is_finite:
+        payloads = d._payloads
+        monkeypatch.setattr(d, "_payloads", lambda: (taken.append(x) or x for x in payloads()))
+    else:
+        canon = d._canon
+        monkeypatch.setattr(d, "_canon", lambda x: taken.append(x) or canon(x))
     for n in range(1, 5):
         cand = DualSpreadCandidate(ch, [ComplementCoord(ch, j.scale_left(d.scalar(t)))
                                         for t in range(n)])
+        taken.clear()
         report = is_dual_spread(cand)
+        assert len(taken) == n + 1
         assert report.violation.kind == "DS2"
         assert report.violation.hyperplane == _hyperplane(d, [d._canon(x) for x in (1, 0, 0, n)])
         check_witness(cand, report.violation.hyperplane)
