@@ -52,8 +52,9 @@ coefficient and one sum lookup per entry.  The tables belong to
 ``(p, mod)``, not to a domain object, so every ``ExtensionField`` built
 with the same parameters shares them.  A table holds only the operands
 that were used, never all q^2 pairs up front, and never a dense list:
-q can be as large as p^16.  Over GF(p), ``_combine`` sums the products
-as plain ints and reduces each entry once.
+q can be as large as p^16, so ``_payloads`` hands out the codes lazily.
+Over GF(p), ``_combine`` sums the products as plain ints and reduces
+each entry once, and ``_reduce_rows`` row-reduces in plain ints.
 
 Enumeration policy: ``elements()`` refuses on infinite domains (raises
 ``InfiniteDomainError``); deterministic sampling is opt-in through
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -177,6 +179,10 @@ class ScalarDomain:
                 acc = [add(a, mul(c, x)) for a, x in zip(acc, row)]
         return acc
 
+    # ``linalg.reduce_rows`` runs its generic loop on the payload hooks
+    # unless the domain sets this to a method reducing the rows in one call
+    _reduce_rows = None
+
     def _is_central(self, a) -> bool:
         return True
 
@@ -281,6 +287,43 @@ class PrimeField(ScalarDomain):
                 acc = [a + c * x for a, x in zip(acc, row)]
         p = self.p
         return [a % p for a in acc]
+
+    def _reduce_rows(self, rows, ncols):
+        """``linalg.reduce_rows`` in plain ints, with the same row
+        operations and results: one ``pow`` per pivot and one ``% p`` per
+        updated entry, where the generic loop calls two payload hooks."""
+        p = self.p
+        nrows = len(rows)
+        pivots = []
+        lead = 0
+        for col in range(ncols):
+            if lead == nrows:
+                break
+            for piv in range(lead, nrows):
+                if rows[piv][col]:
+                    break
+            else:
+                continue
+            row = rows[piv]
+            rows[piv] = rows[lead]
+            rows[lead] = row
+            k = pow(row[col], p - 2, p)
+            nonzero = []
+            for j in range(col, len(row)):
+                y = row[j]
+                if y:
+                    row[j] = y = k * y % p
+                    nonzero.append((j, y))
+            for i in range(nrows):
+                other = rows[i]
+                f = other[col]
+                if f and i != lead:
+                    f = p - f
+                    for j, y in nonzero:
+                        other[j] = (other[j] + f * y) % p
+            pivots.append(col)
+            lead += 1
+        return pivots
 
     def _int_of(self, a):
         return a
@@ -396,6 +439,29 @@ class _Code(int):
     __slots__ = ()
 
 
+class _Codes(Sequence):
+    """Codes in the order of a range of ints, each made when it is read:
+    re-iterable, indexable and sliceable (a slice is again lazy), and never
+    a listing, so taking the first few of q = p^k codes costs no more than
+    those few.  ``len`` refuses a range longer than ``sys.maxsize``."""
+
+    __slots__ = ("_range",)
+
+    def __init__(self, ints: range):
+        self._range = ints
+
+    def __len__(self):
+        return len(self._range)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Codes(self._range[i])
+        return _Code(self._range[i])
+
+    def __iter__(self):
+        return map(_Code, self._range)
+
+
 # (p, modulus) -> the add, neg, mul and inv tables of GF(p)[x]/(modulus)
 # on codes, add and mul as tables of rows; the code of each canonical
 # coefficient tuple and the coefficient tuple of each code.  An entry
@@ -462,8 +528,11 @@ class ExtensionField(ScalarDomain):
         return self._q
 
     def _payloads(self):
-        """The codes 0, 1, ..., q - 1."""
-        return list(map(_Code, range(self.order)))
+        """The codes 0, 1, ..., q - 1 as a lazy ``_Codes`` sequence: a
+        caller that takes the first few (DS2 takes N + 1) lists none of the
+        rest, and one that walks it more than once (``_projective_reps``,
+        ``all_coords``) gets every code each time."""
+        return _Codes(range(self._q))
 
     def _canon(self, payload):
         """The code of a working payload (returned as it is), of an int n

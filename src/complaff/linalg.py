@@ -23,10 +23,14 @@ override it: the quaternions pay one gcd per output entry instead of
 two per term, GF(p) one ``% p`` per entry instead of two per term, and
 GF(p^k) reads its add and multiply tables with no method call per
 entry.
-``reduce_rows`` stays generic on every domain: the same treatment of its
-row update (one hook call per updated row) measured no gain on
-quat-sampled and cost reguli-gf3 about 5% of its jobs per second, since
-the extra call per row lands on GF(3).  A payload is zero exactly when
+``reduce_rows`` runs one generic loop on the payload hooks, except over
+GF(p): a domain that sets ``_reduce_rows`` gets the whole reduction in
+one call, and GF(p) does it in plain ints, one ``% p`` per updated entry
+and one ``pow`` per pivot instead of two hook calls per entry.  That is
+one extra call per reduction; a hook per updated row, tried before,
+measured no gain on quat-sampled and cost reguli-gf3 about 5% of its
+jobs per second, since GF(3) rows are short and the extra call per row
+outweighed the arithmetic it saved.  A payload is zero exactly when
 it equals the domain's ``_zero``, as every payload is canonical.  Ints
 and payloads enter through the domain's ``_canon``, never through a
 ``Scalar``, which is built only when a caller reads ``entries`` (once
@@ -66,9 +70,10 @@ def payload_of(domain: ScalarDomain, x):
 
 
 def from_payloads(domain: ScalarDomain, rows, cols: int) -> "MatrixK":
-    """The MatrixK with the given canonical payload rows, taken on trust."""
+    """The MatrixK with the given canonical payload rows, taken on trust:
+    no coercion, no width check and no ``__init__``."""
     m = object.__new__(MatrixK)
-    m._set(domain, tuple(map(tuple, rows)), cols)
+    _fill(m, domain, tuple(map(tuple, rows)), cols)
     return m
 
 
@@ -79,8 +84,12 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
     identity, say) undergo the same row operations but never hold a
     pivot.  Afterwards rows[:rank] are the reduced echelon rows and every
     later row is zero on the first `ncols` columns.  Returns the pivot
-    columns, one per echelon row.
+    columns, one per echelon row.  A domain that sets ``_reduce_rows``
+    (GF(p)) does all of it in that one call.
     """
+    fast = domain._reduce_rows
+    if fast is not None:
+        return fast(rows, ncols)
     add, mul, neg, inv, zero = (domain._add, domain._mul, domain._neg,
                                 domain._inv, domain._zero)
     nrows = len(rows)
@@ -190,15 +199,7 @@ class MatrixK:
     def __init__(self, domain: ScalarDomain, entries, cols: int | None = None):
         # coercion rejects Scalars of another domain
         rows = tuple(tuple([payload_of(domain, x) for x in row]) for row in entries)
-        self._set(domain, rows, _width(rows, cols))
-
-    def _set(self, domain, payload, cols):
-        init = object.__setattr__
-        init(self, "domain", domain)
-        init(self, "rows", len(payload))
-        init(self, "cols", cols)
-        init(self, "payload", payload)
-        init(self, "_entries", None)
+        _fill(self, domain, rows, _width(rows, cols))
 
     def __setattr__(self, *args):
         raise AttributeError("MatrixK is immutable")
@@ -289,6 +290,21 @@ class MatrixK:
         body = "; ".join("[" + ", ".join(text(x) for x in row) + "]"
                          for row in self.payload)
         return f"[{body}]"
+
+
+# the __set__ of each slot descriptor, which writes past the immutability
+# guard of __setattr__ with no name lookup
+_set_domain, _set_rows, _set_cols, _set_payload, _set_entries = (
+    MatrixK.__dict__[name].__set__ for name in MatrixK.__slots__)
+
+
+def _fill(m: MatrixK, domain: ScalarDomain, payload: tuple, cols: int):
+    """Set the five slots of a new matrix, its Scalar entries not yet built."""
+    _set_domain(m, domain)
+    _set_rows(m, len(payload))
+    _set_cols(m, cols)
+    _set_payload(m, payload)
+    _set_entries(m, None)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,11 @@ class Subspace:
 
     @classmethod
     def spanned(cls, domain: ScalarDomain, ambient: int, rows) -> "Subspace":
-        """The span of canonical payload rows."""
-        return cls(domain, ambient, row_space(from_payloads(domain, rows, ambient)))
+        """The span of canonical payload rows, reduced as copied lists: the
+        one matrix built is the echelon basis."""
+        rows = [list(row) for row in rows]
+        rank = len(reduce_rows(domain, rows, ambient))
+        return cls(domain, ambient, from_payloads(domain, rows[:rank], ambient))
 
     @classmethod
     def zero(cls, domain: ScalarDomain, ambient: int) -> "Subspace":

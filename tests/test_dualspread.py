@@ -1,7 +1,12 @@
 import functools
 import gc
 import itertools
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -32,6 +37,8 @@ from complaff.dualspread import (
     normalized_family,
     verify_family,
 )
+from complaff.config import chart_from_config
+from complaff.jsonio import subspace_from_json
 from complaff.linalg import MatrixK, from_payloads, is_invertible
 from complaff.projective import Subspace, _hyperplane, hyperplanes, hyperplanes_not_containing
 from boxed_reference import (
@@ -916,3 +923,36 @@ def test_ds2_tries_n_plus_one_values_of_c_u(d, monkeypatch):
         assert report.violation.kind == "DS2"
         assert report.violation.hyperplane == _hyperplane(d, [d._canon(x) for x in (1, 0, 0, n)])
         check_witness(cand, report.violation.hyperplane)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ADDRESS_SPACE_CAP = 600 * 2 ** 20
+
+
+def _capped():
+    """Cap the child's address space, so a listing of the field fails fast."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, hard))
+
+
+def test_ds2_over_a_large_extension_field_takes_n_plus_one_codes(tmp_path):
+    """GF(p^2), p = 2^61 - 1, has q = p^2 codes; DS2 takes N + 1 of them
+    from the lazy `_payloads` sequence, so `check-dual-spread` of two
+    members answers DS2 within an address-space cap that a listing of the
+    codes would exceed, with a witness checked on its own."""
+    config = {"field": "gf(2305843009213693951^2; modulus=[1,0,1])", "n": 4, "k": 2}
+    gammas = [[[0, 0], [0, 0]], [[1, 0], [0, 1]]]
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    (tmp_path / "spread.json").write_text(json.dumps({"kind": "dual-spread",
+                                                      "gammas": gammas}))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-m", "complaff.cli", "check-dual-spread",
+                          str(tmp_path / "spread.json"), "--config", str(tmp_path / "cfg.json"),
+                          "--json"], capture_output=True, text=True, env=env,
+                         preexec_fn=_capped, timeout=60)
+    assert (out.returncode, out.stderr) == (1, "")
+    report = json.loads(out.stdout)
+    assert report["result"] == "FAIL" and report["violation"]["kind"] == "DS2"
+    ch = chart_from_config(config)
+    cand = DualSpreadCandidate(ch, [ch.coord(g) for g in gammas])
+    check_witness(cand, subspace_from_json(ch.domain, report["violation"]["hyperplane"]))

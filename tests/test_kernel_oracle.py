@@ -10,8 +10,10 @@ Quaternions, so those are checked first against plain ``Fraction``
 arithmetic (``QuaternionAlgebra(-1, -1)``), which makes the chain of
 oracles independent of the payload code.
 The chart's coordinate_of is checked the same way against the lattice
-route.  Over GF(p) sympy, when installed, is a second oracle for rank and
-nullspace.  Examples are derandomized, so the suite stays deterministic.
+route.  The GF(p) reduction in plain ints is checked against the generic
+loop of ``reduce_rows`` on the same rows, over GF(2), GF(3), GF(5), GF(7)
+and GF(2^61 - 1).  Over GF(p) sympy, when installed, is a second oracle
+for rank and nullspace.  Examples are derandomized, so the suite stays deterministic.
 """
 
 import math
@@ -47,6 +49,7 @@ from complaff.linalg import (
     kernel,
     payload_row,
     rank,
+    reduce_rows,
     row_space,
     rref,
     solve,
@@ -324,6 +327,56 @@ def test_quaternion_payloads_match_fraction_arithmetic(x, y, k):
             assert s == as_int and hash(s) == hash(as_int)
     sx, sy = Scalar(q, wx), Scalar(q, wy)
     assert (sx == sy) == (x == y)
+
+
+# ---------------------------------------------------------------------------
+# the GF(p) reduction against the generic loop
+# ---------------------------------------------------------------------------
+
+class GenericPrimeField(PrimeField):
+    """GF(p) whose rows `reduce_rows` reduces by its generic loop, on the
+    payload hooks of PrimeField."""
+
+    _reduce_rows = None
+
+
+PRIMES = {"GF2": 2, "GF3": 3, "GF5": 5, "GF7": 7, "GF(2^61-1)": 2 ** 61 - 1}
+
+
+@st.composite
+def reductions(draw, p):
+    """Rows and `ncols` for `reduce_rows`: zero rows, a repeated row,
+    `ncols` = 0, and rows wider than `ncols` (an appended identity or
+    further entries), all canonical."""
+    ncols = draw(st.integers(0, 5))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    row = st.one_of(st.just([0] * ncols),
+                    st.lists(entry, min_size=ncols, max_size=ncols))
+    rows = draw(st.lists(row, max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    extra = draw(st.sampled_from(["none", "identity", "entries"]))
+    if extra == "identity":
+        rows = [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
+    elif extra == "entries":
+        width = draw(st.integers(1, 3))
+        rows = [r + draw(st.lists(entry, min_size=width, max_size=width)) for r in rows]
+    return rows, ncols
+
+
+@pytest.mark.parametrize("name", list(PRIMES))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_prime_field_reduction_matches_the_generic_loop(name, data):
+    """reduce_rows over GF(p) runs PrimeField._reduce_rows, which leaves
+    the rows and returns the pivots of the generic loop exactly."""
+    p = PRIMES[name]
+    rows, ncols = data.draw(reductions(p))
+    fast, slow = [list(r) for r in rows], [list(r) for r in rows]
+    pivots = reduce_rows(PrimeField(p), fast, ncols)
+    assert pivots == reduce_rows(GenericPrimeField(p), slow, ncols)
+    assert fast == slow
+    assert all(type(x) is int and 0 <= x < p for r in fast for x in r)
 
 
 # ---------------------------------------------------------------------------

@@ -425,3 +425,26 @@ def test_finite_field_combine_of_no_term_is_zero(name):
     assert domain._combine([], [], 3) == [zero] * 3
     assert domain._combine([zero, zero], [[one] * 4, [one] * 4], 3) == [zero] * 3
     assert domain._combine([one], [[one] * 4], 2) == [one, one]
+
+
+def test_a_prime_field_reduction_calls_no_payload_hook(monkeypatch):
+    """Over GF(p) `reduce_rows` runs in plain ints: rref, kernel, inverse
+    and the subspace lattice give the same results with no call of
+    `_add`, `_mul`, `_neg` or `_inv`."""
+    gf5 = PrimeField(5)
+    m = mat(gf5, [[0, 2, 4, 1], [3, 1, 0, 0], [3, 3, 4, 1], [1, 1, 1, 1]])
+    a, b = Subspace.from_rows(gf5, 4, m.entries[:2]), Subspace.from_rows(gf5, 4, m.entries[2:])
+
+    def results():
+        return (rref(m), kernel(m), inverse(m), inverse(mat(gf5, [[2, 1], [1, 1]])),
+                row_space(m), a + b, a & b)
+
+    expected = results()
+    calls = []
+    for name in ("_add", "_mul", "_neg", "_inv"):
+        hook = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, *args, name=name, hook=hook:
+                            calls.append(name) or hook(self, *args))
+    assert results() == expected
+    assert calls == []
