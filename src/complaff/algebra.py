@@ -440,22 +440,20 @@ class _Code(int):
 
 
 class _Codes(Sequence):
-    """Codes in the order of a range of ints, each made when it is read:
-    re-iterable, indexable and sliceable (a slice is again lazy), and never
-    a listing, so taking the first few of q = p^k codes costs no more than
-    those few.  ``len`` refuses a range longer than ``sys.maxsize``."""
+    """The codes 0, 1, ..., q - 1, each made when it is read: re-iterable
+    and indexable, never a listing, so taking the first few of q = p^k
+    codes costs no more than those few.  ``len`` refuses a q past
+    ``sys.maxsize``."""
 
     __slots__ = ("_range",)
 
-    def __init__(self, ints: range):
-        self._range = ints
+    def __init__(self, q: int):
+        self._range = range(q)
 
     def __len__(self):
         return len(self._range)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return _Codes(self._range[i])
+    def __getitem__(self, i: int):
         return _Code(self._range[i])
 
     def __iter__(self):
@@ -532,7 +530,7 @@ class ExtensionField(ScalarDomain):
         caller that takes the first few (DS2 takes N + 1) lists none of the
         rest, and one that walks it more than once (``_projective_reps``,
         ``all_coords``) gets every code each time."""
-        return _Codes(range(self._q))
+        return _Codes(self._q)
 
     def _canon(self, payload):
         """The code of a working payload (returned as it is), of an int n

@@ -136,18 +136,17 @@ def test_extension_codes_are_the_coefficients_in_base_p():
 
 def test_extension_payloads_are_a_lazy_sequence_of_codes():
     """GF(p^k) hands out its codes one at a time: indexable from either
-    end, sliceable, re-iterable and a Sequence for ``st.sampled_from``,
-    with no listing of q codes even at q = (2^61 - 1)^2."""
+    end, re-iterable and a Sequence for ``st.sampled_from``, with no
+    listing of q codes even at q = (2^61 - 1)^2."""
     big = DOMAINS["GF((2^61-1)^2)"]
     codes = big._payloads()
     assert isinstance(codes, Sequence)
     assert list(itertools.islice(codes, 3)) == list(itertools.islice(codes, 3)) == [0, 1, 2]
     assert all(type(x) is type(big._zero) and is_working(big, x)
-               for x in (codes[0], codes[5], codes[-1], *codes[7:9]))
-    assert (codes[5], codes[-1], list(codes[7:9])) == (5, big.order - 1, [7, 8])
-    gf9 = DOMAINS["GF9"]
-    assert len(gf9._payloads()) == 9 and list(reversed(gf9._payloads()))[0] == 8
-    assert tuple(gf9._payloads()) == tuple(gf9._payloads()[::1])
+               for x in (codes[0], codes[5], codes[-1]))
+    assert (codes[5], codes[-1]) == (5, big.order - 1)
+    gf9 = DOMAINS["GF9"]._payloads()
+    assert len(gf9) == 9 and list(reversed(gf9)) == list(range(8, -1, -1))
 
 
 ELEMS = {name: payloads(domain) for name, domain in DOMAINS.items()}
