@@ -18,9 +18,12 @@ Three domains are available to users, one more internally:
   content/denominator form of FLINT's ``fmpq_poly`` (https://flintlib.org).
   Every operation runs on plain ints and normalizes with one ``gcd``; a
   left linear combination of rows (``_combine``) sums numerators over a
-  common denominator and pays one ``gcd`` per entry, not two per term.
+  common denominator and pays one ``gcd`` per entry, not two per term,
+  and so does each entry a row reduction (``_reduce_rows``) updates.
   The public payload (``Scalar.payload``) is the four ``Fraction``
-  components (a/den, b/den, c/den, d/den).
+  components (a/den, b/den, c/den, d/den); ``_canon`` reads four
+  components that are ints or ``Fraction``s as they are, and any other
+  (a string, an integral float) through ``Fraction``.
 * ``Rationals()``            -- plain ``Fraction`` arithmetic.  No library
   path's domain and not part of the field-spec grammar: the tests'
   ``Fraction`` reference, and a name the benchmark reads.
@@ -669,7 +672,10 @@ def _lowest_terms(a, b, c, d, den):
 
 
 class Quaternions(ScalarDomain):
-    """Hamilton quaternions over the exact rationals."""
+    """Hamilton quaternions over the exact rationals.
+
+    ``_combine`` and ``_reduce_rows`` inline Hamilton's product on the
+    5-tuples, as ``_mul`` does; the hooks stay for single operations."""
 
     is_commutative = False
     _zero, _one = _UNITS[0], _UNITS[1]
@@ -714,7 +720,9 @@ class Quaternions(ScalarDomain):
             return _lowest_terms(*t) if t[4] > 0 else _lowest_terms(*(-x for x in t))
         if len(t) != 4:
             raise ValueError("quaternion payload needs 4 components")
-        t = tuple(Fraction(x) for x in t)
+        # ints and Fractions are exact as they are; Fraction(x) would rebuild them
+        if not all(type(x) is int or type(x) is Fraction for x in t):
+            t = tuple(map(Fraction, t))
         den = lcm(*(x.denominator for x in t))
         # over the least common denominator the content is already 1
         return tuple(x.numerator * (den // x.denominator) for x in t) + (den,)
@@ -786,6 +794,66 @@ class Quaternions(ScalarDomain):
                 d += td
             out.append(_lowest_terms(a, b, c, d, den))
         return out
+
+    def _reduce_rows(self, rows, ncols):
+        """``linalg.reduce_rows`` on the integer 5-tuples, with the same row
+        operations and results: the pivot's inverse (a·e, −b·e, −c·e, −d·e)
+        / norm is formed inline, the pivot entry becomes the shared one and
+        each eliminated entry the shared zero, and each updated entry
+        x − f·y is summed over one common denominator with one
+        ``_lowest_terms``, where the generic loop calls ``_mul`` and
+        ``_add``, a gcd each."""
+        zero, one = _UNITS[0], _UNITS[1]
+        nrows = len(rows)
+        pivots = []
+        lead = 0
+        for col in range(ncols):
+            if lead == nrows:
+                break
+            for piv in range(lead, nrows):
+                if rows[piv][col] != zero:
+                    break
+            else:
+                continue
+            row = rows[piv]
+            rows[piv] = rows[lead]
+            rows[lead] = row
+            a, b, c, d, e = row[col]
+            ka, kb, kc, kd, ke = _lowest_terms(a * e, -b * e, -c * e, -d * e,
+                                               a * a + b * b + c * c + d * d)
+            row[col] = one
+            tail = []
+            for j in range(col + 1, len(row)):
+                y = row[j]
+                if y != zero:
+                    a, b, c, d, e = y
+                    row[j] = y = _lowest_terms(ka * a - kb * b - kc * c - kd * d,
+                                               ka * b + kb * a + kc * d - kd * c,
+                                               ka * c - kb * d + kc * a + kd * b,
+                                               ka * d + kb * c - kc * b + kd * a, ke * e)
+                    tail.append((j, y))
+            for i in range(nrows):
+                other = rows[i]
+                f = other[col]
+                if f != zero and i != lead:
+                    fa, fb, fc, fd, fe = f
+                    other[col] = zero
+                    for j, (a, b, c, d, e) in tail:
+                        ta = fa * a - fb * b - fc * c - fd * d
+                        tb = fa * b + fb * a + fc * d - fd * c
+                        tc = fa * c - fb * d + fc * a + fd * b
+                        td = fa * d + fb * c - fc * b + fd * a
+                        den = fe * e
+                        xa, xb, xc, xd, xe = other[j]
+                        if xe == den:
+                            other[j] = _lowest_terms(xa - ta, xb - tb, xc - tc, xd - td, den)
+                        else:
+                            other[j] = _lowest_terms(xa * den - ta * xe, xb * den - tb * xe,
+                                                     xc * den - tc * xe, xd * den - td * xe,
+                                                     xe * den)
+            pivots.append(col)
+            lead += 1
+        return pivots
 
     def _imag_parts(self, a):
         """a's i, j and k parts as central payloads: Z-linear in a, and all

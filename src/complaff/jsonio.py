@@ -6,7 +6,10 @@ Scalar encoding depends on the domain:
 * extension field  -- list of k ints, constant coefficient first (the
   public view of the int code the library works on)
 * quaternions      -- list of four exact fraction strings "a", "-1/2", ...
-  (or ints); a plain int n reads as n in every domain
+  (or ints); a decimal exponent, as in "2.5e-3", must lie within ±4300,
+  the default digit limit of CPython's int strings, and is refused past
+  it before ``Fraction`` expands it; a plain int n reads as n in every
+  domain
 
 JSON goes payload to payload.  Every decoder hands all the rows of its
 document to one call of `_rows_from_json`, which checks the JSON types and
@@ -52,6 +55,10 @@ from .dualspread import DualSpreadCandidate, TransversalFamily
 from .errors import ConfigError
 from .linalg import MatrixK, _width, from_payloads
 from .projective import Subspace
+
+# the longest int string CPython reads by default (sys.int_info), so a
+# component's exponent adds no more digits than its numerator may hold
+_MAX_EXPONENT = 4300
 
 
 def _built(what: str, make, *args, **kwargs):
@@ -137,11 +144,26 @@ def _payload_from_json(domain: ScalarDomain, obj):
         if type(obj) is list and isinstance(domain, Quaternions):
             if len(obj) != 4 or not all(type(c) in (str, int) for c in obj):
                 raise ValueError("need 4 components, each a string or an integer")
-            return tuple(map(Fraction, obj))
+            return tuple(map(_fraction_from_json, obj))
         raise ValueError("a scalar must be an integer" + (
             "" if isinstance(domain, PrimeField) else " or a list"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad scalar {obj!r} for {domain}: {exc}") from exc
+
+
+def _fraction_from_json(c) -> Fraction:
+    """A quaternion component, an int or an exact decimal or fraction
+    string, as a Fraction.  A decimal exponent past ±_MAX_EXPONENT is
+    refused before ``Fraction`` expands it to a power of ten."""
+    if type(c) is str:
+        _, e, exp = c.lower().partition("e")
+        try:
+            too_large = bool(e) and abs(int(exp)) > _MAX_EXPONENT
+        except ValueError:          # no int exponent: Fraction refuses the string
+            too_large = False
+        if too_large:
+            raise ValueError(f"a decimal exponent must lie within ±{_MAX_EXPONENT}")
+    return Fraction(c)
 
 
 def matrix_to_json(m: MatrixK):

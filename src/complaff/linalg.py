@@ -24,17 +24,20 @@ two per term, GF(p) one ``% p`` per entry instead of two per term, and
 GF(p^k) reads its add and multiply tables with no method call per
 entry.
 ``reduce_rows`` runs one generic loop on the payload hooks, except over
-GF(p): a domain that sets ``_reduce_rows`` gets the whole reduction in
-one call, and GF(p) does it in plain ints, one ``% p`` per updated entry
-and one ``pow`` per pivot instead of two hook calls per entry.  That is
-one extra call per reduction; a hook per updated row, tried before,
-measured no gain on quat-sampled and cost reguli-gf3 about 5% of its
-jobs per second, since GF(3) rows are short and the extra call per row
-outweighed the arithmetic it saved.  A payload is zero exactly when
-it equals the domain's ``_zero``, as every payload is canonical.  Ints
-and payloads enter through the domain's ``_canon``, never through a
-``Scalar``, which is built only when a caller reads ``entries`` (once
-per matrix) or a vector crosses the API boundary:
+GF(p) and Quat(Q): a domain that sets ``_reduce_rows`` gets the whole
+reduction in one call.  GF(p) does it in plain ints, one ``% p`` per
+updated entry and one ``pow`` per pivot instead of two hook calls per
+entry; Quat(Q) on the integer 5-tuples, one gcd per updated entry
+instead of a ``_mul`` and an ``_add`` with a gcd each.  That is one
+extra call per reduction, which saves the hook calls of every entry it
+updates.  A hook per updated row, tried before, measured no gain on
+quat-sampled and cost reguli-gf3 about 5% of its jobs per second: it
+kept the generic loop around it, and on the short GF(3) rows the extra
+call per row outweighed the arithmetic it saved.  A payload is zero
+exactly when it equals the domain's ``_zero``, as every payload is
+canonical.  Ints and payloads enter through the domain's ``_canon``,
+never through a ``Scalar``, which is built only when a caller reads
+``entries`` (once per matrix) or a vector crosses the API boundary:
 ``payload_row`` takes one in, ``boxed`` hands one out.  One check,
 ``_echelon_check``, gives a row's coefficients over reduced echelon rows
 (its entries at the pivots, if they rebuild it) for
@@ -85,7 +88,7 @@ def reduce_rows(domain: ScalarDomain, rows: list, ncols: int) -> list:
     pivot.  Afterwards rows[:rank] are the reduced echelon rows and every
     later row is zero on the first `ncols` columns.  Returns the pivot
     columns, one per echelon row.  A domain that sets ``_reduce_rows``
-    (GF(p)) does all of it in that one call.
+    (GF(p), Quat(Q)) does all of it in that one call.
     """
     fast = domain._reduce_rows
     if fast is not None:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -461,6 +462,39 @@ def test_malformed_input_exits_2_with_one_line(name, cfg2, tmp_path):
     assert len(out.stderr.splitlines()) == 1
     assert out.stderr.startswith("config error: ")
     assert out.stdout == ""
+
+
+ADDRESS_SPACE_CAP = 1 << 30
+
+
+def _capped():
+    """Cap the child's address space, so unbounded work fails fast."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, hard))
+
+
+@pytest.mark.parametrize("component", ["1e-10000000", "1E10000000", "-2.5e+4301"])
+def test_a_quaternion_component_with_a_huge_exponent_exits_2_with_one_line(component,
+                                                                           tmp_path):
+    """The decoder refuses a decimal exponent past ±4300 before Fraction
+    expands it to a power of ten (10^10^7 is a 33-Mbit integer), so the
+    command ends at once with exit 2 and one line.  Run in a child under
+    an address-space cap and a timeout, since the expansion is unbounded."""
+    inputs = os.path.join(REPO, "tests", "golden", "inputs")
+    with open(os.path.join(inputs, "quat_spread.json"), encoding="utf-8") as fh:
+        spread = json.load(fh)
+    spread["gammas"][0][0][0] = [component, "0", "0", "0"]
+    path = tmp_path / "quat_spread.json"
+    path.write_text(json.dumps(spread))
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-m", "complaff.cli", "check-dual-spread", str(path),
+                          "--config", os.path.join(inputs, "quat.json"), "--json"],
+                         capture_output=True, text=True, env=env, preexec_fn=_capped,
+                         timeout=60)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("config error: bad scalar ")
+    assert "exponent" in out.stderr
 
 
 @pytest.mark.parametrize("name", ["5000-digit-modulus-coefficient", "4000-digit-prime",

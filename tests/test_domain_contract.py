@@ -6,7 +6,9 @@ lists them).  This file states what it relies on, for each domain:
 
 * a working payload is a fixed point of ``_canon``, type included, and
   every hook returns working payloads;
-* ``_public`` is undone by ``_canon``: ``_canon(_public(x)) == x``;
+* ``_public`` is undone by ``_canon``: ``_canon(_public(x)) == x``, and
+  over Quat(Q) four components that mix int, Fraction, str and integral
+  float read as the all-Fraction ones;
 * ``_combine`` equals the generic loop of ``ScalarDomain._combine``, has
   ``width`` entries and refuses a ``width`` wider than the rows;
 * ``_inv`` is a two-sided inverse and refuses zero;
@@ -117,6 +119,26 @@ def test_the_public_view_reads_back(name):
         assert is_working(domain, domain._canon(public))
     for n in (-3, -1, 0, 1, 2, 5):
         assert domain._canon(domain._public(domain._canon(n))) == domain._canon(n)
+
+
+def test_quaternion_components_of_mixed_types_read_as_fractions():
+    """Quat(Q) reads four components as they are when each is an int or a
+    Fraction, and any other through Fraction: a mix of int, Fraction, str
+    and integral float gives the all-Fraction result."""
+    domain = DOMAINS["Quat(Q)"]
+    rng = random.Random("mixed components")
+    for _ in range(80):
+        parts = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 12)))
+                 for _ in range(4)]
+        expected = domain._canon(parts)
+        assert domain._public(expected) == tuple(parts)
+        assert is_working(domain, expected)
+        forms = [rng.choice((Fraction, str) + ((int, float) if x.denominator == 1 else ()))
+                 for x in parts]
+        mixed = [form(x) for form, x in zip(forms, parts)]
+        assert domain._canon(mixed) == expected, mixed
+        assert domain._canon(tuple(mixed)) == expected
+    assert domain._canon([1, Fraction(1, 2), "-1/3", 2.0]) == (6, 3, -2, 12, 6)
 
 
 def test_extension_codes_are_the_coefficients_in_base_p():

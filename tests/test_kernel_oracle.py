@@ -12,7 +12,7 @@ oracles independent of the payload code.
 The chart's coordinate_of is checked the same way against the lattice
 route.  The GF(p) reduction in plain ints is checked against the generic
 loop of ``reduce_rows`` on the same rows, over GF(2), GF(3), GF(5), GF(7)
-and GF(2^61 - 1).  Over GF(p) sympy, when installed, is a second oracle
+and GF(2^61 - 1), and so is the Quat(Q) reduction on integer 5-tuples.  Over GF(p) sympy, when installed, is a second oracle
 for rank and nullspace.  Examples are derandomized, so the suite stays deterministic.
 """
 
@@ -340,24 +340,31 @@ class GenericPrimeField(PrimeField):
     _reduce_rows = None
 
 
+class GenericQuaternions(Quaternions):
+    """Quat(Q) whose rows `reduce_rows` reduces by its generic loop, on the
+    payload hooks of Quaternions."""
+
+    _reduce_rows = None
+
+
 PRIMES = {"GF2": 2, "GF3": 3, "GF5": 5, "GF7": 7, "GF(2^61-1)": 2 ** 61 - 1}
 
 
 @st.composite
-def reductions(draw, p):
+def reductions(draw, entry, zero, one):
     """Rows and `ncols` for `reduce_rows`: zero rows, a repeated row,
     `ncols` = 0, and rows wider than `ncols` (an appended identity or
     further entries), all canonical."""
     ncols = draw(st.integers(0, 5))
-    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
-    row = st.one_of(st.just([0] * ncols),
+    row = st.one_of(st.just([zero] * ncols),
                     st.lists(entry, min_size=ncols, max_size=ncols))
     rows = draw(st.lists(row, max_size=5))
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
     extra = draw(st.sampled_from(["none", "identity", "entries"]))
     if extra == "identity":
-        rows = [r + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
+        rows = [r + [one if i == j else zero for j in range(len(rows))]
+                for i, r in enumerate(rows)]
     elif extra == "entries":
         width = draw(st.integers(1, 3))
         rows = [r + draw(st.lists(entry, min_size=width, max_size=width)) for r in rows]
@@ -371,12 +378,35 @@ def test_prime_field_reduction_matches_the_generic_loop(name, data):
     """reduce_rows over GF(p) runs PrimeField._reduce_rows, which leaves
     the rows and returns the pivots of the generic loop exactly."""
     p = PRIMES[name]
-    rows, ncols = data.draw(reductions(p))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    rows, ncols = data.draw(reductions(entry, 0, 1))
     fast, slow = [list(r) for r in rows], [list(r) for r in rows]
     pivots = reduce_rows(PrimeField(p), fast, ncols)
     assert pivots == reduce_rows(GenericPrimeField(p), slow, ncols)
     assert fast == slow
     assert all(type(x) is int and 0 <= x < p for r in fast for x in r)
+
+
+# zero, one, minus one and i, then entries with negative parts and
+# denominators up to 4, so pivots with a denominator > 1 occur
+QUAT_ENTRIES = st.one_of(
+    st.sampled_from([QUAT._zero, QUAT._zero, QUAT._one, QUAT._canon(-1), QUAT._canon((0, 1, 0, 0))]),
+    st.tuples(*[st.integers(-3, 3)] * 4, st.integers(1, 4)).map(QUAT._canon))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(reductions(QUAT_ENTRIES, QUAT._zero, QUAT._one))
+def test_quaternion_reduction_matches_the_generic_loop(reduction):
+    """reduce_rows over Quat(Q) runs Quaternions._reduce_rows, which
+    leaves the rows and returns the pivots of the generic loop exactly,
+    every entry a canonical 5-tuple."""
+    rows, ncols = reduction
+    fast, slow = [list(r) for r in rows], [list(r) for r in rows]
+    pivots = reduce_rows(QUAT, fast, ncols)
+    assert pivots == reduce_rows(GenericQuaternions(), slow, ncols)
+    assert fast == slow
+    for x in (x for r in fast for x in r):
+        assert_canonical(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -427,24 +428,40 @@ def test_finite_field_combine_of_no_term_is_zero(name):
     assert domain._combine([one], [[one] * 4], 2) == [one, one]
 
 
-def test_a_prime_field_reduction_calls_no_payload_hook(monkeypatch):
-    """Over GF(p) `reduce_rows` runs in plain ints: rref, kernel, inverse
-    and the subspace lattice give the same results with no call of
-    `_add`, `_mul`, `_neg` or `_inv`."""
-    gf5 = PrimeField(5)
-    m = mat(gf5, [[0, 2, 4, 1], [3, 1, 0, 0], [3, 3, 4, 1], [1, 1, 1, 1]])
-    a, b = Subspace.from_rows(gf5, 4, m.entries[:2]), Subspace.from_rows(gf5, 4, m.entries[2:])
+def assert_reduction_calls_no_payload_hook(monkeypatch, m, square):
+    """rref, kernel, two inverses, `row_space`, `+` and `&` over m's domain
+    give the same results with no call of `_add`, `_mul`, `_neg` or `_inv`."""
+    domain = m.domain
+    a = Subspace.from_rows(domain, m.cols, m.entries[:2])
+    b = Subspace.from_rows(domain, m.cols, m.entries[2:])
 
     def results():
-        return (rref(m), kernel(m), inverse(m), inverse(mat(gf5, [[2, 1], [1, 1]])),
-                row_space(m), a + b, a & b)
+        return (rref(m), kernel(m), inverse(m), inverse(square), row_space(m), a + b, a & b)
 
     expected = results()
     calls = []
     for name in ("_add", "_mul", "_neg", "_inv"):
-        hook = getattr(PrimeField, name)
-        monkeypatch.setattr(PrimeField, name,
+        hook = getattr(type(domain), name)
+        monkeypatch.setattr(type(domain), name,
                             lambda self, *args, name=name, hook=hook:
                             calls.append(name) or hook(self, *args))
     assert results() == expected
     assert calls == []
+
+
+def test_a_prime_field_reduction_calls_no_payload_hook(monkeypatch):
+    """Over GF(p) `reduce_rows` runs in plain ints."""
+    gf5 = PrimeField(5)
+    assert_reduction_calls_no_payload_hook(
+        monkeypatch, mat(gf5, [[0, 2, 4, 1], [3, 1, 0, 0], [3, 3, 4, 1], [1, 1, 1, 1]]),
+        mat(gf5, [[2, 1], [1, 1]]))
+
+
+def test_a_quaternion_reduction_calls_no_payload_hook(monkeypatch):
+    """Over Quat(Q) `reduce_rows` runs on the integer 5-tuples in one call,
+    with pivots that are neither central nor of denominator 1."""
+    i, j, k = Q.i, Q.j, Q.k
+    half = Q.scalar((Fraction(1, 2), 0, 0, Fraction(-1, 3)))
+    m = mat(Q, [[0, i, 2, half], [half, 1, 0, j], [i, -3, k, 0], [1, 1 + j, half, 1]])
+    assert rank(m) == 4
+    assert_reduction_calls_no_payload_hook(monkeypatch, m, mat(Q, [[half, i], [j, 1]]))
