@@ -803,7 +803,7 @@ class Quaternions(ScalarDomain):
         x − f·y is summed over one common denominator with one
         ``_lowest_terms``, where the generic loop calls ``_mul`` and
         ``_add``, a gcd each."""
-        zero, one = _UNITS[0], _UNITS[1]
+        zero, one = self._zero, self._one
         nrows = len(rows)
         pivots = []
         lead = 0

@@ -141,6 +141,17 @@ def test_quaternion_components_of_mixed_types_read_as_fractions():
     assert domain._canon([1, Fraction(1, 2), "-1/3", 2.0]) == (6, 3, -2, 12, 6)
 
 
+@pytest.mark.parametrize("payload", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 2.0),
+                                     (1.0, 0, 0, 0, 1), (Fraction(1, 2), 0, 0, 0, 1)])
+def test_a_quaternion_working_payload_needs_int_entries_and_a_nonzero_denominator(payload):
+    """Five components are read as the working payload only when all are
+    ints over a nonzero denominator; a negative one flips every sign."""
+    domain = DOMAINS["Quat(Q)"]
+    with pytest.raises(ValueError, match="5-component"):
+        domain._canon(payload)
+    assert domain._canon((2, -4, 0, 6, -4)) == (-1, 2, 0, -3, 2)
+
+
 def test_extension_codes_are_the_coefficients_in_base_p():
     """c_0 + c_1*p + ... : the order of _payloads, and codes past 2^64."""
     gf9 = DOMAINS["GF9"]

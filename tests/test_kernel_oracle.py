@@ -12,8 +12,9 @@ oracles independent of the payload code.
 The chart's coordinate_of is checked the same way against the lattice
 route.  The GF(p) reduction in plain ints is checked against the generic
 loop of ``reduce_rows`` on the same rows, over GF(2), GF(3), GF(5), GF(7)
-and GF(2^61 - 1), and so is the Quat(Q) reduction on integer 5-tuples.  Over GF(p) sympy, when installed, is a second oracle
-for rank and nullspace.  Examples are derandomized, so the suite stays deterministic.
+and GF(2^61 - 1), and so is the Quat(Q) reduction on integer 5-tuples.
+Over GF(p) sympy, when installed, is a second oracle for rank and
+nullspace.  Examples are derandomized, so the suite stays deterministic.
 """
 
 import math
@@ -390,7 +391,8 @@ def test_prime_field_reduction_matches_the_generic_loop(name, data):
 # zero, one, minus one and i, then entries with negative parts and
 # denominators up to 4, so pivots with a denominator > 1 occur
 QUAT_ENTRIES = st.one_of(
-    st.sampled_from([QUAT._zero, QUAT._zero, QUAT._one, QUAT._canon(-1), QUAT._canon((0, 1, 0, 0))]),
+    st.sampled_from([QUAT._zero, QUAT._zero, QUAT._one, QUAT._canon(-1),
+                     QUAT._canon((0, 1, 0, 0))]),
     st.tuples(*[st.integers(-3, 3)] * 4, st.integers(1, 4)).map(QUAT._canon))
 
 
