@@ -671,6 +671,25 @@ def _lowest_terms(a, b, c, d, den):
     return (a // g, b // g, c // g, d // g, den // g)
 
 
+# the longest int string CPython reads by default (sys.int_info), so a
+# component's exponent adds no more digits than its numerator may hold
+_MAX_EXPONENT = 4300
+
+
+def _fraction(x) -> Fraction:
+    """Fraction(x), with a string's decimal exponent past ±_MAX_EXPONENT
+    refused before ``Fraction`` expands it to a power of ten."""
+    if type(x) is str:
+        _, e, exp = x.lower().partition("e")
+        try:
+            too_large = bool(e) and abs(int(exp)) > _MAX_EXPONENT
+        except ValueError:          # no int exponent: Fraction refuses the string
+            too_large = False
+        if too_large:
+            raise ValueError(f"a decimal exponent must lie within ±{_MAX_EXPONENT}")
+    return Fraction(x)
+
+
 class Quaternions(ScalarDomain):
     """Hamilton quaternions over the exact rationals.
 
@@ -722,7 +741,7 @@ class Quaternions(ScalarDomain):
             raise ValueError("quaternion payload needs 4 components")
         # ints and Fractions are exact as they are; Fraction(x) would rebuild them
         if not all(type(x) is int or type(x) is Fraction for x in t):
-            t = tuple(map(Fraction, t))
+            t = tuple(map(_fraction, t))
         den = lcm(*(x.denominator for x in t))
         # over the least common denominator the content is already 1
         return tuple(x.numerator * (den // x.denominator) for x in t) + (den,)

@@ -160,15 +160,17 @@ class AffineChart:
         return ComplementCoord(self, MatrixK.zero(self.domain, self.m, self.k))
 
     def complement(self, c: "ComplementCoord | MatrixK") -> Subspace:
-        """The complement U^(gamma,1): spanned by the rows b_i^gamma + b_i."""
+        """The complement U^(gamma,1): spanned by the rows b_i^gamma + b_i,
+        row i one combination of the rows (W-basis, b_i) with the
+        coefficients (gamma_i, 1)."""
         g = c.gamma if isinstance(c, ComplementCoord) else c
         if g.domain != self.domain:
             raise DomainMismatchError(f"gamma over {g.domain} in {self.domain}")
         if (g.rows, g.cols) != (self.m, self.k):
             raise ValueError(f"gamma must be {self.m}x{self.k}")
-        domain, n, add = self.domain, self.ambient, self.domain._add
+        domain, n, one = self.domain, self.ambient, self.domain._one
         w = self.w_matrix.payload
-        rows = [[add(x, y) for x, y in zip(domain._combine(coeffs, w, n), b)]
+        rows = [domain._combine((*coeffs, one), (*w, b), n)
                 for coeffs, b in zip(g.payload, self.b_matrix.payload)]
         reduce_rows(domain, rows, n)         # independent rows: none drops out
         return Subspace(domain, n, from_payloads(domain, rows, n))

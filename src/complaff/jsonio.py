@@ -8,7 +8,8 @@ Scalar encoding depends on the domain:
 * quaternions      -- list of four exact fraction strings "a", "-1/2", ...
   (or ints); a decimal exponent, as in "2.5e-3", must lie within ±4300,
   the default digit limit of CPython's int strings, and is refused past
-  it before ``Fraction`` expands it; a plain int n reads as n in every
+  it before ``Fraction`` expands it (``algebra._fraction``, which
+  ``Quaternions._canon`` shares); a plain int n reads as n in every
   domain
 
 JSON goes payload to payload.  Every decoder hands all the rows of its
@@ -24,7 +25,9 @@ they are (``from_payloads``, ``Subspace.spanned``, ``ComplementCoord``, a
 family's images as a ``MatrixK``).  The encoders bind the domain's row
 writer once per document and write payload rows through
 ``domain._public``; over GF(p^k) the writer binds the field's code ->
-coefficient tuple table itself, once per document.
+coefficient tuple table itself, once per document.  Over Quat(Q) a
+component whose numerator or denominator has more digits than CPython
+writes as a string (4300 by default) is refused with a ``ConfigError``.
 
 A document with one fault is refused with the same ``ConfigError`` text
 as by a decoder that reads it row by row and member by member.  With
@@ -46,19 +49,15 @@ spread candidates are ``{"kind": "dual-spread", "gammas": [...]}`` (or
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import sys
 from itertools import chain, islice, repeat
 
-from .algebra import ExtensionField, PrimeField, Quaternions, ScalarDomain
+from .algebra import ExtensionField, PrimeField, Quaternions, ScalarDomain, _fraction
 from .chart import AffineChart, ComplementCoord
 from .dualspread import DualSpreadCandidate, TransversalFamily
 from .errors import ConfigError
 from .linalg import MatrixK, _width, from_payloads
 from .projective import Subspace
-
-# the longest int string CPython reads by default (sys.int_info), so a
-# component's exponent adds no more digits than its numerator may hold
-_MAX_EXPONENT = 4300
 
 
 def _built(what: str, make, *args, **kwargs):
@@ -99,7 +98,14 @@ def _row_writer(domain: ScalarDomain):
         coefficients = domain._public_t.__getitem__        # code -> tuple
         return lambda row: list(map(list, map(coefficients, row)))
     if isinstance(domain, Quaternions):
-        return lambda row: [[str(c) for c in public(x)] for x in row]
+        def write(row):
+            try:
+                return [[str(c) for c in public(x)] for x in row]
+            except ValueError as exc:       # a numerator past the int-string limit
+                raise ConfigError(
+                    "a quaternion component exceeds the limit of "
+                    f"{sys.get_int_max_str_digits()} digits for integer strings") from exc
+        return write
     raise ConfigError(f"no JSON form for scalars of {domain}")
 
 
@@ -144,26 +150,11 @@ def _payload_from_json(domain: ScalarDomain, obj):
         if type(obj) is list and isinstance(domain, Quaternions):
             if len(obj) != 4 or not all(type(c) in (str, int) for c in obj):
                 raise ValueError("need 4 components, each a string or an integer")
-            return tuple(map(_fraction_from_json, obj))
+            return tuple(map(_fraction, obj))
         raise ValueError("a scalar must be an integer" + (
             "" if isinstance(domain, PrimeField) else " or a list"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad scalar {obj!r} for {domain}: {exc}") from exc
-
-
-def _fraction_from_json(c) -> Fraction:
-    """A quaternion component, an int or an exact decimal or fraction
-    string, as a Fraction.  A decimal exponent past ±_MAX_EXPONENT is
-    refused before ``Fraction`` expands it to a power of ten."""
-    if type(c) is str:
-        _, e, exp = c.lower().partition("e")
-        try:
-            too_large = bool(e) and abs(int(exp)) > _MAX_EXPONENT
-        except ValueError:          # no int exponent: Fraction refuses the string
-            too_large = False
-        if too_large:
-            raise ValueError(f"a decimal exponent must lie within ±{_MAX_EXPONENT}")
-    return Fraction(c)
 
 
 def matrix_to_json(m: MatrixK):

@@ -135,10 +135,13 @@ def transversals_of(regulus: Regulus) -> TransversalSet:
 
 
 def w_plus_transversals(regulus: Regulus, seed: int = 0):
-    """{W + T : T transversal}, each W + T spanned by W and T's two generators."""
-    ts, ch = transversals_of(regulus), regulus.chart
+    """{W + T : T transversal}.  T's generator z^alpha = z*(alpha*W) lies in
+    W, so W + T = W + K(z^beta + z), spanned by W and z*(beta*W + B)."""
+    ch = regulus.chart
+    dom, n, w = ch.domain, ch.ambient, ch.w.basis.payload
+    beta_w_b = (regulus.beta * ch.w_matrix + ch.b_matrix).payload
     made = _over_z_points(ch, seed, lambda z: Subspace.spanned(
-        ch.domain, ch.ambient, ch.w.basis.payload + ts._generators(z)))
+        dom, n, w + (dom._combine(z, beta_w_b, n),)))
     return made if isinstance(made, Sampled) else frozenset(made)
 
 
@@ -186,11 +189,13 @@ def reconstruct_from_transversals(lines) -> tuple:
     P: reduced on its first n columns, [T_j | T_j ; T | 0] has rows
     (v | T_j-part of v), which P's entries at the pivots combine into
     (P' | hit), and P' = P exactly when P is in T_j (+) T; the member
-    X(P) is spanned by P and
-    its hits.  Only X1, X2, X3 are built, through T1's rows[1], rows[0]
-    and rows[0] + rows[1].  The lines are accepted exactly when X1 (+) X2
-    is a chart in which X3 is the graph of an invertible gamma3.  This is
-    the full incidence check.  Over the W-basis gamma3*W, X3 = U^(I, 1):
+    X(P) is spanned by P and its hits.  Only X1, X2, X3 are spanned,
+    through T1's rows[1], rows[0] and rows[0] + rows[1]: the hits of
+    rows[1] and rows[0] are the right halves of their parts, taken as
+    they are, and those of the sum are the entrywise sums of the two.
+    The lines are accepted exactly when X1 (+) X2 is a chart in which X3
+    is the graph of an invertible gamma3.  This is the full incidence
+    check.  Over the W-basis gamma3*W, X3 = U^(I, 1):
     each line holds points (x, 0), (0, y), (z, z) of X1, X2, X3, so it is
     span{(z, 0), (0, z)}, a transversal of the standard regulus
     {W} u {U^(kI, 1)}; the points (kz, z) on T1, T_j and its companion
@@ -202,8 +207,10 @@ def reconstruct_from_transversals(lines) -> tuple:
     rows[0] + c*rows[1] = (cy, y) lies on U^(cI, 1).  That member is
     spanned by the rows b_i + (c*gamma3*W)_i, so it is U^(c*gamma3, 1) of
     the chart itself, and no second chart is built: the regulus is
-    {W} u l(gamma3, 0), listed as W (through rows[1]) and then these, c
-    in element order.  Failures raise ReconstructionError.
+    {W} u l(gamma3, 0), listed as W = X1 and then these, c in element
+    order.  At c = 0 the member is U = X2 and at c = 1 it is X3, the
+    graph of gamma3, so the chart builds only the other q - 2.  Failures
+    raise ReconstructionError.
     """
     lines = tuple(lines)
     if len(lines) < 3:
@@ -220,8 +227,9 @@ def reconstruct_from_transversals(lines) -> tuple:
                            ambient)) != 4 for a, b in itertools.combinations(lines, 2)):
         raise ReconstructionError("transversals of a regulus are pairwise skew")
 
-    t1, zero, one = lines[0].basis.payload, domain._zero, domain._one
-    hits = []                     # per T_j: the hits from T1's two rows
+    t1 = lines[0].basis.payload
+    zero = domain._zero
+    x1_rows, x2_rows = [t1[1]], [t1[0]]     # T1's rows and their hits
     for tj in lines[1:]:
         for t in lines[1:]:
             if t is tj:
@@ -232,23 +240,26 @@ def reconstruct_from_transversals(lines) -> tuple:
             parts = [domain._combine([p[c] for c in pivots], rows, 2 * ambient)
                      for p in t1]
             if all(part[:ambient] == list(p) for part, p in zip(parts, t1)):
-                hits.append([part[ambient:] for part in parts])
+                x2_rows.append(parts[0][ambient:])
+                x1_rows.append(parts[1][ambient:])
                 break
         else:
             raise ReconstructionError("no companion transversal inside a common 3-space")
 
-    # X1, X2, X3 through T1's rows[1], rows[0] and rows[0] + rows[1]
-    x1, x2, x3 = (Subspace.spanned(domain, ambient, [
-        domain._combine(e, rows, ambient) for rows in (t1, *hits)])
-        for e in ((zero, one), (one, zero), (one, one)))
+    add = domain._add
+    x3_rows = [[add(x, y) for x, y in zip(a, b)] for a, b in zip(x2_rows, x1_rows)]
+    x1, x2, x3 = (Subspace.spanned(domain, ambient, rows)
+                  for rows in (x1_rows, x2_rows, x3_rows))
     try:
         chart = AffineChart(domain, ambient, x1, x2, space=x1 + x2)
         gamma3 = chart.coordinate_of(x3).gamma
-        regulus = Regulus(chart, gamma3, MatrixK.zero(domain, chart.m, chart.k))
+        line = Regulus(chart, gamma3, MatrixK.zero(domain, chart.m, chart.k)).line
     except ValueError as exc:
         raise ReconstructionError(
             f"the lines are not the transversals of one regulus: {exc}") from exc
-    return regulus.members()
+    one = domain._one
+    return (x1, *(x2 if c == zero else x3 if c == one else chart.complement(line._point(c))
+                  for c in domain._payloads()))
 
 
 # ---------------------------------------------------------------------------

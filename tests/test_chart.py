@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from boxed_reference import ref_complement
 from complaff import chart as chart_module
 from complaff import config, linalg, projective
 from complaff.algebra import ExtensionField, PrimeField, Quaternions
@@ -28,6 +29,7 @@ from vectors import unit_vector, vec_add, vec_scale
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
+GF4 = ExtensionField(2, (1, 1, 1))
 Q = Quaternions()
 
 
@@ -124,6 +126,24 @@ def test_nonstandard_bases_round_trip():
     ch = AffineChart(GF3, 4, w)
     for c in ch.all_coords()[:20]:
         assert ch.coordinate_of(ch.complement(c)) == c
+
+
+@pytest.mark.parametrize("domain", [GF3, GF4, Q], ids=["GF3", "GF4", "Quat"])
+def test_complement_matches_boxed_route_with_given_bases(domain):
+    """U^(gamma,1) against the boxed gamma * W-basis plus b, on a chart
+    whose W-basis and b are caller-given, neither echelon nor unit rows:
+    every gamma over GF(3) and GF(4), 81 over Quat(Q)."""
+    s = domain.scalar((1, 1, 0, 0)) if domain is Q else domain.elements()[2]
+    w0, w1 = vec_add(e(domain, 4, 0), e(domain, 4, 3)), e(domain, 4, 1)
+    w_basis = [vec_add(vec_scale(s, w0), w1), vec_scale(s, w1)]
+    b = [vec_add(e(domain, 4, 2), e(domain, 4, 1)), vec_scale(s, e(domain, 4, 3))]
+    ch = AffineChart(domain, 4, Subspace.from_rows(domain, 4, [w0, w1]),
+                     Subspace.from_rows(domain, 4, b), b=b, w_basis=w_basis)
+    entries = (domain.elements() if domain.is_finite
+               else (domain.zero(), s, domain.scalar(("1/2", 0, 0, -1))))
+    for flat in itertools.product(entries, repeat=4):
+        gamma = MatrixK(domain, [flat[:2], flat[2:]])
+        assert ch.complement(gamma).basis == ref_complement(ch, gamma)
 
 
 def count_combines(monkeypatch, domain) -> list:

@@ -497,6 +497,39 @@ def test_a_quaternion_component_with_a_huge_exponent_exits_2_with_one_line(compo
     assert "exponent" in out.stderr
 
 
+@pytest.mark.parametrize("component", ["1e-100000", "1e-10000000", "-2.5E+4301"])
+def test_the_library_refuses_a_quaternion_component_with_a_huge_exponent(component):
+    """Quaternions._canon refuses a string component's decimal exponent
+    past ±4300 as the decoder does, before Fraction expands it: the same
+    child under the same cap and timeout, through the library API."""
+    code = ("from complaff.algebra import Quaternions\n"
+            "try:\n"
+            f"    Quaternions().scalar(({component!r}, 0, 0, 0))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         encoding="utf-8", env=env, preexec_fn=_capped, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "a decimal exponent must lie within ±4300\n"
+
+
+def test_a_report_with_a_component_past_the_digit_limit_exits_2_with_one_line(tmp_path):
+    """Two 2500-digit components decode, but the regulus through them has
+    entries of about 5000 digits, which str() refuses past CPython's
+    4300-digit limit: the encoder reports that, and nothing is printed."""
+    huge = ["9" * 2500, "1", "0", "0"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"gamma": [[huge, 1], [0, huge]]}))
+    b.write_text(json.dumps({"gamma": [[0, 0], [0, 0]]}))
+    out = run_cli("regulus", "--through", str(a), str(b), "--config",
+                  os.path.join(REPO, "tests", "golden", "inputs", "quat.json"), "--json")
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "Traceback" not in out.stderr and len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("config error: ") and "4300 digits" in out.stderr
+
+
 @pytest.mark.parametrize("name", ["5000-digit-modulus-coefficient", "4000-digit-prime",
                                   "huge-modulus-coefficient", "huge-degree"])
 def test_a_long_field_spec_is_echoed_clipped(name, tmp_path):

@@ -141,6 +141,12 @@ def test_quaternion_components_of_mixed_types_read_as_fractions():
     assert domain._canon([1, Fraction(1, 2), "-1/3", 2.0]) == (6, 3, -2, 12, 6)
 
 
+def test_a_quaternion_component_string_at_the_exponent_bound_is_read():
+    domain = DOMAINS["Quat(Q)"]
+    assert domain._public(domain._canon(("1e-4300", "-2.5E+4300", 0, "3e0"))) == (
+        Fraction(1, 10 ** 4300), Fraction(-25 * 10 ** 4299), 0, 3)
+
+
 @pytest.mark.parametrize("payload", [(1, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 2.0),
                                      (1.0, 0, 0, 0, 1), (Fraction(1, 2), 0, 0, 0, 1)])
 def test_a_quaternion_working_payload_needs_int_entries_and_a_nonzero_denominator(payload):

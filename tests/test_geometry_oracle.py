@@ -45,6 +45,7 @@ from complaff.reguli import (
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 GF4 = ExtensionField(2, (1, 1, 1))
+GF5 = PrimeField(5)
 Q = Quaternions()
 
 ORACLE = settings(derandomize=True, database=None, max_examples=40,
@@ -355,11 +356,12 @@ def _outcome(reconstruct, lines):
         return type(exc)
 
 
-# GF(2)^4 has only three transversals per regulus, so no proper subset
+# GF(2)^4 has only three transversals per regulus, so no proper subset;
+# GF(5) lists members past parameters 0 and 1 (q - 2 = 3 of them)
 RECONSTRUCT_CASES = [
     pytest.param(dom, m, kind, id=f"{name}-{m}-{kind}")
     for name, dom, m in (("GF2", GF2, 2), ("GF3", GF3, 2), ("GF4", GF4, 2),
-                         ("GF2", GF2, 3))
+                         ("GF5", GF5, 2), ("GF2", GF2, 3))
     for kind in ("full", "subset", "replaced")
     if (name, m, kind) != ("GF2", 2, "subset")]
 

@@ -320,6 +320,28 @@ def test_reconstruct_builds_one_chart_with_the_members_of_two(domain, monkeypatc
         assert members == standard_regulus(second).members()
 
 
+@pytest.mark.parametrize("domain", [GF3, GF4, PrimeField(5)], ids=repr)
+def test_reconstruct_builds_only_the_members_off_parameters_zero_and_one(domain, monkeypatch):
+    """The members at parameters 0 and 1 are X2 and X3 themselves, so the
+    chart's complement map builds the other q - 2, in element order."""
+    ch = symmetric_chart(domain, 2)
+    reg = random_regulus(ch, random.Random(11))
+    lines = transversals_of(reg).lines()
+    built, complement = [], AffineChart.complement
+
+    def counted(self, c):
+        built.append(c)
+        return complement(self, c)
+
+    monkeypatch.setattr(AffineChart, "complement", counted)
+    members = reconstruct_from_transversals(lines)
+    monkeypatch.undo()
+    assert len(built) == domain.order - 2 and len(members) == domain.order + 1
+    assert set(members) == set(reg.members())
+    gamma3 = built[0].gamma.scale_left(domain.elements()[2].inverse())
+    assert [c.gamma for c in built] == [gamma3.scale_left(k) for k in domain.elements()[2:]]
+
+
 def test_reconstruct_rejects_corrupted_input():
     ch = symmetric_chart(GF2, 2)
     lines = list(transversals_of(standard_regulus(ch)).lines())
