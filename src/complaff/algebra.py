@@ -66,7 +66,9 @@ finite domain, a seeded sample of an infinite one.  Library enumerations
 walk ``_sample`` and build no ``Scalar``; ``_listing`` returns them as a
 tuple over a finite domain, else as a ``Sampled``.  A ``Sampled`` carries
 the attribute ``is_sample = True`` and a complete listing has none, so
-``isinstance(x, Sampled)`` tells the two apart.
+``isinstance(x, Sampled)`` tells the two apart.  A finite listing knows
+its size before it starts, and ``_bound`` refuses one past ``_MAX_LISTED``
+items with ``ConfigError`` there; ``_payloads`` and ``_sample`` stay lazy.
 """
 
 from __future__ import annotations
@@ -74,10 +76,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DomainMismatchError, InfiniteDomainError
+from .errors import ConfigError, DomainMismatchError, InfiniteDomainError
 
 
 class Sampled(tuple):
@@ -93,6 +96,15 @@ class Sampled(tuple):
 def _listing(domain: "ScalarDomain", items):
     """items as a tuple over a finite domain, else as a Sampled."""
     return tuple(items) if domain.is_finite else Sampled(items)
+
+
+_MAX_LISTED = 10 ** 5            # the items one finite listing may hold
+
+
+def _bound(count: int, what: str) -> None:
+    """ConfigError, before anything is listed, for `count` items past _MAX_LISTED."""
+    if count > _MAX_LISTED:
+        raise ConfigError(f"{what} exceed the limit {_MAX_LISTED}")
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +142,15 @@ class ScalarDomain:
         raise InfiniteDomainError(f"{self} is infinite")
 
     def elements(self) -> tuple:
-        return tuple([Scalar(self, x) for x in self._payloads()])
+        payloads = self._payloads()
+        _bound(self.order, f"the {self.order} elements of {self}")
+        return tuple([Scalar(self, x) for x in payloads])
 
     def sample(self, seed: int = 0):
         """Finite domains: the full element tuple.  Infinite: a Sampled tuple."""
-        return _listing(self, [Scalar(self, x) for x in self._sample(seed)])
+        if self.is_finite:
+            return self.elements()
+        return Sampled([Scalar(self, x) for x in self._sample(seed)])
 
     # -- payload hooks ---------------------------------------------------------
 
@@ -677,16 +693,19 @@ _MAX_EXPONENT = 4300
 
 
 def _fraction(x) -> Fraction:
-    """Fraction(x), with a string's decimal exponent past ±_MAX_EXPONENT
-    refused before ``Fraction`` expands it to a power of ten."""
+    """Fraction(x), with the decimal exponent of a string or a ``Decimal``
+    past ±_MAX_EXPONENT refused before ``Fraction`` expands it to a power
+    of ten."""
+    exp = x.as_tuple().exponent if isinstance(x, Decimal) else 0
     if type(x) is str:
-        _, e, exp = x.lower().partition("e")
+        _, e, written = x.lower().partition("e")
         try:
-            too_large = bool(e) and abs(int(exp)) > _MAX_EXPONENT
+            exp = int(written) if e else 0
         except ValueError:          # no int exponent: Fraction refuses the string
-            too_large = False
-        if too_large:
-            raise ValueError(f"a decimal exponent must lie within ±{_MAX_EXPONENT}")
+            pass
+    # a Decimal NaN or infinity has a str exponent, and Fraction refuses it
+    if type(exp) is int and abs(exp) > _MAX_EXPONENT:
+        raise ValueError(f"a decimal exponent must lie within ±{_MAX_EXPONENT}")
     return Fraction(x)
 
 
@@ -1000,8 +1019,9 @@ class Scalar:
 def _projective_reps(domain: ScalarDomain, n: int):
     """The payload n-tuples over a finite domain whose first nonzero entry
     is 1: one per projective point of K^n, ordered by the position of the
-    leading 1, then by the tail in `elements()` order."""
-    elems, zero, one = domain._payloads(), domain._zero, domain._one
-    for lead in range(n):
-        for tail in itertools.product(elems, repeat=n - lead - 1):
-            yield (zero,) * lead + (one,) + tail
+    leading 1, then by the tail in `elements()` order; refused on call
+    past _MAX_LISTED points."""
+    elems, zero, one, q = domain._payloads(), domain._zero, domain._one, domain.order
+    _bound((q ** n - 1) // (q - 1), f"({q}^{n}-1)/({q}-1) projective points")
+    return ((zero,) * lead + (one,) + tail
+            for lead in range(n) for tail in itertools.product(elems, repeat=n - lead - 1))

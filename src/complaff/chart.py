@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .algebra import Scalar, ScalarDomain, _listing
+from .algebra import Scalar, ScalarDomain, _bound, _listing
 from .errors import ChartMismatchError, DomainMismatchError, InfiniteDomainError
 from .linalg import (
     MatrixK,
@@ -208,9 +208,10 @@ class AffineChart:
         """Every complement coordinate, in lexicographic gamma order."""
         if not self.domain.is_finite:
             raise InfiniteDomainError("coordinate enumeration needs a finite field")
-        elems, k = self.domain._payloads(), self.k
+        elems, q, k, mk = self.domain._payloads(), self.domain.order, self.k, self.m * self.k
+        _bound(q ** mk, f"{q}^{mk} complements")
         return tuple(self.coord([combo[i * k:(i + 1) * k] for i in range(self.m)])
-                     for combo in itertools.product(elems, repeat=self.m * k))
+                     for combo in itertools.product(elems, repeat=mk))
 
 
 def symmetric_chart(domain: ScalarDomain, m: int) -> AffineChart:
@@ -299,6 +300,8 @@ class AffineLine:
         """Every point, walked by the canonical payloads of ``_sample``; a
         seeded Sampled if infinite."""
         dom = self.chart.domain
+        if dom.is_finite:
+            _bound(dom.order, f"the {dom.order} points of a line over {dom}")
         return _listing(dom, map(self._point, dom._sample(seed)))
 
     def parameter_of(self, c: ComplementCoord) -> Scalar | None:

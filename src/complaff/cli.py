@@ -46,8 +46,6 @@ from .reguli import (
     w_plus_z,
 )
 
-_MAX_LISTED = 10 ** 5            # complements or lines one command may list
-
 
 def _emit(args, report: dict, human_lines) -> None:
     if args.json:
@@ -89,13 +87,6 @@ def _fail(args, command: str, chart, cfg, exc: Exception) -> int:
 
 def cmd_enumerate(args) -> int:
     chart, cfg = _chart(args)
-    if not chart.domain.is_finite:
-        raise InfiniteDomainError(
-            "the complements of W over an infinite field cannot be listed; "
-            "enumerate needs a finite field")
-    q, mk = chart.domain.order, chart.m * chart.k
-    if q ** mk > _MAX_LISTED:
-        raise ConfigError(f"{q}^{mk} complements exceed the limit {_MAX_LISTED}")
     coords = chart.all_coords()
     report = _base_report("enumerate", chart, cfg)
     report["chart"] = {"W": subspace_to_json(chart.w),
@@ -114,15 +105,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_classify_lines(args) -> int:
     chart, cfg = _chart(args)
-    if not chart.domain.is_finite:
-        raise InfiniteDomainError("line classification needs a finite field")
-    q, mk = chart.domain.order, chart.m * chart.k
-    if (q ** mk - 1) // (q - 1) > _MAX_LISTED:
-        raise ConfigError(f"({q}^{mk}-1)/({q}-1) lines exceed the limit {_MAX_LISTED}")
     counts = {"regular": 0, "cone_exact": 0, "cone_nonexact": 0}
     entries = []
     # nonzero alpha up to left scaling: first nonzero entry 1
-    for flat in _projective_reps(chart.domain, mk):
+    for flat in _projective_reps(chart.domain, chart.m * chart.k):
         alpha = from_payloads(chart.domain, [flat[i * chart.k:(i + 1) * chart.k]
                                              for i in range(chart.m)], chart.k)
         if chart.is_symmetric and is_invertible(alpha):
@@ -167,22 +153,8 @@ def _coord_from_file(chart, path: str) -> ComplementCoord:
     raise ConfigError(f'{path}: expected {{"gamma": ...}} or a subspace object')
 
 
-def _bound_regulus(chart, z_points: bool) -> None:
-    """Refuse, before listing, a regulus of more than _MAX_LISTED members
-    (q + 1) or, when `z_points`, a U of more Z-points ((q^m-1)/(q-1))."""
-    if not chart.domain.is_finite:
-        return                       # infinite families are seeded samples
-    q, m = chart.domain.order, chart.m
-    if q + 1 > _MAX_LISTED:
-        raise ConfigError(f"{q}+1 regulus members exceed the limit {_MAX_LISTED}")
-    if z_points and (q ** m - 1) // (q - 1) > _MAX_LISTED:
-        raise ConfigError(f"({q}^{m}-1)/({q}-1) Z-points of U exceed the limit "
-                          f"{_MAX_LISTED}")
-
-
 def cmd_regulus(args) -> int:
     chart, cfg = _chart(args)
-    _bound_regulus(chart, z_points=True)
     c1 = _coord_from_file(chart, args.through[0])
     c2 = _coord_from_file(chart, args.through[1])
     try:
@@ -209,7 +181,6 @@ def cmd_regulus(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     chart, cfg = _chart(args)
-    _bound_regulus(chart, z_points=False)
     lines = transversals_from_json(chart.domain, _read_json(args.transversals))
     for line in lines:
         if line.ambient != chart.ambient:

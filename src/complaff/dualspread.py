@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import _projective_reps
+from .algebra import _MAX_LISTED, _bound, _projective_reps
 from .chart import AffineChart, ComplementCoord
 from .errors import ChartMismatchError, InfiniteDomainError
 from .linalg import (
@@ -113,9 +113,10 @@ class SingularSet:
         ch = self.chart
         if not ch.domain.is_finite:
             raise InfiniteDomainError("singular-set enumeration needs a finite field")
-        dom, k = ch.domain, ch.k
+        dom, q, k, h = ch.domain, ch.domain.order, ch.k, self._h.rows
+        _bound(q ** (ch.m * h), f"{q}^{ch.m * h} members of a singular set")
         hs = [dom._combine(coeffs, self._h.payload, k)
-              for coeffs in itertools.product(dom._payloads(), repeat=self._h.rows)]
+              for coeffs in itertools.product(dom._payloads(), repeat=h)]
         return tuple(ComplementCoord(ch, self._base + from_payloads(dom, combo, k))
                      for combo in itertools.product(hs, repeat=ch.m))
 
@@ -175,14 +176,15 @@ def check_pairwise_regular(b: DualSpreadCandidate) -> Violation | None:
     (`_least_singular_pair`) costs one combination per projective point of
     K^m, P = (q^m - 1)/(q - 1) of them, against N(N - 1)/2 reductions on
     the rank path for N members.  Both counts are known before any work,
-    so the rank path is taken when it has fewer steps.
+    so the rank path is taken when it has fewer steps, or when P is past
+    the listing limit `_MAX_LISTED`; it reports the same pair.
     """
     ch = b.chart
     dom, m = ch.domain, ch.m
     gammas = [c.gamma for c in b.members]
     n = len(gammas)
     if (dom.is_finite and m == ch.k
-            and n * (n - 1) // 2 >= (dom.order ** m - 1) // (dom.order - 1)):
+            and min(n * (n - 1) // 2, _MAX_LISTED) >= (dom.order ** m - 1) // (dom.order - 1)):
         pair = _least_singular_pair(dom, m, [g.payload for g in gammas])
     else:
         pair = next(((i, j) for i, j in itertools.combinations(range(n), 2)

@@ -14,7 +14,8 @@ class ChartMismatchError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A configuration file or field spec could not be interpreted."""
+    """A configuration file or field spec could not be interpreted, or asks
+    for more than a limit admits: a config size, or a listing past 10^5."""
 
 
 class ReconstructionError(ValueError):

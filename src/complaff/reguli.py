@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import Sampled, _listing
+from .algebra import Sampled, _bound, _listing
 from .chart import AffineChart, AffineLine, ComplementCoord
 from .errors import InfiniteDomainError, ReconstructionError
 from .linalg import MatrixK, from_payloads, kernel, reduce_rows
@@ -138,18 +138,19 @@ def w_plus_transversals(regulus: Regulus, seed: int = 0):
     """{W + T : T transversal}.  T's generator z^alpha = z*(alpha*W) lies in
     W, so W + T = W + K(z^beta + z), spanned by W and z*(beta*W + B)."""
     ch = regulus.chart
-    dom, n, w = ch.domain, ch.ambient, ch.w.basis.payload
-    beta_w_b = (regulus.beta * ch.w_matrix + ch.b_matrix).payload
-    made = _over_z_points(ch, seed, lambda z: Subspace.spanned(
-        dom, n, w + (dom._combine(z, beta_w_b, n),)))
-    return made if isinstance(made, Sampled) else frozenset(made)
+    return _w_plus(ch, regulus.beta * ch.w_matrix + ch.b_matrix, seed)
 
 
 def w_plus_z(chart: AffineChart, seed: int = 0):
     """The family {W + Kz : z a Z-point of U}."""
-    dom, n, w = chart.domain, chart.ambient, chart.w.basis.payload
+    return _w_plus(chart, chart.b_matrix, seed)
+
+
+def _w_plus(chart: AffineChart, gens: MatrixK, seed: int):
+    """{W + K(z*gens) : z a Z-point of U}, a frozenset unless sampled."""
+    dom, n, w, rows = chart.domain, chart.ambient, chart.w.basis.payload, gens.payload
     made = _over_z_points(chart, seed, lambda z: Subspace.spanned(
-        dom, n, w + (dom._combine(z, chart.b_matrix.payload, n),)))
+        dom, n, w + (dom._combine(z, rows, n),)))
     return made if isinstance(made, Sampled) else frozenset(made)
 
 
@@ -218,6 +219,7 @@ def reconstruct_from_transversals(lines) -> tuple:
     domain = lines[0].domain
     if not domain.is_finite:
         raise InfiniteDomainError("reconstruction enumerates points; finite only")
+    _bound(domain.order + 1, f"{domain.order}+1 regulus members")
     ambient = lines[0].ambient
     if any(t.dim != 2 or t.ambient != ambient for t in lines):
         raise ReconstructionError("transversals must be 2-dimensional subspaces")

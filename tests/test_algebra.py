@@ -1,6 +1,8 @@
 import itertools
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -241,3 +243,17 @@ def test_projective_reps(domain, n):
                  for c in domain.sample() if not c.is_zero()}
     assert len(multiples) == q ** n - 1
     assert reps == _hyperplane_forms_loop(domain, n)
+
+
+def test_a_decimal_component_has_the_string_exponent_bound():
+    """Fraction(Decimal) expands the exponent to a power of ten, so a
+    Decimal is held to the ±4300 that strings are: 1e-4300 reads as
+    1/10^4300, and 1e-4301 and 1e4301 are refused before any expansion."""
+    Q = Quaternions()
+    assert Q.scalar((Decimal("1e-4300"), 0, 0, 0)).payload[0] == Fraction(1, 10 ** 4300)
+    assert Q.scalar((Decimal("-25e4299"), 0, 0, 0)).payload[0] == -25 * 10 ** 4299
+    for value in ("1e-4301", "1e4301", "-2.5e-4300"):
+        with pytest.raises(ValueError, match="exponent must lie within"):
+            Q.scalar((Decimal(value), 0, 0, 0))
+    with pytest.raises(ValueError):
+        Q.scalar((Decimal("NaN"), 0, 0, 0))

@@ -719,3 +719,15 @@ def test_subchart_join_mapping_and_identity():
     # and join-after-intersect fixes that set pointwise
     for c in through_c:
         assert sub.extend(sub.restrict(c)) == c
+
+
+def test_all_coords_lists_up_to_the_limit():
+    """GF(3)^11 with dim W = 1 has 3^10 = 59049 complements, all listed;
+    GF(3)^12 has 3^11 = 177147, refused before any is built."""
+    def chart(n):
+        return AffineChart(GF3, n, Subspace.spanned(GF3, n, MatrixK.identity(GF3, n).payload[:1]))
+
+    coords = chart(11).all_coords()
+    assert len(coords) == 3 ** 10 and len(set(coords)) == 3 ** 10
+    with pytest.raises(ConfigError, match=r"^3\^11 complements exceed the limit 100000$"):
+        chart(12).all_coords()

@@ -515,6 +515,24 @@ def test_the_library_refuses_a_quaternion_component_with_a_huge_exponent(compone
     assert out.stdout == "a decimal exponent must lie within ±4300\n"
 
 
+def test_the_library_refuses_a_decimal_component_with_a_huge_exponent():
+    """A Decimal component's exponent has the string bound: Fraction(Decimal)
+    would expand 1e-10000000 to a 33-Mbit denominator.  The same child,
+    cap and timeout as for strings."""
+    code = ("from decimal import Decimal\n"
+            "from complaff.algebra import Quaternions\n"
+            "try:\n"
+            "    Quaternions().scalar((Decimal('1e-10000000'), 0, 0, 0))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         encoding="utf-8", env=env, preexec_fn=_capped, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "a decimal exponent must lie within ±4300\n"
+
+
 def test_a_report_with_a_component_past_the_digit_limit_exits_2_with_one_line(tmp_path):
     """Two 2500-digit components decode, but the regulus through them has
     entries of about 5000 digits, which str() refuses past CPython's
@@ -615,6 +633,55 @@ def test_oversized_work_is_refused_before_it_starts(name, tmp_path):
     assert out.getvalue() == ""
     assert len(err.getvalue().splitlines()) == 1
     assert err.getvalue().startswith("config error: ") and "limit" in err.getvalue()
+
+
+# each finite listing of the library, started on a field of q > 10^5 elements
+LIBRARY_LISTINGS = {
+    "elements": "domain.elements()",
+    "sample": "domain.sample()",
+    "AffineLine.points": "standard_regulus(ch).line.points()",
+    "all_coords": "ch.all_coords()",
+    "Regulus.members": "standard_regulus(ch).members()",
+    "TransversalSet.lines": "transversals_of(standard_regulus(ch)).lines()",
+    "hyperplanes": "hyperplanes(domain, 2)",
+    "SingularSet.coords": "SingularSet(ch, Subspace.spanned(domain, 4, units[1:])).coords()",
+    "reconstruct_from_transversals":
+        "reconstruct_from_transversals([Subspace.full(domain, 2)] * 3)",
+}
+LARGE_FIELDS = {"GF(2^61-1)": "PrimeField(2 ** 61 - 1)",
+                "GF((2^61-1)^2)": "ExtensionField(2 ** 61 - 1, (1, 0, 1))"}
+
+
+@pytest.mark.parametrize("field", LARGE_FIELDS)
+@pytest.mark.parametrize("listing", LIBRARY_LISTINGS)
+def test_the_library_refuses_an_oversized_listing_before_it_starts(listing, field):
+    """Library callers get the CLI's refusal: ConfigError naming the limit,
+    within 1 s.  Run in a child under the address-space cap and a timeout,
+    since a listing of q items would otherwise run until memory is out."""
+    code = ("import time\n"
+            "from complaff.algebra import ExtensionField, PrimeField\n"
+            "from complaff.chart import symmetric_chart\n"
+            "from complaff.dualspread import SingularSet\n"
+            "from complaff.errors import ConfigError\n"
+            "from complaff.linalg import MatrixK\n"
+            "from complaff.projective import Subspace, hyperplanes\n"
+            "from complaff.reguli import (reconstruct_from_transversals, "
+            "standard_regulus, transversals_of)\n"
+            f"domain = {LARGE_FIELDS[field]}\n"
+            "ch = symmetric_chart(domain, 2)\n"
+            "units = MatrixK.identity(domain, 4).payload\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    {LIBRARY_LISTINGS[listing]}\n"
+            "except ConfigError as exc:\n"
+            "    print(time.perf_counter() - start, exc)\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, preexec_fn=_capped, timeout=30)
+    assert (out.returncode, out.stderr) == (0, "")
+    seconds, _, message = out.stdout.partition(" ")
+    assert float(seconds) < 1.0
+    assert message.endswith(" exceed the limit 100000\n")
 
 
 def test_check_dual_spread_builds_no_z_structure(cfg2, spread_file, monkeypatch):

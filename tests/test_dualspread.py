@@ -655,6 +655,25 @@ def test_ds1_takes_the_rank_path_when_it_has_fewer_steps(monkeypatch):
     assert check_pairwise_regular(repeated).pair == (0, 1)
 
 
+def test_ds1_takes_the_rank_path_past_the_listing_limit(monkeypatch):
+    """With the limit below the P = 5 projective points of GF(4)^2, DS1 walks
+    no point and tests pairs by rank, and reports what the bucket path
+    reports: no pair, the first duplicate (0, 16), and (1, 3)."""
+    gf4 = ExtensionField(2, (1, 1, 1))
+    ch = symmetric_chart(gf4, 2)
+    spread = regular_spread_gammas(gf4)
+    cands = [DualSpreadCandidate(ch, [ComplementCoord(ch, g) for g in gammas])
+             for gammas in (spread, spread + spread[:1], spread[:3] + spread[1:2])]
+    bucket = [check_pairwise_regular(c) for c in cands]
+    assert [v and v.pair for v in bucket] == [None, (0, 16), (1, 3)]
+    walked = []
+    monkeypatch.setattr(dualspread, "_least_singular_pair", lambda *args: walked.append(args))
+    monkeypatch.setattr(dualspread, "_MAX_LISTED", 4)
+    monkeypatch.setattr(algebra, "_MAX_LISTED", 4)
+    assert [check_pairwise_regular(c) for c in cands] == bucket
+    assert walked == []
+
+
 # (q, m, N, path) on each side of N(N - 1)/2 >= P = (q^m - 1)/(q - 1),
 # the tie (3 pairs, 3 points) included
 PATHS = [(2, 2, 2, "rank"), (2, 2, 3, "bucket"), (3, 2, 3, "rank"),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from complaff import chart as chart_module
-from complaff import linalg, projective, reguli
+from complaff import algebra, linalg, projective, reguli
 from complaff.algebra import (
     ExtensionField,
     PrimeField,
@@ -20,7 +20,12 @@ from complaff.chart import (
     line_through,
     symmetric_chart,
 )
-from complaff.errors import DomainMismatchError, InfiniteDomainError, ReconstructionError
+from complaff.errors import (
+    ConfigError,
+    DomainMismatchError,
+    InfiniteDomainError,
+    ReconstructionError,
+)
 from complaff.linalg import MatrixK, apply, is_invertible
 from complaff.projective import Subspace, all_complements, is_complement
 from complaff.reguli import (
@@ -822,3 +827,31 @@ def test_perspectivity_rejects_bad_arguments():
     outsider = Subspace.from_rows(GF2, 4, [e(GF2, 4, 0), e(GF2, 4, 2)])
     with pytest.raises(ValueError):
         perspectivity(reg, u1, u2, outsider)
+
+
+def test_the_listing_limit_admits_10_to_the_5_items_and_refuses_one_more():
+    algebra._bound(10 ** 5, "100000 items")
+    with pytest.raises(ConfigError, match=r"^100001 items exceed the limit 100000$"):
+        algebra._bound(10 ** 5 + 1, "100001 items")
+
+
+def test_projective_points_are_listed_up_to_the_limit():
+    """GF(2)^16 has 2^16 - 1 = 65535 projective points, and their listing
+    starts; the 131071 of GF(2)^17 are refused on the call, before any is
+    yielded."""
+    reps = _projective_reps(GF2, 16)
+    assert next(reps) == (1,) + (0,) * 15
+    assert next(reps) == (1,) + (0,) * 14 + (1,)
+    with pytest.raises(ConfigError,
+                       match=r"^\(2\^17-1\)/\(2-1\) projective points exceed the limit 100000$"):
+        _projective_reps(GF2, 17)
+
+
+def test_reconstruction_counts_before_it_checks_skewness():
+    """Three copies of K^2 are no transversal set, but over GF(2^61 - 1)
+    the q + 1 members are refused first, as the CLI's exit 2 needs."""
+    big = PrimeField(2 ** 61 - 1)
+    with pytest.raises(ConfigError, match=r"^2305843009213693951\+1 regulus members exceed"):
+        reconstruct_from_transversals([Subspace.full(big, 2)] * 3)
+    with pytest.raises(ReconstructionError, match="pairwise skew"):
+        reconstruct_from_transversals([Subspace.full(GF3, 2)] * 3)

@@ -121,3 +121,17 @@ def test_domain_class_imports_are_found():
 def test_geometry_imports_no_concrete_domain(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert domain_classes_imported(fh.read()) == []
+
+
+def test_the_listing_limit_is_set_in_algebra_alone_and_unread_by_the_cli():
+    """One module decides how many items one listing may hold."""
+    assigned = []
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            source = fh.read()
+        if module == "cli.py":
+            assert "_MAX_LISTED" not in source
+        assigned += [module for node in ast.walk(ast.parse(source))
+                     if isinstance(node, ast.Name) and node.id == "_MAX_LISTED"
+                     and isinstance(node.ctx, ast.Store)]
+    assert assigned == ["algebra.py"]
